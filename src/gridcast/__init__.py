@@ -4,7 +4,6 @@ from .grid import ACTIONS, STAY, CellIndex, GridSpec, cell_to_world, quantize_tr
 from .irl import (
     Demonstration,
     IrlDivergenceError,
-    PolicySchedule,
     RewardMapParams,
     TrainConfig,
     VisitationField,
@@ -15,6 +14,7 @@ from .irl import (
     irl_loss_and_grad,
     reward_backward,
     reward_forward,
+    soft_policy,
     soft_value_iteration,
     train_irl,
 )
@@ -26,11 +26,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIONS", "STAY", "CellIndex", "GridSpec", "cell_to_world", "world_to_cell",
     "step", "quantize_trajectory",
-    "Demonstration", "IrlDivergenceError", "PolicySchedule", "RewardMapParams",
+    "Demonstration", "IrlDivergenceError", "RewardMapParams",
     "TrainConfig", "VisitationField", "build_demonstration",
     "build_path_demonstration", "expected_visitation", "expert_visitation",
     "irl_loss_and_grad", "reward_backward", "reward_forward",
-    "soft_value_iteration", "train_irl",
+    "soft_policy", "soft_value_iteration", "train_irl",
     "RunConfig",
     "SceneContext", "generate_scene", "load_scene", "normalize_to_target",
     "rasterize_features", "save_scene",

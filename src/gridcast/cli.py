@@ -30,7 +30,10 @@ VARIANT_BASELINE = "no_reasoning"
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("FIM_LOG", "error"), logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig is a no-op once the root logger has a handler, so the
+    # package logger's level is set on every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(level)
 
 
 def _load_effective_config(args) -> RunConfig:

@@ -2,16 +2,18 @@
 
 A per-cell reward map is trained so that the soft-optimal policy's expected
 state visitations match those of quantized expert demonstrations. Planning is
-finite-horizon soft value iteration with a time-indexed policy; the induced
-path distribution is P(tau | s0) proportional to exp(sum of rewards over
-entered states), which the enumeration oracle in :mod:`gridcast.oracle`
-verifies exactly on small grids.
+finite-horizon soft value iteration, which keeps only the value maps V_t; the
+time-indexed policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)) is derived
+from them one step at a time. The induced path distribution is
+P(tau | s0) proportional to exp(sum of rewards over entered states), which the
+enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .grid import (
     eight_connected_line,
     cells_adjacent,
     quantize_trajectory,
-    valid_action_mask,
 )
 from . import rng
 
@@ -128,16 +129,8 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 # Planning and visitations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PolicySchedule:
-    """Time-indexed stochastic policy pi_t(a | s) with its valid-action mask."""
-
-    probs: np.ndarray  # (horizon, rows, cols, 9); masked actions have prob 0
-    valid: np.ndarray  # (rows, cols, 9) bool
-
-    @property
-    def horizon(self) -> int:
-        return self.probs.shape[0]
+# policy(t) -> pi_t(a | s), shape (rows, cols, 9); off-grid actions have prob 0
+Policy = Callable[[int], np.ndarray]
 
 
 @dataclass
@@ -160,39 +153,52 @@ def _action_slices(spec: GridSpec):
     return out
 
 
-def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
+def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int) -> np.ndarray:
     """Backward soft Bellman recursion with terminal V_horizon = 0.
 
-    Q_t(s, a) = R(s') + V_{t+1}(s') for the deterministic successor s', with
-    off-grid actions masked; V_t = logsumexp_a Q_t; pi_t = exp(Q_t - V_t).
-    Returns (values, q_values, policy) where values is (horizon+1, rows, cols)
-    and q_values is (horizon, rows, cols, 9).
+    V_t(s) = logsumexp over in-grid successors s' of R(s') + V_{t+1}(s').
+    Returns the value maps, shape (horizon+1, rows, cols); soft_policy derives
+    the policy from them.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
-    valid = valid_action_mask(spec)
     slices = _action_slices(spec)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
-    q_values = np.full((horizon, spec.rows, spec.cols, N_ACTIONS), -np.inf)
-    policy = np.zeros_like(q_values)
+    q = np.full((spec.rows, spec.cols, N_ACTIONS), -np.inf)  # off-grid actions stay -inf
     for t in range(horizon - 1, -1, -1):
         gain = reward + values[t + 1]
-        q = q_values[t]
         for a, (src, dst) in enumerate(slices):
             q[src + (a,)] = gain[dst]
         # logsumexp over actions; STAY is always valid so the max is finite
         m = q.max(axis=-1)
-        expq = np.exp(q - m[..., None])
-        sumexp = expq.sum(axis=-1)
-        values[t] = m + np.log(sumexp)
-        policy[t] = expq / sumexp[..., None]
-    return values, q_values, PolicySchedule(probs=policy, valid=valid)
+        values[t] = m + np.log(np.exp(q - m[..., None]).sum(axis=-1))
+    return values
 
 
-def expected_visitation(policy: PolicySchedule, start: CellIndex, spec: GridSpec,
+def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec) -> Policy:
+    """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)).
+
+    Each step is computed on demand from the value maps; off-grid actions get
+    probability 0. V_t(s) is the logsumexp of the exponents it is subtracted
+    from, so every exponent is <= 0 and no finite reward can overflow it.
+    """
+    slices = _action_slices(spec)
+
+    def policy(t: int) -> np.ndarray:
+        gain = reward + values[t + 1]
+        # action-major storage keeps each action's block contiguous
+        probs = np.zeros((N_ACTIONS, spec.rows, spec.cols))
+        for a, (src, dst) in enumerate(slices):
+            probs[(a,) + src] = np.exp(gain[dst] - values[t][src])
+        return np.moveaxis(probs, 0, -1)
+
+    return policy
+
+
+def expected_visitation(policy: Policy, start: CellIndex, spec: GridSpec,
                         horizon: int) -> VisitationField:
     """Forward pass: D_0 = delta(start), D_{t+1} = sum_s,a D_t pi_t routed by steps."""
     if not spec.contains(start.row, start.col):
@@ -201,7 +207,7 @@ def expected_visitation(policy: PolicySchedule, start: CellIndex, spec: GridSpec
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, start.row, start.col] = 1.0
     for t in range(horizon):
-        flow = per_step[t][..., None] * policy.probs[t]
+        flow = per_step[t][..., None] * policy(t)
         nxt = per_step[t + 1]
         for a, (src, dst) in enumerate(slices):
             nxt[dst] += flow[src + (a,)]
@@ -317,8 +323,8 @@ def irl_loss_and_grad(reward: np.ndarray, demos, start: CellIndex, spec: GridSpe
     for demo in demos:
         if demo.cells[0] != start:
             raise ValueError(f"demonstration starts at {demo.cells[0]}, expected {start}")
-    values, _, policy = soft_value_iteration(reward, spec, horizon)
-    visit = expected_visitation(policy, start, spec, horizon)
+    values = soft_value_iteration(reward, spec, horizon)
+    visit = expected_visitation(soft_policy(values, reward, spec), start, spec, horizon)
     expert = expert_visitation(demos, spec, horizon)
     mean_reward = float(np.mean([path_reward(reward, d, horizon) for d in demos]))
     nll = float(values[0, start.row, start.col]) - mean_reward
@@ -327,7 +333,7 @@ def irl_loss_and_grad(reward: np.ndarray, demos, start: CellIndex, spec: GridSpe
 
 def _nll_only(reward: np.ndarray, demos, start: CellIndex, spec: GridSpec,
               horizon: int) -> float:
-    values, _, _ = soft_value_iteration(reward, spec, horizon)
+    values = soft_value_iteration(reward, spec, horizon)
     mean_reward = float(np.mean([path_reward(reward, d, horizon) for d in demos]))
     return float(values[0, start.row, start.col]) - mean_reward
 

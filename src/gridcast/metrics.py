@@ -1,4 +1,4 @@
-"""Forecasting metrics and training-loss formulas.
+"""Forecasting metrics and reports.
 
 Displacement metrics follow the usual benchmark definitions: the miss-rate
 boundary is strict (an endpoint error of exactly 2.0 m is not a miss), ties
@@ -60,40 +60,6 @@ def brier(p_best: float) -> float:
 
 def brier_min_fde(fde: float, p_best: float) -> float:
     return fde + brier(p_best)
-
-
-def huber(pred, gt, delta: float) -> float:
-    """Mean elementwise Huber loss: quadratic within delta, linear beyond."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    e = np.abs(np.asarray(pred, dtype=np.float64) - np.asarray(gt, dtype=np.float64))
-    quad = 0.5 * e ** 2
-    lin = delta * (e - 0.5 * delta)
-    return float(np.where(e <= delta, quad, lin).mean())
-
-
-def winner_takes_all_select(candidates: np.ndarray, gt: np.ndarray) -> int:
-    """Index with minimum mean displacement error; ties go to the lowest index."""
-    candidates = _check_modes(candidates)
-    d = np.linalg.norm(candidates - np.asarray(gt)[None], axis=2).mean(axis=1)
-    return int(d.argmin())
-
-
-def max_margin(scores, positive: int, margin: float) -> float:
-    """Hinge loss of the positive score against the other modes' scores."""
-    scores = np.asarray(scores, dtype=np.float64)
-    k = scores.shape[0]
-    if not 0 <= positive < k:
-        raise ValueError(f"positive index {positive} out of range for {k} scores")
-    if k == 1:
-        return 0.0
-    others = np.delete(scores, positive)
-    return float(np.maximum(0.0, others - scores[positive] + margin).sum() / (k - 1))
-
-
-def total_loss(l_irl: float, l_ogm: float, l_reg: float, l_cls: float,
-               alpha: float = 1.0, beta: float = 1.0, gamma: float = 1.0) -> float:
-    return l_irl + alpha * l_ogm + beta * l_reg + gamma * l_cls
 
 
 @dataclass

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .grid import CellIndex, GridSpec, world_to_cell
-from .irl import PolicySchedule, expected_visitation
+from .irl import Policy, expected_visitation
 
 PROB_CLAMP = 1e-6
 
@@ -39,7 +39,7 @@ def rasterize_gt_ogm(scene, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def predict_occupancy(policy: PolicySchedule, start: CellIndex, spec: GridSpec,
+def predict_occupancy(policy: Policy, start: CellIndex, spec: GridSpec,
                       horizon: int, n_steps: int) -> np.ndarray:
     """Probabilistic (rows, cols, T_f) occupancy for the target agent.
 

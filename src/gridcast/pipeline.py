@@ -18,7 +18,7 @@ import numpy as np
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
 from .grid import ACTIONS, N_ACTIONS, GridSpec, valid_action_mask
-from .irl import PolicySchedule, TrainConfig, TrainDiagnostics
+from .irl import Policy, TrainConfig, TrainDiagnostics
 
 STRAIGHT_KAPPA = 3.0
 
@@ -32,7 +32,7 @@ FEATURE_SCALE = np.array([1.0, 1.0 / 8.0, 1.0, 1.0, 1.0 / 50.0, 1.0 / 50.0])
 class PredictionResult:
     forecast: rollout.Forecast
     reward: np.ndarray
-    policy: PolicySchedule
+    policy: Policy
     spec: GridSpec
     scene: scene_mod.SceneContext  # normalized
     reasoning: bool
@@ -70,12 +70,12 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
     return demos
 
 
-def straight_rollout_policy(spec: GridSpec, horizon: int,
-                            kappa: float = STRAIGHT_KAPPA) -> PolicySchedule:
+def straight_rollout_policy(spec: GridSpec, kappa: float = STRAIGHT_KAPPA) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
     Action weights follow exp(kappa * cos(angle to +x)); STAY gets the neutral
-    weight. Masked off-grid actions are renormalized away.
+    weight. Masked off-grid actions are renormalized away. The table is built
+    once and returned for every step.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
@@ -86,7 +86,7 @@ def straight_rollout_policy(spec: GridSpec, horizon: int,
     valid = valid_action_mask(spec)
     weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
     probs = weights / weights.sum(axis=-1, keepdims=True)
-    return PolicySchedule(probs=np.repeat(probs[None], horizon, axis=0), valid=valid)
+    return lambda t: probs
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
@@ -109,10 +109,11 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         params, diagnostics = irl.train_irl(features, demos, spec.anchor, spec,
                                             cfg.horizon, train_config(cfg))
         reward = irl.reward_forward(features, params)
-        _, _, policy = irl.soft_value_iteration(reward, spec, cfg.horizon)
+        policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, cfg.horizon),
+                                 reward, spec)
     else:
         reward = np.zeros((spec.rows, spec.cols))
-        policy = straight_rollout_policy(spec, cfg.horizon)
+        policy = straight_rollout_policy(spec)
 
     batch = rollout.sample_rollouts(policy, reward, spec.anchor, spec, cfg.rollouts,
                                     cfg.horizon, rng.derive_seed(cfg.seed, stream_key))

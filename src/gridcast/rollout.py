@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .grid import ACTION_OFFSETS, N_ACTIONS, CellIndex, GridSpec
-from .irl import PolicySchedule
+from .irl import Policy
 
 
 @dataclass
@@ -40,7 +40,7 @@ class Forecast:
     proposals: np.ndarray     # (L, T, 2)
 
 
-def sample_rollouts(policy: PolicySchedule, reward: np.ndarray, start: CellIndex,
+def sample_rollouts(policy: Policy, reward: np.ndarray, start: CellIndex,
                     spec: GridSpec, count: int, horizon: int, seed: int) -> RolloutBatch:
     """Ancestral-sample ``count`` paths from the time-indexed policy.
 
@@ -50,8 +50,6 @@ def sample_rollouts(policy: PolicySchedule, reward: np.ndarray, start: CellIndex
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if horizon > policy.horizon:
-        raise ValueError(f"horizon {horizon} exceeds policy horizon {policy.horizon}")
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
     cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
     cells[:, 0, 0] = start.row
@@ -59,7 +57,7 @@ def sample_rollouts(policy: PolicySchedule, reward: np.ndarray, start: CellIndex
     rewards = np.zeros(count)
     r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
     for t in range(horizon):
-        p = policy.probs[t, r, c, :]                      # (count, 9)
+        p = policy(t)[r, c]                               # (count, 9)
         cum = np.cumsum(p, axis=1)
         cum /= cum[:, -1:]
         u = rng.uniform(seed, streams, t)

@@ -490,16 +490,25 @@ def save_scene(path, scene: SceneContext) -> None:
         fh.write("\n")
 
 
+def _finite_array(value, name: str, source: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(f"{source}: {name}: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SceneFormatError(f"{source}: {name} contains non-finite values")
+    return arr
+
+
 def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
     version = payload.get("version")
     if version != SCENE_FORMAT_VERSION:
         raise SceneFormatError(f"{source}: unsupported scene version {version!r}")
     try:
-        agents = np.asarray(payload["agents"], dtype=np.float64)
-        lanes = np.asarray(payload["lanes"], dtype=np.float64)
-        gt_future = np.asarray(payload["gt_future"], dtype=np.float64)
-    except (KeyError, ValueError) as exc:
-        raise SceneFormatError(f"{source}: {exc}") from exc
+        agents, lanes, gt_future = (_finite_array(payload[key], key, source)
+                                    for key in ("agents", "lanes", "gt_future"))
+    except KeyError as exc:
+        raise SceneFormatError(f"{source}: missing {exc}") from exc
     if agents.size == 0:
         raise SceneFormatError(f"{source}: no agents")
     if agents.ndim != 3 or agents.shape[2] != 6:
@@ -508,18 +517,30 @@ def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
         raise SceneFormatError(f"{source}: lanes must be N_m x N_s x 6, got {lanes.shape}")
     if gt_future.ndim != 2 or gt_future.shape[1] != 2:
         raise SceneFormatError(f"{source}: gt_future must be T_f x 2, got {gt_future.shape}")
-    target_index = int(payload.get("target_index", 0))
-    if not 0 <= target_index < agents.shape[0]:
-        raise SceneFormatError(f"{source}: target_index {target_index} out of range")
+    target_index = payload.get("target_index", 0)
+    if type(target_index) is not int or not 0 <= target_index < agents.shape[0]:
+        raise SceneFormatError(f"{source}: target_index {target_index!r} is not an agent index")
+    dt = _finite_array(payload.get("dt", DT), "dt", source)
+    if dt.ndim != 0 or dt <= 0.0:
+        raise SceneFormatError(f"{source}: dt must be a positive number, got {dt.tolist()!r}")
     extended = payload.get("extended_future")
     if extended is not None:
-        extended = np.asarray(extended, dtype=np.float64)
+        extended = _finite_array(extended, "extended_future", source)
+        if extended.ndim != 2 or extended.shape[1] != 2:
+            raise SceneFormatError(f"{source}: extended_future must be T_ext x 2, got {extended.shape}")
         if extended.shape[0] < gt_future.shape[0]:
             raise SceneFormatError(f"{source}: extended_future shorter than gt_future")
     agent_futures = payload.get("agent_futures")
     if agent_futures is not None:
-        agent_futures = np.asarray(agent_futures, dtype=np.float64)
+        agent_futures = _finite_array(agent_futures, "agent_futures", source)
+        if agent_futures.ndim != 3 or agent_futures.shape[2] != 2:
+            raise SceneFormatError(
+                f"{source}: agent_futures must be N_a x T_f x 2, got {agent_futures.shape}")
     to_world = payload.get("to_world")
+    if to_world is not None:
+        to_world = _finite_array(to_world, "to_world", source)
+        if to_world.shape != (3,):
+            raise SceneFormatError(f"{source}: to_world must be (dx, dy, angle), got {to_world.shape}")
     return SceneContext(
         agents=agents,
         map_lanes=lanes,
@@ -528,7 +549,7 @@ def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
         extended_future=extended,
         agent_futures=agent_futures,
         scenario_kind=str(payload.get("kind", "unknown")),
-        dt=float(payload.get("dt", DT)),
+        dt=float(dt),
         to_world=None if to_world is None else tuple(float(v) for v in to_world),
     )
 

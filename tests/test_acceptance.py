@@ -50,7 +50,7 @@ def test_criterion_01_oracle_equivalence():
         start = CellIndex(int(rs.randint(rows)), int(rs.randint(cols)))
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
-        _, _, policy = irl.soft_value_iteration(reward, spec, horizon)
+        policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
         visit = irl.expected_visitation(policy, start, spec, horizon)
         dist = enumerate_paths(reward, spec, start, horizon)
         worst_marginal = max(worst_marginal,
@@ -83,7 +83,7 @@ def test_criterion_02_gradient_correctness():
         start = CellIndex(2, 2)
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
-        _, _, policy = irl.soft_value_iteration(reward, spec, horizon)
+        policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
         demos = [_rollout_demo(policy, reward, start, spec, horizon, seed=10 * instance + j)
                  for j in range(2)]
         _, grad = irl.irl_loss_and_grad(reward, demos, start, spec, horizon)
@@ -137,7 +137,8 @@ def recovery_run():
     start = CellIndex(4, 4)
     spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
     true_reward = rng_uniform(12345, 77, np.arange(rows * cols)).reshape(rows, cols) * -1.0
-    _, _, true_policy = irl.soft_value_iteration(true_reward, spec, horizon)
+    true_policy = irl.soft_policy(irl.soft_value_iteration(true_reward, spec, horizon),
+                                  true_reward, spec)
     batch = rollout.sample_rollouts(true_policy, true_reward, start, spec, 16, horizon, seed=99)
     demos = [irl.Demonstration(cells=tuple(CellIndex(int(r), int(c)) for r, c in path))
              for path in batch.cells]
@@ -150,7 +151,7 @@ def recovery_run():
     elapsed = time.monotonic() - t0
 
     reward = irl.reward_forward(features, params)
-    _, _, policy = irl.soft_value_iteration(reward, spec, horizon)
+    policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
     learned = irl.expected_visitation(policy, start, spec, horizon).total
     expert = irl.expert_visitation(demos, spec, horizon).total
     return {"horizon": horizon, "diag": diag, "elapsed": elapsed,
@@ -191,9 +192,10 @@ def test_criterion_05_conservation_invariants():
                         anchor=CellIndex(int(rs.randint(rows)), int(rs.randint(cols))))
         horizon = int(rs.randint(1, 7))
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        _, _, policy = irl.soft_value_iteration(reward, spec, horizon)
-        worst_simplex = max(worst_simplex,
-                            float(np.abs(policy.probs.sum(axis=-1) - 1.0).max()))
+        policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
+        for t in range(horizon):
+            worst_simplex = max(worst_simplex,
+                                float(np.abs(policy(t).sum(axis=-1) - 1.0).max()))
         visit = irl.expected_visitation(policy, spec.anchor, spec, horizon)
         worst_mass = max(worst_mass,
                          float(np.abs(visit.per_step.sum(axis=(1, 2)) - 1.0).max()))

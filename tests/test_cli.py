@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -210,11 +211,24 @@ def test_render_scene_artifacts(tmp_path, cfg_file, scene_file):
 
 
 def test_log_env_var_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIM_LOG", "debug")
+    # every call applies FIM_LOG, also when the root logger already has handlers
     out = tmp_path / "scenes"
-    assert cli.main(["gen", "--out", str(out), "--per-kind", "0"]) == 0
-    monkeypatch.setenv("FIM_LOG", "not-a-level")  # unknown values fall back to error
-    assert cli.main(["gen", "--out", str(out), "--per-kind", "0"]) == 0
+    for value, level in (("debug", logging.DEBUG), ("error", logging.ERROR),
+                         ("info", logging.INFO), ("not-a-level", logging.ERROR)):
+        monkeypatch.setenv("FIM_LOG", value)
+        assert cli.main(["gen", "--out", str(out), "--per-kind", "0"]) == 0
+        assert logging.getLogger("gridcast").getEffectiveLevel() == level
+
+
+def test_predict_rejects_nonfinite_scene(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    save_scene(path, generate_scene("straight", seed=0))
+    path.write_text(path.read_text().replace("0.0", "NaN", 1), encoding="utf-8")
+    rc = cli.main(["predict", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SceneFormatError"
+    assert "non-finite" in err["message"]
 
 
 def test_render_ogm_binary(tmp_path, cfg_file, scene_file):

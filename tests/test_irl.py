@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
 from gridcast.irl import (
     Demonstration,
-    PolicySchedule,
     RewardMapParams,
     TrainConfig,
     build_demonstration,
@@ -16,6 +15,7 @@ from gridcast.irl import (
     path_reward,
     reward_backward,
     reward_forward,
+    soft_policy,
     soft_value_iteration,
     train_irl,
 )
@@ -120,10 +120,11 @@ def test_reward_backward_matches_finite_differences(mode):
 def test_uniform_reward_interior_policy_and_value():
     spec = small_spec(rows=13, cols=13, anchor=(6, 6))
     horizon = 3
-    values, _, policy = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
+    values = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
+    policy = soft_policy(values, np.zeros((13, 13)), spec)
     center = (6, 6)
     for t in range(horizon):
-        np.testing.assert_allclose(policy.probs[t][center], np.full(9, 1.0 / 9.0), atol=1e-12)
+        np.testing.assert_allclose(policy(t)[center], np.full(9, 1.0 / 9.0), atol=1e-12)
         assert values[t][center] == pytest.approx((horizon - t) * math.log(9.0), abs=1e-9)
 
 
@@ -131,8 +132,9 @@ def test_single_step_prefers_high_reward_neighbor():
     spec = small_spec()
     reward = np.zeros((5, 5))
     reward[3, 2] = 5.0
-    _, _, policy = soft_value_iteration(reward - reward.max(), spec, horizon=1)
-    best_action = policy.probs[0][2, 2].argmax()
+    reward -= reward.max()
+    policy = soft_policy(soft_value_iteration(reward, spec, horizon=1), reward, spec)
+    best_action = policy(0)[2, 2].argmax()
     assert ACTIONS[best_action] == (1, 0)
 
 
@@ -142,7 +144,7 @@ def test_policy_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    _, _, policy = soft_value_iteration(reward, spec, horizon)
+    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
     dist = enumerate_paths(reward, spec, start, horizon)
     # product of policy probabilities along each enumerated path
     probs = np.ones(dist.histories.shape[0])
@@ -152,7 +154,7 @@ def test_policy_matches_enumeration():
         dr = dist.histories[:, t + 1, 0].astype(int) - r
         dc = dist.histories[:, t + 1, 1].astype(int) - c
         actions = (dr + 1) * 3 + (dc + 1)
-        probs *= policy.probs[t, r, c, actions]
+        probs *= policy(t)[r, c, actions]
     np.testing.assert_allclose(probs, dist.probs, atol=1e-9)
 
 
@@ -162,7 +164,7 @@ def test_visitation_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    _, _, policy = soft_value_iteration(reward, spec, horizon)
+    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
     visit = expected_visitation(policy, start, spec, horizon)
     np.testing.assert_allclose(visit.per_step, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
 
@@ -171,9 +173,10 @@ def test_policy_shift_invariance():
     rs = np.random.RandomState(2)
     spec = small_spec()
     reward = rs.uniform(-2.0, 0.0, (5, 5))
-    _, _, p1 = soft_value_iteration(reward, spec, 3)
-    _, _, p2 = soft_value_iteration(reward + 17.3, spec, 3)
-    np.testing.assert_allclose(p1.probs, p2.probs, atol=1e-12)
+    p1 = soft_policy(soft_value_iteration(reward, spec, 3), reward, spec)
+    p2 = soft_policy(soft_value_iteration(reward + 17.3, spec, 3), reward + 17.3, spec)
+    for t in range(3):
+        np.testing.assert_allclose(p1(t), p2(t), atol=1e-12)
 
 
 def test_policy_simplex_and_mass_conservation():
@@ -184,10 +187,11 @@ def test_policy_simplex_and_mass_conservation():
                         anchor=CellIndex(rs.randint(rows), rs.randint(cols)))
         horizon = rs.randint(1, 6)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        _, _, policy = soft_value_iteration(reward, spec, horizon)
-        sums = policy.probs.sum(axis=-1)
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-        assert np.all(policy.probs[:, ~policy.valid] == 0.0)
+        policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
+        valid = valid_action_mask(spec)
+        for t in range(horizon):
+            np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
+            assert np.all(policy(t)[~valid] == 0.0)
         visit = expected_visitation(policy, spec.anchor, spec, horizon)
         np.testing.assert_allclose(visit.per_step.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
@@ -196,18 +200,16 @@ def test_policy_simplex_and_mass_conservation():
 # visitation helpers
 # ---------------------------------------------------------------------------
 
-def _one_hot_policy(spec, horizon, action):
-    probs = np.zeros((horizon, spec.rows, spec.cols, 9))
-    probs[:, :, :, action] = 1.0
-    from gridcast.grid import valid_action_mask
-
-    return PolicySchedule(probs=probs, valid=valid_action_mask(spec))
+def _one_hot_policy(spec, action):
+    table = np.zeros((spec.rows, spec.cols, 9))
+    table[:, :, action] = 1.0
+    return lambda t: table
 
 
 def test_deterministic_policy_unit_spikes():
     spec = small_spec(rows=8, cols=8, anchor=(1, 1))
     horizon = 4
-    policy = _one_hot_policy(spec, horizon, ACTIONS.index((1, 1)))
+    policy = _one_hot_policy(spec, ACTIONS.index((1, 1)))
     visit = expected_visitation(policy, CellIndex(1, 1), spec, horizon)
     for t in range(horizon + 1):
         assert visit.per_step[t].max() == 1.0
@@ -216,7 +218,7 @@ def test_deterministic_policy_unit_spikes():
 
 def test_uniform_policy_first_step():
     spec = small_spec(rows=7, cols=7, anchor=(3, 3))
-    _, _, policy = soft_value_iteration(np.zeros((7, 7)), spec, 1)
+    policy = soft_policy(soft_value_iteration(np.zeros((7, 7)), spec, 1), np.zeros((7, 7)), spec)
     visit = expected_visitation(policy, CellIndex(3, 3), spec, 1)
     np.testing.assert_allclose(visit.per_step[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
     assert visit.per_step[1].sum() == pytest.approx(1.0)

@@ -9,14 +9,10 @@ from gridcast.metrics import (
     brier,
     brier_min_fde,
     format_report_table,
-    huber,
-    max_margin,
     min_ade,
     min_fde,
     miss_rate,
     score_forecast,
-    total_loss,
-    winner_takes_all_select,
 )
 
 
@@ -88,48 +84,6 @@ def test_brier_consistency_with_reference_row():
     # endpoint error 1.2048 plus a Brier term of 0.6218 must give 1.8266
     p = 1.0 - math.sqrt(0.6218)
     assert brier_min_fde(1.2048, p) == pytest.approx(1.8266, abs=1e-4)
-
-
-def test_huber_values():
-    assert huber([0.0], [0.0], delta=1.0) == 0.0
-    assert huber([1.0], [0.0], delta=1.0) == pytest.approx(0.5)
-    assert huber([2.0], [0.0], delta=1.0) == pytest.approx(1.5)
-
-
-def test_huber_smooth_at_delta():
-    delta = 1.0
-    eps = 1e-8
-    below = huber([delta - eps], [0.0], delta)
-    above = huber([delta + eps], [0.0], delta)
-    assert abs(above - below) < 1e-6
-    # derivative approaches delta from both sides
-    d_below = (huber([delta - eps], [0.0], delta) - huber([delta - 2 * eps], [0.0], delta)) / eps
-    d_above = (huber([delta + 2 * eps], [0.0], delta) - huber([delta + eps], [0.0], delta)) / eps
-    assert d_below == pytest.approx(delta, abs=1e-4)
-    assert d_above == pytest.approx(delta, abs=1e-4)
-
-
-def test_winner_takes_all():
-    gt = straight_gt(5)
-    exact = gt.copy()
-    off = gt + 1.0
-    assert winner_takes_all_select(np.stack([off, exact]), gt) == 1
-    assert winner_takes_all_select(np.stack([exact, exact]), gt) == 0
-    one = gt + np.array([1.0, 0.0])
-    two = gt + np.array([2.0, 0.0])
-    assert winner_takes_all_select(np.stack([one, two]), gt) == 0
-
-
-def test_max_margin():
-    assert max_margin([5.0, 1.0, 2.0], positive=0, margin=0.5) == 0.0
-    assert max_margin([1.0, 1.0, 1.0], positive=0, margin=0.2) == pytest.approx(0.2)
-    assert max_margin([3.0], positive=0, margin=0.2) == 0.0
-
-
-def test_total_loss():
-    assert total_loss(0, 0, 0, 0) == 0.0
-    assert total_loss(1, 1, 1, 1) == 4.0
-    assert total_loss(0, 0, 3, 0, beta=2.0) == 6.0
 
 
 def test_score_and_aggregate():

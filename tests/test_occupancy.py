@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
-from gridcast.irl import PolicySchedule, soft_value_iteration
+from gridcast.grid import ACTIONS, CellIndex, GridSpec
+from gridcast.irl import soft_policy, soft_value_iteration
 from gridcast.occupancy import (
     focal_bce,
     predict_occupancy,
@@ -70,16 +70,16 @@ def test_gt_idempotent_and_agent_order_independent():
     np.testing.assert_array_equal(rasterize_gt_ogm(flipped, spec), a)
 
 
-def one_hot_policy(spec, horizon, action):
-    probs = np.zeros((horizon, spec.rows, spec.cols, 9))
-    probs[:, :, :, action] = 1.0
-    return PolicySchedule(probs=probs, valid=valid_action_mask(spec))
+def one_hot_policy(spec, action):
+    table = np.zeros((spec.rows, spec.cols, 9))
+    table[:, :, action] = 1.0
+    return lambda t: table
 
 
 def test_deterministic_policy_spike_slices():
     spec = spec_of(rows=32, cols=9, anchor=(2, 4))
     horizon = 8
-    policy = one_hot_policy(spec, horizon, ACTIONS.index((1, 0)))
+    policy = one_hot_policy(spec, ACTIONS.index((1, 0)))
     ogm = predict_occupancy(policy, spec.anchor, spec, horizon, n_steps=8)
     for t in range(8):
         assert ogm[:, :, t].sum() == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +89,8 @@ def test_deterministic_policy_spike_slices():
 def test_uniform_policy_first_slice():
     spec = spec_of(rows=15, cols=15, anchor=(7, 7))
     horizon = 4
-    _, _, policy = soft_value_iteration(np.zeros((15, 15)), spec, horizon)
+    reward = np.zeros((15, 15))
+    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
     ogm = predict_occupancy(policy, spec.anchor, spec, horizon, n_steps=horizon)
     np.testing.assert_allclose(ogm[6:9, 6:9, 0], 1.0 / 9.0, atol=1e-12)
 
@@ -99,7 +100,7 @@ def test_slices_conserve_mass():
     horizon = 9
     rs = np.random.RandomState(0)
     reward = rs.uniform(-1, 0, (31, 31))
-    _, _, policy = soft_value_iteration(reward, spec, horizon)
+    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
     ogm = predict_occupancy(policy, spec.anchor, spec, horizon, n_steps=30)
     sums = ogm.sum(axis=(0, 1))
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)

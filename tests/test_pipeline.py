@@ -50,14 +50,29 @@ def test_no_reasoning_skips_training():
 
 def test_straight_policy_is_forward_biased():
     spec = SMALL.grid_spec()
-    policy = pipeline.straight_rollout_policy(spec, horizon=5)
-    interior = policy.probs[0, 10, 20]
+    policy = pipeline.straight_rollout_policy(spec)
+    interior = policy(0)[10, 20]
     from gridcast.grid import ACTIONS
 
     fwd = interior[ACTIONS.index((1, 0))]
     back = interior[ACTIONS.index((-1, 0))]
     assert fwd > 5 * back
     assert interior.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_reasoning_occupancy():
+    # horizon == t_future puts forecast step j exactly on planning step j
+    from dataclasses import replace
+
+    cfg = replace(SMALL, horizon=SMALL.t_future)
+    result = pipeline.predict_scene(generate_scene("curve", seed=3), cfg, reasoning=False,
+                                    stream_key=3)
+    ogm = pipeline.predicted_occupancy(result, cfg)
+    np.testing.assert_allclose(ogm.sum(axis=(0, 1)), 1.0, atol=1e-9)
+    spec = result.spec
+    r, c = spec.anchor.row, spec.anchor.col
+    straight = pipeline.straight_rollout_policy(spec)(0)[r, c].reshape(3, 3)
+    np.testing.assert_allclose(ogm[r - 1: r + 2, c - 1: c + 2, 0], straight, atol=1e-12)
 
 
 def test_select_demo_points_factors():

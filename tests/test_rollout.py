@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
-from gridcast.irl import PolicySchedule, soft_value_iteration
+from gridcast.grid import ACTIONS, CellIndex, GridSpec
+from gridcast.irl import soft_policy, soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
     forecast_to_payload,
@@ -19,10 +19,15 @@ def spec_of(rows=21, cols=21, anchor=(10, 10)):
     return GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=CellIndex(*anchor))
 
 
-def one_hot_policy(spec, horizon, action):
-    probs = np.zeros((horizon, spec.rows, spec.cols, 9))
-    probs[:, :, :, action] = 1.0
-    return PolicySchedule(probs=probs, valid=valid_action_mask(spec))
+def one_hot_policy(spec, action):
+    table = np.zeros((spec.rows, spec.cols, 9))
+    table[:, :, action] = 1.0
+    return lambda t: table
+
+
+def uniform_reward_policy(spec, horizon):
+    reward = np.zeros((spec.rows, spec.cols))
+    return soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +37,7 @@ def one_hot_policy(spec, horizon, action):
 def test_deterministic_policy_identical_paths():
     spec = spec_of()
     horizon = 5
-    policy = one_hot_policy(spec, horizon, ACTIONS.index((1, 0)))
+    policy = one_hot_policy(spec, ACTIONS.index((1, 0)))
     reward = np.zeros((spec.rows, spec.cols))
     batch = sample_rollouts(policy, reward, spec.anchor, spec, 16, horizon, seed=0)
     assert np.all(batch.cells == batch.cells[0])
@@ -41,7 +46,7 @@ def test_deterministic_policy_identical_paths():
 
 def test_rollouts_reproducible():
     spec = spec_of()
-    _, _, policy = soft_value_iteration(np.zeros((21, 21)), spec, 6)
+    policy = uniform_reward_policy(spec, 6)
     reward = np.zeros((21, 21))
     a = sample_rollouts(policy, reward, spec.anchor, spec, 32, 6, seed=9)
     b = sample_rollouts(policy, reward, spec.anchor, spec, 32, 6, seed=9)
@@ -54,7 +59,7 @@ def test_rollouts_reproducible():
 def test_uniform_policy_first_step_frequencies():
     # 90000 rollouts: first-step counts stay inside 3-sigma binomial bands
     spec = spec_of()
-    _, _, policy = soft_value_iteration(np.zeros((21, 21)), spec, 1)
+    policy = uniform_reward_policy(spec, 1)
     reward = np.zeros((21, 21))
     batch = sample_rollouts(policy, reward, spec.anchor, spec, 90000, 1, seed=123)
     n = 90000
@@ -69,7 +74,7 @@ def test_uniform_policy_first_step_frequencies():
 def test_path_rewards_accumulate_entered_cells():
     spec = spec_of()
     horizon = 4
-    policy = one_hot_policy(spec, horizon, ACTIONS.index((1, 0)))
+    policy = one_hot_policy(spec, ACTIONS.index((1, 0)))
     reward = np.full((spec.rows, spec.cols), -0.5)
     batch = sample_rollouts(policy, reward, spec.anchor, spec, 3, horizon, seed=0)
     np.testing.assert_allclose(batch.path_rewards, -0.5 * horizon)
@@ -78,7 +83,7 @@ def test_path_rewards_accumulate_entered_cells():
 def test_gather_features_matches_direct_indexing():
     spec = spec_of(rows=9, cols=9, anchor=(4, 4))
     horizon = 5
-    _, _, policy = soft_value_iteration(np.zeros((9, 9)), spec, horizon)
+    policy = uniform_reward_policy(spec, horizon)
     reward = np.zeros((9, 9))
     batch = sample_rollouts(policy, reward, spec.anchor, spec, 8, horizon, seed=4)
     rs = np.random.RandomState(0)
@@ -92,7 +97,7 @@ def test_gather_features_matches_direct_indexing():
 
 def test_gather_constant_stack():
     spec = spec_of(rows=9, cols=9, anchor=(4, 4))
-    policy = one_hot_policy(spec, 3, ACTIONS.index((0, 1)))
+    policy = one_hot_policy(spec, ACTIONS.index((0, 1)))
     batch = sample_rollouts(policy, np.zeros((9, 9)), spec.anchor, spec, 2, 3, seed=0)
     stack = np.full((9, 9, 2), 7.5)
     got = gather_path_features(batch, stack)

@@ -264,3 +264,31 @@ def test_load_parse_error_has_line_context(tmp_path):
     path.write_text('{"version": 1,\n  "agents": [[[,\n}', encoding="utf-8")
     with pytest.raises(SceneFormatError, match="line 2"):
         load_scene(path)
+
+
+def test_load_rejects_nonfinite_values_and_bad_shapes(tmp_path):
+    # json writes NaN and Infinity, and json.load parses them back
+    base = scene_to_dict(generate_scene("intersection_left", seed=5))
+    base["to_world"] = [1.0, 2.0, 0.5]
+    keys = ("agents", "lanes", "gt_future", "extended_future", "agent_futures", "to_world")
+    rs = np.random.RandomState(707)
+    path = tmp_path / "bad.json"
+    for _ in range(60):
+        key = keys[rs.randint(len(keys))]
+        arr = np.asarray(base[key], dtype=np.float64)
+        arr.flat[rs.randint(arr.size)] = (np.nan, np.inf, -np.inf)[rs.randint(3)]
+        path.write_text(json.dumps({**base, key: arr.tolist()}), encoding="utf-8")
+        with pytest.raises(SceneFormatError, match=f"{key} contains non-finite values"):
+            load_scene(path)
+    for key, values in (("dt", (0.0, -0.1, float("nan"), float("inf"), [0.1])),
+                        ("target_index", (3, -1, 1.0, True, "0", None))):
+        for value in values:
+            path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+            with pytest.raises(SceneFormatError, match=key):
+                load_scene(path)
+    for key in ("extended_future", "agent_futures"):
+        arr = np.asarray(base[key])
+        wide = np.concatenate([arr, arr[..., :1]], axis=-1)
+        path.write_text(json.dumps({**base, key: wide.tolist()}), encoding="utf-8")
+        with pytest.raises(SceneFormatError, match=f"{key} must be"):
+            load_scene(path)
