@@ -119,6 +119,27 @@ def _scene_files(scene_dir: Path) -> list:
     return sorted(p for p in scene_dir.glob("*.json") if p.name != "manifest.json")
 
 
+def _read_forecast(path: Path, n_modes: int | None, n_points: int):
+    """(trajectories, probs) of a forecast file, rejecting malformed modes.
+
+    ``n_modes`` is the mode count every file must share (None for the first
+    file); ``n_points`` is the length of the scene's ground-truth future.
+    """
+    modes = json.loads(path.read_text(encoding="utf-8"))["modes"]
+    trajs = np.asarray([m["points"] for m in modes], dtype=np.float64)
+    probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
+    if n_modes is not None and len(probs) != n_modes:
+        raise ValueError(f"{path.name}: {len(probs)} modes, the first forecast has {n_modes}")
+    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+            and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"{path.name}: mode probabilities {probs.tolist()} are not a "
+                         "finite non-negative distribution summing to 1")
+    if trajs.shape[1:] != (n_points, 2) or not np.all(np.isfinite(trajs)):
+        raise ValueError(f"{path.name}: forecast points of shape {trajs.shape[1:]} are not "
+                         f"{n_points} finite (x, y) points, the scene's future length")
+    return trajs, probs
+
+
 def cmd_eval(args) -> int:
     scene_dir = Path(args.scenes)
     forecast_dir = Path(args.forecasts)
@@ -126,19 +147,16 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     per_scene = {}
     skipped = []
-    n_modes = 0
+    n_modes = None
     for scene_path in _scene_files(scene_dir):
         fpath = forecast_dir / (scene_path.stem + ".forecast.json")
         if not fpath.exists():
             skipped.append(scene_path.name)
             continue
         sc = scene_mod.normalize_to_target(scene_mod.load_scene(scene_path))
-        payload = json.loads(fpath.read_text(encoding="utf-8"))
-        trajs = np.asarray([m["points"] for m in payload["modes"]])
-        probs = np.asarray([m["prob"] for m in payload["modes"]])
+        trajs, probs = _read_forecast(fpath, n_modes, sc.gt_future.shape[0])
         n_modes = len(probs)
-        gt = sc.gt_future[: trajs.shape[1]]
-        per_scene[scene_path.stem] = metrics.score_forecast(trajs, probs, gt)
+        per_scene[scene_path.stem] = metrics.score_forecast(trajs, probs, sc.gt_future)
     if per_scene:
         report = metrics.aggregate(per_scene.values(), k=n_modes)
         metrics.write_report_json(out_dir / "report.json", {"aggregate": report})

@@ -92,14 +92,33 @@ def step(cell: CellIndex, action: int, spec: GridSpec) -> CellIndex | None:
     return CellIndex(row, col)
 
 
+def padded_map(spec: GridSpec, border) -> np.ndarray:
+    """A (rows+2, cols+2) map for neighbour_views, every cell set to ``border``.
+
+    The grid itself is view STAY of the map; the one-cell border stands for
+    every off-grid successor, so its value decides what an off-grid move reads
+    (-inf for values, 0 or False for mass and masks).
+    """
+    return np.full((spec.rows + 2, spec.cols + 2), border)
+
+
+def neighbour_views(padded: np.ndarray, spec: GridSpec) -> list[np.ndarray]:
+    """The nine (rows, cols) views of a padded map, in ACTIONS order.
+
+    View ``a`` at (r, c) is the padded map at the successor of cell (r, c)
+    under action ``a``; a move off the grid lands on the border.
+    """
+    if padded.shape != (spec.rows + 2, spec.cols + 2):
+        raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
+    return [padded[1 + dr: 1 + dr + spec.rows, 1 + dc: 1 + dc + spec.cols]
+            for dr, dc in ACTIONS]
+
+
 def valid_action_mask(spec: GridSpec) -> np.ndarray:
     """Boolean (rows, cols, 9) mask of actions whose destination stays in-bounds."""
-    mask = np.zeros((spec.rows, spec.cols, N_ACTIONS), dtype=bool)
-    for a, (dr, dc) in enumerate(ACTIONS):
-        lo_r, hi_r = max(0, -dr), spec.rows - max(0, dr)
-        lo_c, hi_c = max(0, -dc), spec.cols - max(0, dc)
-        mask[lo_r:hi_r, lo_c:hi_c, a] = True
-    return mask
+    views = neighbour_views(padded_map(spec, False), spec)
+    views[STAY][...] = True
+    return np.stack(views, axis=-1)
 
 
 def eight_connected_line(a: CellIndex, b: CellIndex) -> list[CellIndex]:

@@ -17,13 +17,15 @@ from typing import Callable
 
 import numpy as np
 
+from .config import RunConfig
 from .grid import (
-    ACTIONS,
-    N_ACTIONS,
+    STAY,
     CellIndex,
     GridSpec,
     eight_connected_line,
     cells_adjacent,
+    neighbour_views,
+    padded_map,
     quantize_trajectory,
 )
 from . import rng
@@ -141,16 +143,17 @@ class VisitationField:
     total: np.ndarray     # (rows, cols), excludes the start step
 
 
-def _action_slices(spec: GridSpec):
-    """Per action: (source block, destination block) slice pairs."""
-    out = []
-    for dr, dc in ACTIONS:
-        lo_r, hi_r = max(0, -dr), spec.rows - max(0, dr)
-        lo_c, hi_c = max(0, -dc), spec.cols - max(0, dc)
-        src = (slice(lo_r, hi_r), slice(lo_c, hi_c))
-        dst = (slice(lo_r + dr, hi_r + dr), slice(lo_c + dc, hi_c + dc))
-        out.append((src, dst))
-    return out
+def _successor_gains(reward: np.ndarray, spec: GridSpec):
+    """gains(V_next) -> (9, rows, cols): R(s') + V_next(s') at each action's
+    successor s', -inf where the move leaves the grid."""
+    padded = padded_map(spec, -np.inf)
+    views = neighbour_views(padded, spec)
+
+    def gains(next_values: np.ndarray) -> np.ndarray:
+        np.add(reward, next_values, out=views[STAY])
+        return np.stack(views)
+
+    return gains
 
 
 def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int) -> np.ndarray:
@@ -165,16 +168,13 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int) -> np
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
-    slices = _action_slices(spec)
+    gains = _successor_gains(reward, spec)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
-    q = np.full((spec.rows, spec.cols, N_ACTIONS), -np.inf)  # off-grid actions stay -inf
     for t in range(horizon - 1, -1, -1):
-        gain = reward + values[t + 1]
-        for a, (src, dst) in enumerate(slices):
-            q[src + (a,)] = gain[dst]
+        q = gains(values[t + 1])
         # logsumexp over actions; STAY is always valid so the max is finite
-        m = q.max(axis=-1)
-        values[t] = m + np.log(np.exp(q - m[..., None]).sum(axis=-1))
+        m = q.max(axis=0)
+        values[t] = m + np.log(np.exp(q - m).sum(axis=0))
     return values
 
 
@@ -182,18 +182,14 @@ def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec) -> Polic
     """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)).
 
     Each step is computed on demand from the value maps; off-grid actions get
-    probability 0. V_t(s) is the logsumexp of the exponents it is subtracted
+    exp(-inf) = 0. V_t(s) is the logsumexp of the exponents it is subtracted
     from, so every exponent is <= 0 and no finite reward can overflow it.
     """
-    slices = _action_slices(spec)
+    gains = _successor_gains(reward, spec)
 
     def policy(t: int) -> np.ndarray:
-        gain = reward + values[t + 1]
         # action-major storage keeps each action's block contiguous
-        probs = np.zeros((N_ACTIONS, spec.rows, spec.cols))
-        for a, (src, dst) in enumerate(slices):
-            probs[(a,) + src] = np.exp(gain[dst] - values[t][src])
-        return np.moveaxis(probs, 0, -1)
+        return np.moveaxis(np.exp(gains(values[t + 1]) - values[t]), 0, -1)
 
     return policy
 
@@ -203,14 +199,17 @@ def expected_visitation(policy: Policy, start: CellIndex, spec: GridSpec,
     """Forward pass: D_0 = delta(start), D_{t+1} = sum_s,a D_t pi_t routed by steps."""
     if not spec.contains(start.row, start.col):
         raise ValueError(f"start {start} outside grid")
-    slices = _action_slices(spec)
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, start.row, start.col] = 1.0
+    # off-grid moves carry no mass, so the border only ever receives zeros
+    landed = padded_map(spec, 0.0)
+    views = neighbour_views(landed, spec)
     for t in range(horizon):
-        flow = per_step[t][..., None] * policy(t)
-        nxt = per_step[t + 1]
-        for a, (src, dst) in enumerate(slices):
-            nxt[dst] += flow[src + (a,)]
+        flow = per_step[t] * np.moveaxis(policy(t), -1, 0)
+        for view, mass in zip(views, flow):
+            view += mass
+        per_step[t + 1] = views[STAY]
+        landed.fill(0.0)
     return VisitationField(per_step=per_step, total=per_step[1:].sum(axis=0))
 
 
@@ -343,17 +342,6 @@ def _nll_only(reward: np.ndarray, demos, start: CellIndex, spec: GridSpec,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainConfig:
-    mode: str = "linear"
-    hidden: int = 16
-    optimizer: str = "adam"   # "adam" or "gd" (gd backtracks to stay monotone)
-    lr: float = 0.05
-    max_iters: int = 80
-    tol: float = 1e-6
-    init_seed: int = 0
-
-
-@dataclass
 class TrainDiagnostics:
     nll_history: list[float] = field(default_factory=list)
     iterations: int = 0
@@ -361,24 +349,26 @@ class TrainDiagnostics:
     final_grad_inf: float = float("nan")
 
 
-def train_irl(features: np.ndarray, demos, start: CellIndex, spec: GridSpec,
-              horizon: int, config: TrainConfig | None = None):
+def train_irl(features: np.ndarray, demos, config: RunConfig):
     """Fit the reward map by descending the MaxEnt NLL until |dNLL| < tol.
 
-    Returns (params, diagnostics). Raises IrlDivergenceError when the loss or
+    Plans on ``config.grid_spec()`` from its anchor over ``config.horizon``
+    steps; ``optimizer`` "gd" backtracks to keep the loss monotone. Returns
+    (params, diagnostics). Raises IrlDivergenceError when the loss or
     parameters go non-finite, reporting the offending iteration.
     """
-    config = config or TrainConfig()
+    spec = config.grid_spec()
+    start, horizon = spec.anchor, config.horizon
     demos = list(demos)
     if not demos:
         raise ValueError("at least one demonstration required")
     n_features = features.shape[-1]
-    if config.mode == "linear":
+    if config.reward_mode == "linear":
         params = RewardMapParams.linear(n_features)
-    elif config.mode == "two_layer":
-        params = RewardMapParams.two_layer(n_features, config.hidden, config.init_seed)
+    elif config.reward_mode == "two_layer":
+        params = RewardMapParams.two_layer(n_features, config.hidden, config.seed)
     else:
-        raise ValueError(f"unknown reward mode {config.mode!r}")
+        raise ValueError(f"unknown reward mode {config.reward_mode!r}")
 
     diag = TrainDiagnostics()
     vec = params.as_vector()

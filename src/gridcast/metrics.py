@@ -9,7 +9,7 @@ unweighted mean.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,20 +114,8 @@ def aggregate(scene_metrics, k: int) -> MetricReport:
     )
 
 
-def report_to_dict(report: MetricReport) -> dict:
-    return {
-        "n_scenes": report.n_scenes,
-        "k": report.k,
-        "min_ade": report.min_ade,
-        "min_fde": report.min_fde,
-        "miss_rate": report.miss_rate,
-        "brier": report.brier,
-        "brier_min_fde": report.brier_min_fde,
-    }
-
-
 def write_report_json(path, reports: dict) -> None:
-    payload = {name: report_to_dict(r) for name, r in reports.items()}
+    payload = {name: asdict(r) for name, r in reports.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

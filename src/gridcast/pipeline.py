@@ -18,7 +18,7 @@ import numpy as np
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
 from .grid import ACTIONS, N_ACTIONS, GridSpec, valid_action_mask
-from .irl import Policy, TrainConfig, TrainDiagnostics
+from .irl import Policy, TrainDiagnostics
 
 STRAIGHT_KAPPA = 3.0
 
@@ -89,12 +89,6 @@ def straight_rollout_policy(spec: GridSpec, kappa: float = STRAIGHT_KAPPA) -> Po
     return lambda t: probs
 
 
-def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(mode=cfg.reward_mode, hidden=cfg.hidden, optimizer=cfg.optimizer,
-                       lr=cfg.lr, max_iters=cfg.max_iters, tol=cfg.tol,
-                       init_seed=cfg.seed)
-
-
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
                   reasoning: bool = True, stream_key: int = 0) -> PredictionResult:
     """Run the full per-scene pipeline and return the K-mode forecast."""
@@ -106,8 +100,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
     if reasoning:
         features = scene_mod.rasterize_features(norm, spec) * FEATURE_SCALE
         demos = build_demos(norm, cfg, spec)
-        params, diagnostics = irl.train_irl(features, demos, spec.anchor, spec,
-                                            cfg.horizon, train_config(cfg))
+        params, diagnostics = irl.train_irl(features, demos, cfg)
         reward = irl.reward_forward(features, params)
         policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, cfg.horizon),
                                  reward, spec)

@@ -86,6 +86,31 @@ def apply_rigid(points: np.ndarray, transform) -> np.ndarray:
     return out
 
 
+def _rigidly_moved(scene: SceneContext, point_map, angle: float, to_world) -> SceneContext:
+    """The scene with every point sent through ``point_map`` and every velocity
+    and heading turned by ``angle``; ``point_map`` must rotate by that angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    agents = scene.agents.copy()
+    agents[..., [AX, AY]] = point_map(scene.agents[..., [AX, AY]])
+    vx, vy = scene.agents[..., AVX], scene.agents[..., AVY]
+    agents[..., AVX] = c * vx - s * vy
+    agents[..., AVY] = s * vx + c * vy
+    agents[..., AHEAD] = _wrap_angle(scene.agents[..., AHEAD] + angle)
+    lanes = scene.map_lanes.copy()
+    lanes[..., [LX0, LY0]] = point_map(scene.map_lanes[..., [LX0, LY0]])
+    lanes[..., [LX1, LY1]] = point_map(scene.map_lanes[..., [LX1, LY1]])
+    lanes[..., LHEAD] = _wrap_angle(scene.map_lanes[..., LHEAD] + angle)
+    return replace(
+        scene,
+        agents=agents,
+        map_lanes=lanes,
+        gt_future=point_map(scene.gt_future),
+        extended_future=None if scene.extended_future is None else point_map(scene.extended_future),
+        agent_futures=None if scene.agent_futures is None else point_map(scene.agent_futures),
+        to_world=to_world,
+    )
+
+
 def normalize_to_target(scene: SceneContext) -> SceneContext:
     """Rigidly map the scene so the target's current pose is origin, heading +x.
 
@@ -105,58 +130,13 @@ def normalize_to_target(scene: SceneContext) -> SceneContext:
         out[..., 1] = s * (pts[..., 0] - x0) + c * (pts[..., 1] - y0)
         return out
 
-    agents = scene.agents.copy()
-    agents[..., [AX, AY]] = tf_points(scene.agents[..., [AX, AY]])
-    vx = scene.agents[..., AVX]
-    vy = scene.agents[..., AVY]
-    agents[..., AVX] = c * vx - s * vy
-    agents[..., AVY] = s * vx + c * vy
-    agents[..., AHEAD] = _wrap_angle(scene.agents[..., AHEAD] - heading)
-
-    lanes = scene.map_lanes.copy()
-    lanes[..., [LX0, LY0]] = tf_points(scene.map_lanes[..., [LX0, LY0]])
-    lanes[..., [LX1, LY1]] = tf_points(scene.map_lanes[..., [LX1, LY1]])
-    lanes[..., LHEAD] = _wrap_angle(scene.map_lanes[..., LHEAD] - heading)
-
     to_world = inverse if scene.to_world is None else _compose(scene.to_world, inverse)
-    return replace(
-        scene,
-        agents=agents,
-        map_lanes=lanes,
-        gt_future=tf_points(scene.gt_future),
-        extended_future=None if scene.extended_future is None else tf_points(scene.extended_future),
-        agent_futures=None if scene.agent_futures is None else tf_points(scene.agent_futures),
-        to_world=to_world,
-    )
+    return _rigidly_moved(scene, tf_points, -heading, to_world)
 
 
 def transformed(scene: SceneContext, dx: float, dy: float, angle: float) -> SceneContext:
     """Rigidly move a scene into another frame (testing/visualization helper)."""
-    t = (dx, dy, angle)
-
-    def tf(pts):
-        return apply_rigid(pts, t)
-
-    agents = scene.agents.copy()
-    agents[..., [AX, AY]] = tf(scene.agents[..., [AX, AY]])
-    c, s = math.cos(angle), math.sin(angle)
-    vx, vy = scene.agents[..., AVX], scene.agents[..., AVY]
-    agents[..., AVX] = c * vx - s * vy
-    agents[..., AVY] = s * vx + c * vy
-    agents[..., AHEAD] = _wrap_angle(scene.agents[..., AHEAD] + angle)
-    lanes = scene.map_lanes.copy()
-    lanes[..., [LX0, LY0]] = tf(scene.map_lanes[..., [LX0, LY0]])
-    lanes[..., [LX1, LY1]] = tf(scene.map_lanes[..., [LX1, LY1]])
-    lanes[..., LHEAD] = _wrap_angle(scene.map_lanes[..., LHEAD] + angle)
-    return replace(
-        scene,
-        agents=agents,
-        map_lanes=lanes,
-        gt_future=tf(scene.gt_future),
-        extended_future=None if scene.extended_future is None else tf(scene.extended_future),
-        agent_futures=None if scene.agent_futures is None else tf(scene.agent_futures),
-        to_world=None,
-    )
+    return _rigidly_moved(scene, lambda pts: apply_rigid(pts, (dx, dy, angle)), angle, None)
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,10 @@ def recovery_run():
 
     t0 = time.monotonic()
     params, diag = irl.train_irl(
-        features, demos, start, spec, horizon,
-        irl.TrainConfig(mode="linear", optimizer="adam", lr=0.1, max_iters=300, tol=0.0))
+        features, demos,
+        RunConfig(rows=rows, cols=cols, resolution=1.0, anchor_row=start.row,
+                  anchor_col=start.col, horizon=horizon, reward_mode="linear",
+                  optimizer="adam", lr=0.1, max_iters=300, tol=0.0))
     elapsed = time.monotonic() - t0
 
     reward = irl.reward_forward(features, params)

@@ -248,3 +248,56 @@ def test_render_byte_identical_across_runs(tmp_path, cfg_file, scene_file):
     for name in ("reward.pgm", "reward.csv", "overlay.ppm", "occupancy.stogm",
                  "occupancy_000.pgm", "occupancy_029.pgm"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _eval_error(tmp_path, capsys, edit):
+    """Run eval on two GT forecasts after ``edit(name, modes)`` rewrote them."""
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for i, kind in enumerate(["straight", "stop"]):
+        save_scene(scenes / f"{kind}_{i}.json", generate_scene(kind, seed=i))
+    forecasts = tmp_path / "fc"
+    _write_gt_forecasts(scenes, forecasts)
+    for path in forecasts.glob("*.forecast.json"):
+        payload = json.loads(path.read_text())
+        payload["modes"] = edit(path.name, payload["modes"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = cli.main(["eval", "--forecasts", str(forecasts), "--scenes", str(scenes),
+                   "--out", str(tmp_path / "rep")])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    return rc, err
+
+
+def test_eval_rejects_mixed_mode_counts(tmp_path, capsys):
+    # the second file (sorted order) carries 2 modes, the first 1
+    def edit(name, modes):
+        if name.startswith("straight"):
+            return [dict(modes[0], prob=0.5), dict(modes[0], prob=0.5)]
+        return modes
+
+    rc, err = _eval_error(tmp_path, capsys, edit)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert "2 modes" in err["message"] and "has 1" in err["message"]
+
+
+@pytest.mark.parametrize("probs", [[0.5] * 6, [1.5, -0.5], [float("nan"), 1.0],
+                                   [1.0 + 1e-8]])
+def test_eval_rejects_bad_probabilities(tmp_path, capsys, probs):
+    def edit(name, modes):
+        return [dict(modes[0], prob=p) for p in probs]
+
+    rc, err = _eval_error(tmp_path, capsys, edit)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert "probabilities" in err["message"]
+
+
+def test_eval_rejects_short_forecast(tmp_path, capsys):
+    def edit(name, modes):
+        return [dict(m, points=m["points"][:1]) for m in modes]
+
+    rc, err = _eval_error(tmp_path, capsys, edit)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert "30 finite (x, y) points" in err["message"]

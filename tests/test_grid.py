@@ -7,6 +7,8 @@ from gridcast.grid import (
     CellIndex,
     GridSpec,
     cell_to_world,
+    neighbour_views,
+    padded_map,
     cells_adjacent,
     quantize_trajectory,
     round_half_away,
@@ -79,6 +81,36 @@ def test_step_total_over_actions():
                 assert (nxt is not None) == mask[r, c, a]
                 if nxt is not None:
                     assert spec.contains(nxt.row, nxt.col)
+
+
+def test_neighbour_views_read_each_actions_successor():
+    spec = GridSpec(rows=4, cols=5, resolution=1.0, anchor=CellIndex(0, 0))
+    padded = np.arange(6 * 7, dtype=float).reshape(6, 7)  # distinct values
+    views = neighbour_views(padded, spec)
+    assert len(views) == len(ACTIONS)
+    for r in range(spec.rows):
+        for c in range(spec.cols):
+            for a, (dr, dc) in enumerate(ACTIONS):
+                nxt = step(CellIndex(r, c), a, spec)
+                if nxt is None:  # the border cell the move points at
+                    expected = padded[1 + r + dr, 1 + c + dc]
+                    assert not (0 < 1 + r + dr <= spec.rows and 0 < 1 + c + dc <= spec.cols)
+                else:
+                    expected = padded[1 + nxt.row, 1 + nxt.col]
+                assert views[a].shape == (spec.rows, spec.cols)
+                assert views[a][r, c] == expected
+    # views share memory with the padded map, so writes land in it
+    views[STAY][...] = -1.0
+    assert np.all(padded[1:-1, 1:-1] == -1.0)
+    with pytest.raises(ValueError):
+        neighbour_views(np.zeros((4, 5)), spec)
+
+
+def test_padded_map_shape_and_border():
+    spec = GridSpec(rows=4, cols=5, resolution=1.0, anchor=CellIndex(0, 0))
+    padded = padded_map(spec, -np.inf)
+    assert padded.shape == (6, 7) and np.all(padded == -np.inf)
+    assert padded_map(spec, False).dtype == bool
 
 
 def test_quantize_straight():

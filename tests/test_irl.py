@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gridcast.config import RunConfig
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
-    TrainConfig,
     build_demonstration,
     expected_visitation,
     expert_visitation,
@@ -365,18 +365,25 @@ def test_loss_requires_demo_at_start():
 # training
 # ---------------------------------------------------------------------------
 
+def train_cfg(spec, horizon, **overrides):
+    """Linear-reward training on ``spec`` from its anchor, tol 1e-6 unless overridden."""
+    fields = dict(rows=spec.rows, cols=spec.cols, resolution=spec.resolution,
+                  anchor_row=spec.anchor.row, anchor_col=spec.anchor.col,
+                  horizon=horizon, reward_mode="linear", tol=1e-6)
+    return RunConfig(**{**fields, **overrides})
+
+
 def test_train_rejects_empty_demos():
     spec = small_spec()
     with pytest.raises(ValueError):
-        train_irl(np.zeros((5, 5, 2)), [], CellIndex(2, 2), spec, 3, TrainConfig())
+        train_irl(np.zeros((5, 5, 2)), [], train_cfg(spec, 3))
 
 
 def test_train_tol_inf_single_iteration():
     spec = small_spec()
     demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
     feats = random_features((5, 5, 3), seed=12)
-    params, diag = train_irl(feats, [demo], CellIndex(2, 2), spec, 3,
-                             TrainConfig(tol=float("inf"), max_iters=50))
+    params, diag = train_irl(feats, [demo], train_cfg(spec, 3, tol=float("inf"), max_iters=50))
     assert diag.iterations == 1
     assert diag.converged
     assert np.any(params.as_vector() != 0.0)  # updated once
@@ -389,8 +396,8 @@ def test_train_reduces_nll():
     feats = np.zeros((9, 9, 2))
     feats[:, :, 0] = (np.arange(9)[:, None] - 4) / 4.0  # forward progress
     feats[:, :, 1] = np.abs(np.arange(9)[None, :] - 4) / 4.0
-    params, diag = train_irl(feats, [demo], CellIndex(4, 4), spec, horizon,
-                             TrainConfig(max_iters=60, tol=1e-9, lr=0.1))
+    params, diag = train_irl(feats, [demo],
+                             train_cfg(spec, horizon, max_iters=60, tol=1e-9, lr=0.1))
     assert diag.nll_history[-1] < diag.nll_history[0] - 0.5
 
 
@@ -399,8 +406,8 @@ def test_gd_line_search_is_monotone():
     horizon = 4
     demo = demo_from_rows([(4, 4), (5, 5), (6, 6), (7, 7), (8, 8)])
     feats = random_features((9, 9, 4), seed=13)
-    _, diag = train_irl(feats, [demo], CellIndex(4, 4), spec, horizon,
-                        TrainConfig(optimizer="gd", lr=0.5, max_iters=40, tol=0.0))
+    _, diag = train_irl(feats, [demo],
+                        train_cfg(spec, horizon, optimizer="gd", lr=0.5, max_iters=40, tol=0.0))
     hist = diag.nll_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 

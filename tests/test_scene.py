@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -155,6 +156,38 @@ def test_normalize_requires_valid_target():
 
     with pytest.raises(ValueError):
         normalize_to_target(replace(scene, agents=agents))
+
+
+# sha256 prefixes of transformed(...) and of its normalization, recorded when
+# normalize_to_target and transformed each carried their own transform code
+RIGID_DIGESTS = {
+    "straight": ("c05a35947caaaf12", "6e35023546534b8f"),
+    "curve": ("8c84ef17abf4f32e", "53431bc4c92f82ea"),
+    "intersection_left": ("db448cc555f26e8c", "4b1852a2971a62ff"),
+    "intersection_right": ("948fe3ae1244247a", "d2280e081207a98d"),
+    "lane_change": ("68dcba1ccdff8221", "527b1a9b3f2bc823"),
+    "stop": ("13e9d3510b20dca0", "afd6f84b78c7a26a"),
+}
+
+
+def _scene_digest(scene):
+    h = hashlib.sha256()
+    for arr in (scene.agents, scene.map_lanes, scene.gt_future, scene.extended_future,
+                scene.agent_futures):
+        if arr is not None:
+            h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(scene.to_world).encode())
+    return h.hexdigest()[:16]
+
+
+def test_rigid_transforms_bitwise_stable_over_all_kinds():
+    rs = np.random.RandomState(7)
+    for i, kind in enumerate(SCENE_KINDS):
+        moved = transformed(generate_scene(kind, seed=i), dx=float(rs.uniform(-50, 50)),
+                            dy=float(rs.uniform(-50, 50)),
+                            angle=float(rs.uniform(-math.pi, math.pi)))
+        digests = (_scene_digest(moved), _scene_digest(normalize_to_target(moved)))
+        assert digests == RIGID_DIGESTS[kind], kind
 
 
 # ---------------------------------------------------------------------------
