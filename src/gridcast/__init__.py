@@ -5,7 +5,6 @@ from .irl import (
     Demonstration,
     IrlDivergenceError,
     RewardMapParams,
-    VisitationField,
     build_demonstration,
     build_path_demonstration,
     expected_visitation,
@@ -26,7 +25,7 @@ __all__ = [
     "ACTIONS", "STAY", "CellIndex", "GridSpec", "cell_to_world", "world_to_cell",
     "step", "quantize_trajectory",
     "Demonstration", "IrlDivergenceError", "RewardMapParams",
-    "VisitationField", "build_demonstration",
+    "build_demonstration",
     "build_path_demonstration", "expected_visitation", "expert_visitation",
     "irl_loss_and_grad", "reward_backward", "reward_forward",
     "soft_policy", "soft_value_iteration", "train_irl",

@@ -177,18 +177,23 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _ablate_one(task):
-    """Worker: per-scene metrics for every variant (paired by construction)."""
+    """Worker: (stem, per-variant metrics, None) for a scene (variants paired by
+    construction), or (stem, None, error) with the error's type and message."""
     scene_path, cfg_dict = task
     cfg = RunConfig(**cfg_dict)
     out = {}
     scene_path = Path(scene_path)
-    result = _predict_file(scene_path, cfg, reasoning=False)
-    out[VARIANT_BASELINE] = vars(pipeline.score_prediction(result))
-    for factor in DEMO_HORIZON_FACTORS:
-        variant_cfg = replace(cfg, demo_horizon_factor=factor)
-        result = _predict_file(scene_path, variant_cfg, reasoning=True)
-        out[f"reasoning_h{factor}"] = vars(pipeline.score_prediction(result))
-    return scene_path.stem, out
+    try:
+        result = _predict_file(scene_path, cfg, reasoning=False)
+        out[VARIANT_BASELINE] = vars(pipeline.score_prediction(result))
+        for factor in DEMO_HORIZON_FACTORS:
+            variant_cfg = replace(cfg, demo_horizon_factor=factor)
+            result = _predict_file(scene_path, variant_cfg, reasoning=True)
+            out[f"reasoning_h{factor}"] = vars(pipeline.score_prediction(result))
+    except Exception as exc:  # one bad scene must not sink the batch
+        log.debug("scene %s failed", scene_path.name, exc_info=True)
+        return scene_path.stem, None, {"error": type(exc).__name__, "message": str(exc)}
+    return scene_path.stem, out, None
 
 
 def cmd_ablate(args) -> int:
@@ -204,24 +209,33 @@ def cmd_ablate(args) -> int:
             results = list(pool.map(_ablate_one, tasks))
     else:
         results = [_ablate_one(t) for t in tasks]
-    results.sort(key=lambda kv: kv[0])
+    results.sort(key=lambda r: r[0])
+    done = [scene_out for _, scene_out, error in results if error is None]
+    failures = {stem: error for stem, _, error in results if error is not None}
 
-    variants = [VARIANT_BASELINE] + [f"reasoning_h{f}" for f in DEMO_HORIZON_FACTORS]
-    reports = {}
-    for variant in variants:
-        ms = [metrics.SceneMetrics(**scene_out[variant]) for _, scene_out in results]
-        reports[variant] = metrics.aggregate(ms, k=cfg.modes)
-    metrics.write_report_json(out_dir / "ablation.json", reports)
-    table = metrics.format_report_table(reports)
-    base = reports[VARIANT_BASELINE]
-    lines = [table, "deltas vs no_reasoning (negative is better):"]
-    for variant in variants[1:]:
-        r = reports[variant]
-        lines.append(
-            f"{variant}: brier-minFDE {r.brier_min_fde - base.brier_min_fde:+.4f}"
-            f"  Brier {r.brier - base.brier:+.4f}")
-    (out_dir / "ablation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if done:  # aggregate whatever completed, even when some scenes failed
+        variants = [VARIANT_BASELINE] + [f"reasoning_h{f}" for f in DEMO_HORIZON_FACTORS]
+        reports = {}
+        for variant in variants:
+            ms = [metrics.SceneMetrics(**scene_out[variant]) for scene_out in done]
+            reports[variant] = metrics.aggregate(ms, k=cfg.modes)
+        metrics.write_report_json(out_dir / "ablation.json", reports)
+        table = metrics.format_report_table(reports)
+        base = reports[VARIANT_BASELINE]
+        lines = [table, "deltas vs no_reasoning (negative is better):"]
+        for variant in variants[1:]:
+            r = reports[variant]
+            lines.append(
+                f"{variant}: brier-minFDE {r.brier_min_fde - base.brier_min_fde:+.4f}"
+                f"  Brier {r.brier - base.brier:+.4f}")
+        (out_dir / "ablation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _echo_config(out_dir, cfg)
+    if failures:
+        with open(out_dir / "ablation_failures.json", "w", encoding="utf-8") as fh:
+            json.dump(failures, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        raise RuntimeError(f"{len(failures)} of {len(results)} scene(s) failed: "
+                           + ", ".join(sorted(failures)))
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .grid import CellIndex, GridSpec
@@ -41,12 +42,19 @@ class RunConfig:
             raise ValueError(
                 f"demo_horizon_factor must be one of {DEMO_HORIZON_FACTORS}, "
                 f"got {self.demo_horizon_factor}")
-        if self.horizon < 1 or self.t_future < 1:
-            raise ValueError("horizon and t_future must be >= 1")
         if self.rollouts < self.modes:
             raise ValueError(f"rollouts ({self.rollouts}) must be >= modes ({self.modes})")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("lr", "temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
+        for name in ("horizon", "t_future", "max_iters", "hidden", "modes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.smooth_weight) and self.smooth_weight >= 0.0):
+            raise ValueError(f"smooth_weight must be finite and >= 0, got {self.smooth_weight}")
+        if not self.tol >= 0.0:  # NaN fails too; inf means a single step
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.reward_mode not in ("linear", "two_layer"):
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
         if self.optimizer not in ("adam", "gd"):

@@ -135,14 +135,6 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 Policy = Callable[[int], np.ndarray]
 
 
-@dataclass
-class VisitationField:
-    """Per-timestep state distributions D_t plus their sum over t >= 1."""
-
-    per_step: np.ndarray  # (horizon + 1, rows, cols)
-    total: np.ndarray     # (rows, cols), excludes the start step
-
-
 def _successor_gains(reward: np.ndarray, spec: GridSpec):
     """gains(V_next) -> (9, rows, cols): R(s') + V_next(s') at each action's
     successor s', -inf where the move leaves the grid."""
@@ -194,13 +186,11 @@ def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec) -> Polic
     return policy
 
 
-def expected_visitation(policy: Policy, start: CellIndex, spec: GridSpec,
-                        horizon: int) -> VisitationField:
-    """Forward pass: D_0 = delta(start), D_{t+1} = sum_s,a D_t pi_t routed by steps."""
-    if not spec.contains(start.row, start.col):
-        raise ValueError(f"start {start} outside grid")
+def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndarray:
+    """Per-step state distributions D, shape (horizon+1, rows, cols), from the
+    forward pass D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed by steps."""
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
-    per_step[0, start.row, start.col] = 1.0
+    per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
     # off-grid moves carry no mass, so the border only ever receives zeros
     landed = padded_map(spec, 0.0)
     views = neighbour_views(landed, spec)
@@ -210,7 +200,7 @@ def expected_visitation(policy: Policy, start: CellIndex, spec: GridSpec,
             view += mass
         per_step[t + 1] = views[STAY]
         landed.fill(0.0)
-    return VisitationField(per_step=per_step, total=per_step[1:].sum(axis=0))
+    return per_step
 
 
 # ---------------------------------------------------------------------------
@@ -286,55 +276,42 @@ def build_path_demonstration(future_points, spec: GridSpec, horizon: int) -> Dem
     return Demonstration(cells=tuple(path))
 
 
-def expert_visitation(demos, spec: GridSpec, horizon: int) -> VisitationField:
-    """Empirical per-step distributions over demos; total counts steps 1..horizon."""
+def expert_visitation(demos, spec: GridSpec, horizon: int) -> np.ndarray:
+    """The expert's visit counts mu_hat, shape (rows, cols): visits of each cell
+    over steps 1..horizon, summed over demonstrations that start at the anchor
+    and divided by their number."""
     demos = list(demos)
     if not demos:
         raise ValueError("at least one demonstration required")
-    per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
+    counts = np.zeros((spec.rows, spec.cols))
     for demo in demos:
         if len(demo) < horizon + 1:
             raise ValueError(f"demonstration length {len(demo)} shorter than horizon+1 = {horizon + 1}")
-        for t, cell in enumerate(demo.cells[: horizon + 1]):
+        if demo.cells[0] != spec.anchor:
+            raise ValueError(f"demonstration starts at {demo.cells[0]}, expected {spec.anchor}")
+        for cell in demo.cells[1: horizon + 1]:
             if not spec.contains(cell.row, cell.col):
                 raise ValueError(f"demonstration cell {cell} outside grid")
-            per_step[t, cell.row, cell.col] += 1.0
-    per_step /= len(demos)
-    return VisitationField(per_step=per_step, total=per_step[1:].sum(axis=0))
+            counts[cell.row, cell.col] += 1.0
+    return counts / len(demos)
 
 
-def path_reward(reward: np.ndarray, demo: Demonstration, horizon: int) -> float:
-    """Sum of rewards over entered states (steps 1..horizon)."""
-    cells = demo.cells[1: horizon + 1]
-    return float(sum(reward[c.row, c.col] for c in cells))
-
-
-def irl_loss_and_grad(reward: np.ndarray, demos, start: CellIndex, spec: GridSpec,
-                      horizon: int):
+def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int):
     """MaxEnt negative log-likelihood and its exact gradient w.r.t. the reward.
 
-    nll = V_0(start) - mean path reward; grad_R = E[mu] - mu_hat, the expected
-    minus empirical visitation counts (descend it to raise likelihood).
+    nll = V_0(anchor) - <R, mu_hat> for the expert's visit counts mu_hat;
+    grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
+    (descend it to raise likelihood).
     """
-    demos = list(demos)
-    if not demos:
-        raise ValueError("at least one demonstration required")
-    for demo in demos:
-        if demo.cells[0] != start:
-            raise ValueError(f"demonstration starts at {demo.cells[0]}, expected {start}")
     values = soft_value_iteration(reward, spec, horizon)
-    visit = expected_visitation(soft_policy(values, reward, spec), start, spec, horizon)
-    expert = expert_visitation(demos, spec, horizon)
-    mean_reward = float(np.mean([path_reward(reward, d, horizon) for d in demos]))
-    nll = float(values[0, start.row, start.col]) - mean_reward
-    return nll, visit.total - expert.total
+    visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
+    nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
+    return nll, visits[1:].sum(axis=0) - expert
 
 
-def _nll_only(reward: np.ndarray, demos, start: CellIndex, spec: GridSpec,
-              horizon: int) -> float:
+def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
     values = soft_value_iteration(reward, spec, horizon)
-    mean_reward = float(np.mean([path_reward(reward, d, horizon) for d in demos]))
-    return float(values[0, start.row, start.col]) - mean_reward
+    return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +335,8 @@ def train_irl(features: np.ndarray, demos, config: RunConfig):
     parameters go non-finite, reporting the offending iteration.
     """
     spec = config.grid_spec()
-    start, horizon = spec.anchor, config.horizon
-    demos = list(demos)
-    if not demos:
-        raise ValueError("at least one demonstration required")
+    horizon = config.horizon
+    expert = expert_visitation(demos, spec, horizon)
     n_features = features.shape[-1]
     if config.reward_mode == "linear":
         params = RewardMapParams.linear(n_features)
@@ -382,7 +357,7 @@ def train_irl(features: np.ndarray, demos, config: RunConfig):
     for it in range(1, config.max_iters + 1):
         params = params.with_vector(vec)
         reward = reward_forward(features, params)
-        nll, grad_r = irl_loss_and_grad(reward, demos, start, spec, horizon)
+        nll, grad_r = irl_loss_and_grad(reward, expert, spec, horizon)
         if not math.isfinite(nll):
             raise IrlDivergenceError("nll is non-finite", it)
         grad_vec = reward_backward(features, params, grad_r).as_vector()
@@ -403,7 +378,7 @@ def train_irl(features: np.ndarray, demos, config: RunConfig):
                 trial = vec - gd_lr * grad_vec
                 trial_nll = _nll_only(
                     reward_forward(features, params.with_vector(trial)),
-                    demos, start, spec, horizon)
+                    expert, spec, horizon)
                 if math.isfinite(trial_nll) and trial_nll <= nll:
                     vec = trial
                     gd_lr = min(gd_lr * 1.25, 1e3)

@@ -44,12 +44,12 @@ def best_mode(trajectories: np.ndarray, gt: np.ndarray) -> int:
     return int(d.argmin())
 
 
-def miss_rate(final_errors, threshold: float = MISS_THRESHOLD) -> float:
-    """Fraction of scenes whose best endpoint error strictly exceeds the threshold."""
+def miss_rate(final_errors) -> float:
+    """Fraction of scenes whose best endpoint error strictly exceeds MISS_THRESHOLD."""
     errors = np.asarray(list(final_errors), dtype=np.float64)
     if errors.size == 0:
         raise ValueError("at least one scene required")
-    return float((errors > threshold).mean())
+    return float((errors > MISS_THRESHOLD).mean())
 
 
 def brier(p_best: float) -> float:
@@ -83,15 +83,14 @@ class MetricReport:
     brier_min_fde: float
 
 
-def score_forecast(trajectories: np.ndarray, probs: np.ndarray, gt: np.ndarray,
-                   threshold: float = MISS_THRESHOLD) -> SceneMetrics:
+def score_forecast(trajectories: np.ndarray, probs: np.ndarray, gt: np.ndarray) -> SceneMetrics:
     """Per-scene metrics for a K-mode forecast against one GT future."""
     fde = min_fde(trajectories, gt)
     p_best = float(np.asarray(probs)[best_mode(trajectories, gt)])
     return SceneMetrics(
         min_ade=min_ade(trajectories, gt),
         min_fde=fde,
-        missed=fde > threshold,
+        missed=fde > MISS_THRESHOLD,
         best_prob=p_best,
         brier=brier(p_best),
         brier_min_fde=brier_min_fde(fde, p_best),

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .grid import CellIndex, GridSpec, world_to_cell
+from .grid import GridSpec, world_to_cell
 from .irl import Policy, expected_visitation
 
 PROB_CLAMP = 1e-6
@@ -39,9 +39,9 @@ def rasterize_gt_ogm(scene, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def predict_occupancy(policy: Policy, start: CellIndex, spec: GridSpec,
-                      horizon: int, n_steps: int) -> np.ndarray:
-    """Probabilistic (rows, cols, T_f) occupancy for the target agent.
+def predict_occupancy(policy: Policy, spec: GridSpec, horizon: int,
+                      n_steps: int) -> np.ndarray:
+    """Probabilistic (rows, cols, T_f) occupancy for the target agent at the anchor.
 
     Forecast step j maps to planning time j * horizon / n_steps; visitation
     slices are linearly interpolated between the bracketing planning steps, so
@@ -49,14 +49,14 @@ def predict_occupancy(policy: Policy, start: CellIndex, spec: GridSpec,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    visit = expected_visitation(policy, start, spec, horizon)
+    visit = expected_visitation(policy, spec, horizon)
     out = np.zeros((spec.rows, spec.cols, n_steps))
     for j in range(1, n_steps + 1):
         tau = j * horizon / n_steps
         lo = int(np.floor(tau))
         hi = min(lo + 1, horizon)
         w = tau - lo
-        out[:, :, j - 1] = (1.0 - w) * visit.per_step[lo] + w * visit.per_step[hi]
+        out[:, :, j - 1] = (1.0 - w) * visit[lo] + w * visit[hi]
     return out
 
 

@@ -70,19 +70,19 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
     return demos
 
 
-def straight_rollout_policy(spec: GridSpec, kappa: float = STRAIGHT_KAPPA) -> Policy:
+def straight_rollout_policy(spec: GridSpec) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
-    Action weights follow exp(kappa * cos(angle to +x)); STAY gets the neutral
-    weight. Masked off-grid actions are renormalized away. The table is built
-    once and returned for every step.
+    Action weights follow exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
+    neutral weight. Masked off-grid actions are renormalized away. The table is
+    built once and returned for every step.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
         if dr == 0 and dc == 0:
             logits[a] = 0.0
         else:
-            logits[a] = kappa * dr / math.hypot(dr, dc)
+            logits[a] = STRAIGHT_KAPPA * dr / math.hypot(dr, dc)
     valid = valid_action_mask(spec)
     weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
     probs = weights / weights.sum(axis=-1, keepdims=True)
@@ -108,8 +108,8 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         reward = np.zeros((spec.rows, spec.cols))
         policy = straight_rollout_policy(spec)
 
-    batch = rollout.sample_rollouts(policy, reward, spec.anchor, spec, cfg.rollouts,
-                                    cfg.horizon, rng.derive_seed(cfg.seed, stream_key))
+    batch = rollout.sample_rollouts(policy, reward, spec, cfg.rollouts, cfg.horizon,
+                                    rng.derive_seed(cfg.seed, stream_key))
     if reasoning:
         batch = rollout.gather_path_features(batch, features)
     proposals = np.stack([
@@ -135,8 +135,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
 
 
 def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:
-    return occupancy.predict_occupancy(result.policy, result.spec.anchor, result.spec,
-                                       cfg.horizon, cfg.t_future)
+    return occupancy.predict_occupancy(result.policy, result.spec, cfg.horizon, cfg.t_future)
 
 
 def score_prediction(result: PredictionResult) -> metrics.SceneMetrics:

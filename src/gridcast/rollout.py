@@ -16,8 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .grid import ACTION_OFFSETS, N_ACTIONS, CellIndex, GridSpec
+from .grid import ACTION_OFFSETS, N_ACTIONS, GridSpec
 from .irl import Policy
+
+KMEANS_MAX_ITER = 100
+KMEANS_SHIFT_TOL = 1e-6  # meters
 
 
 @dataclass
@@ -40,9 +43,9 @@ class Forecast:
     proposals: np.ndarray     # (L, T, 2)
 
 
-def sample_rollouts(policy: Policy, reward: np.ndarray, start: CellIndex,
-                    spec: GridSpec, count: int, horizon: int, seed: int) -> RolloutBatch:
-    """Ancestral-sample ``count`` paths from the time-indexed policy.
+def sample_rollouts(policy: Policy, reward: np.ndarray, spec: GridSpec, count: int,
+                    horizon: int, seed: int) -> RolloutBatch:
+    """Ancestral-sample ``count`` paths from the anchor under the time-indexed policy.
 
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
@@ -52,8 +55,8 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, start: CellIndex,
         raise ValueError(f"count must be >= 1, got {count}")
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
     cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
-    cells[:, 0, 0] = start.row
-    cells[:, 0, 1] = start.col
+    cells[:, 0, 0] = spec.anchor.row
+    cells[:, 0, 1] = spec.anchor.col
     rewards = np.zeros(count)
     r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
     for t in range(horizon):
@@ -110,13 +113,12 @@ class ClusterResult:
     inertia_history: list[float]
 
 
-def cluster_proposals(proposals: np.ndarray, k: int, seed: int,
-                      max_iter: int = 100, shift_tol: float = 1e-6) -> ClusterResult:
+def cluster_proposals(proposals: np.ndarray, k: int, seed: int) -> ClusterResult:
     """K-means over flattened trajectories with seeded k-means++ init.
 
-    Runs at most ``max_iter`` Lloyd iterations or until the largest pointwise
-    centroid move drops below ``shift_tol`` meters. Empty clusters are
-    re-seeded from the point farthest from its assigned centroid.
+    Runs at most ``KMEANS_MAX_ITER`` Lloyd iterations or until the largest
+    pointwise centroid move drops below ``KMEANS_SHIFT_TOL`` meters. Empty
+    clusters are re-seeded from the point farthest from its assigned centroid.
     """
     proposals = np.asarray(proposals, dtype=np.float64)
     n, t, _ = proposals.shape
@@ -141,7 +143,7 @@ def cluster_proposals(proposals: np.ndarray, k: int, seed: int,
     labels = np.zeros(n, dtype=np.int64)
     inertia_history: list[float] = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dist.argmin(axis=1)
         inertia_history.append(float(dist[np.arange(n), labels].sum()))
@@ -160,7 +162,7 @@ def cluster_proposals(proposals: np.ndarray, k: int, seed: int,
         shift = np.linalg.norm(
             new_centers.reshape(k, t, 2) - centers.reshape(k, t, 2), axis=2).max()
         centers = new_centers
-        if shift < shift_tol:
+        if shift < KMEANS_SHIFT_TOL:
             break
     dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = dist.argmin(axis=1)

@@ -30,8 +30,8 @@ def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _rollout_demo(policy, reward, start, spec, horizon, seed):
-    batch = rollout.sample_rollouts(policy, reward, start, spec, 1, horizon, seed)
+def _rollout_demo(policy, reward, spec, horizon, seed):
+    batch = rollout.sample_rollouts(policy, reward, spec, 1, horizon, seed)
     return irl.Demonstration(
         cells=tuple(CellIndex(int(r), int(c)) for r, c in batch.cells[0]))
 
@@ -51,12 +51,13 @@ def test_criterion_01_oracle_equivalence():
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
         policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
-        visit = irl.expected_visitation(policy, start, spec, horizon)
+        visit = irl.expected_visitation(policy, spec, horizon)
         dist = enumerate_paths(reward, spec, start, horizon)
         worst_marginal = max(worst_marginal,
-                             float(np.abs(visit.per_step - dist.marginals()).max()))
-        demo = _rollout_demo(policy, reward, start, spec, horizon, seed=i)
-        nll, _ = irl.irl_loss_and_grad(reward, [demo], start, spec, horizon)
+                             float(np.abs(visit - dist.marginals()).max()))
+        demo = _rollout_demo(policy, reward, spec, horizon, seed=i)
+        nll, _ = irl.irl_loss_and_grad(reward, irl.expert_visitation([demo], spec, horizon),
+                                       spec, horizon)
         worst_nll = max(worst_nll, abs(nll - dist.nll(demo.cells)))
     elapsed = time.monotonic() - t0
     ok = worst_marginal <= 1e-9 and worst_nll <= 1e-9 and elapsed < 5.0
@@ -84,16 +85,17 @@ def test_criterion_02_gradient_correctness():
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
         policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
-        demos = [_rollout_demo(policy, reward, start, spec, horizon, seed=10 * instance + j)
+        demos = [_rollout_demo(policy, reward, spec, horizon, seed=10 * instance + j)
                  for j in range(2)]
-        _, grad = irl.irl_loss_and_grad(reward, demos, start, spec, horizon)
+        expert = irl.expert_visitation(demos, spec, horizon)
+        _, grad = irl.irl_loss_and_grad(reward, expert, spec, horizon)
         for _ in range(10):
             r, c = rs.randint(rows), rs.randint(cols)
             up, dn = reward.copy(), reward.copy()
             up[r, c] += eps
             dn[r, c] -= eps
-            nup, _ = irl.irl_loss_and_grad(up, demos, start, spec, horizon)
-            ndn, _ = irl.irl_loss_and_grad(dn, demos, start, spec, horizon)
+            nup, _ = irl.irl_loss_and_grad(up, expert, spec, horizon)
+            ndn, _ = irl.irl_loss_and_grad(dn, expert, spec, horizon)
             worst = max(worst, _rel_err(float(grad[r, c]), (nup - ndn) / (2 * eps)))
 
         feats = rs.uniform(-1.0, 1.0, (rows, cols, 4))
@@ -139,7 +141,7 @@ def recovery_run():
     true_reward = rng_uniform(12345, 77, np.arange(rows * cols)).reshape(rows, cols) * -1.0
     true_policy = irl.soft_policy(irl.soft_value_iteration(true_reward, spec, horizon),
                                   true_reward, spec)
-    batch = rollout.sample_rollouts(true_policy, true_reward, start, spec, 16, horizon, seed=99)
+    batch = rollout.sample_rollouts(true_policy, true_reward, spec, 16, horizon, seed=99)
     demos = [irl.Demonstration(cells=tuple(CellIndex(int(r), int(c)) for r, c in path))
              for path in batch.cells]
     features = np.eye(rows * cols).reshape(rows, cols, rows * cols)
@@ -154,8 +156,8 @@ def recovery_run():
 
     reward = irl.reward_forward(features, params)
     policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, horizon), reward, spec)
-    learned = irl.expected_visitation(policy, start, spec, horizon).total
-    expert = irl.expert_visitation(demos, spec, horizon).total
+    learned = irl.expected_visitation(policy, spec, horizon)[1:].sum(axis=0)
+    expert = irl.expert_visitation(demos, spec, horizon)
     return {"horizon": horizon, "diag": diag, "elapsed": elapsed,
             "learned": learned, "expert": expert}
 
@@ -198,9 +200,9 @@ def test_criterion_05_conservation_invariants():
         for t in range(horizon):
             worst_simplex = max(worst_simplex,
                                 float(np.abs(policy(t).sum(axis=-1) - 1.0).max()))
-        visit = irl.expected_visitation(policy, spec.anchor, spec, horizon)
+        visit = irl.expected_visitation(policy, spec, horizon)
         worst_mass = max(worst_mass,
-                         float(np.abs(visit.per_step.sum(axis=(1, 2)) - 1.0).max()))
+                         float(np.abs(visit.sum(axis=(1, 2)) - 1.0).max()))
     elapsed = time.monotonic() - t0
     ok = worst_simplex <= 1e-12 and worst_mass <= 1e-9 and elapsed < 30.0
     _criterion(5, "1000 randomized instances conserve policy and visitation mass", ok,
@@ -276,8 +278,7 @@ def ablation_run():
             out["factor10"].append(pipeline.score_prediction(full))
             out["factor20"].append(pipeline.score_prediction(long_sup))
 
-            ogm_pred = predict_occupancy(full.policy, spec.anchor, spec,
-                                         cfg.horizon, cfg.t_future)
+            ogm_pred = predict_occupancy(full.policy, spec, cfg.horizon, cfg.t_future)
             out["mass_gap"] = max(out["mass_gap"],
                                   float(np.abs(ogm_pred.sum(axis=(0, 1)) - 1.0).max()))
             # single-agent comparison: target-only GT for the target-only predictor

@@ -104,6 +104,17 @@ def test_predict_demo_horizon_flag(tmp_path, cfg_file, scene_file):
     assert payload["demo_horizon_factor"] == 2.0
 
 
+def test_predict_rejects_meaningless_config_value(tmp_path, scene_file, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG.strip().replace("lr=0.1", "lr=-5") + "\n", encoding="utf-8")
+    rc = cli.main(["predict", scene_file, "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "lr must be a finite positive number" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_error_is_structured(tmp_path, capsys):
     bad = tmp_path / "nope.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -195,6 +206,32 @@ def test_ablate_report_structure(tmp_path, cfg_file):
     text = (out / "ablation.txt").read_text()
     assert "deltas vs no_reasoning" in text
     assert "brier-minFDE" in text
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ablate_reports_completed_scenes_and_failures(tmp_path, cfg_file, capsys, jobs):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for i, kind in enumerate(["straight", "intersection_left", "stop"]):
+        save_scene(scenes / f"{kind}_{i}.json", generate_scene(kind, seed=i))
+    bad = scenes / "stop_2.json"
+    payload = json.loads(bad.read_text())
+    payload["dt"] = -0.1
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "ablation"
+    rc = cli.main(["ablate", "--scenes", str(scenes), "--out", str(out),
+                   "--config", cfg_file, "--jobs", jobs])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "RuntimeError"
+    assert "1 of 3" in err["message"] and "stop_2" in err["message"]
+    report = json.loads((out / "ablation.json").read_text())
+    assert all(variant["n_scenes"] == 2 for variant in report.values())
+    assert (out / "ablation.txt").exists()
+    failures = json.loads((out / "ablation_failures.json").read_text())
+    assert list(failures) == ["stop_2"]
+    assert failures["stop_2"]["error"] == "SceneFormatError"
+    assert "dt" in failures["stop_2"]["message"]
 
 
 def test_render_scene_artifacts(tmp_path, cfg_file, scene_file):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gridcast.config import RunConfig, config_to_text, load_config
@@ -52,6 +54,22 @@ def test_validate_rejects_bad_factor():
 def test_validate_rejects_rollouts_below_modes():
     with pytest.raises(ValueError):
         RunConfig(rollouts=4, modes=6).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", -5.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+    ("temperature", math.nan), ("temperature", 0.0), ("temperature", math.inf),
+    ("max_iters", 0), ("hidden", 0), ("modes", 0),
+    ("smooth_weight", -1.0), ("smooth_weight", math.nan), ("smooth_weight", math.inf),
+    ("tol", -1e-4), ("tol", math.nan),
+])
+def test_validate_rejects_meaningless_training_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value}).validate()
+
+
+def test_validate_accepts_infinite_tol():
+    assert RunConfig(tol=math.inf).validate().tol == math.inf
 
 
 def test_config_text_deterministic_and_sorted():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridcast import irl
 from gridcast.config import RunConfig
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
 from gridcast.irl import (
@@ -12,7 +13,6 @@ from gridcast.irl import (
     expected_visitation,
     expert_visitation,
     irl_loss_and_grad,
-    path_reward,
     reward_backward,
     reward_forward,
     soft_policy,
@@ -165,8 +165,8 @@ def test_visitation_matches_enumeration():
     start = CellIndex(2, 2)
     horizon = 4
     policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
-    visit = expected_visitation(policy, start, spec, horizon)
-    np.testing.assert_allclose(visit.per_step, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
+    visit = expected_visitation(policy, spec, horizon)
+    np.testing.assert_allclose(visit, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
 
 
 def test_policy_shift_invariance():
@@ -192,8 +192,8 @@ def test_policy_simplex_and_mass_conservation():
         for t in range(horizon):
             np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(policy(t)[~valid] == 0.0)
-        visit = expected_visitation(policy, spec.anchor, spec, horizon)
-        np.testing.assert_allclose(visit.per_step.sum(axis=(1, 2)), 1.0, atol=1e-9)
+        visit = expected_visitation(policy, spec, horizon)
+        np.testing.assert_allclose(visit.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +210,18 @@ def test_deterministic_policy_unit_spikes():
     spec = small_spec(rows=8, cols=8, anchor=(1, 1))
     horizon = 4
     policy = _one_hot_policy(spec, ACTIONS.index((1, 1)))
-    visit = expected_visitation(policy, CellIndex(1, 1), spec, horizon)
+    visit = expected_visitation(policy, spec, horizon)
     for t in range(horizon + 1):
-        assert visit.per_step[t].max() == 1.0
-        assert visit.per_step[t][1 + t, 1 + t] == 1.0
+        assert visit[t].max() == 1.0
+        assert visit[t][1 + t, 1 + t] == 1.0
 
 
 def test_uniform_policy_first_step():
     spec = small_spec(rows=7, cols=7, anchor=(3, 3))
     policy = soft_policy(soft_value_iteration(np.zeros((7, 7)), spec, 1), np.zeros((7, 7)), spec)
-    visit = expected_visitation(policy, CellIndex(3, 3), spec, 1)
-    np.testing.assert_allclose(visit.per_step[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
-    assert visit.per_step[1].sum() == pytest.approx(1.0)
+    visit = expected_visitation(policy, spec, 1)
+    np.testing.assert_allclose(visit[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
+    assert visit[1].sum() == pytest.approx(1.0)
 
 
 def demo_from_rows(cells):
@@ -234,8 +234,8 @@ def test_expert_visitation_straight_demo():
     demo = demo_from_rows([(i, 0) for i in range(6)])
     expert = expert_visitation([demo], spec, horizon)
     for i in range(1, 6):
-        assert expert.total[i, 0] == 1.0
-    assert expert.total.sum() == horizon
+        assert expert[i, 0] == 1.0
+    assert expert.sum() == horizon
 
 
 def test_expert_visitation_stay_demo():
@@ -243,7 +243,7 @@ def test_expert_visitation_stay_demo():
     horizon = 5
     demo = demo_from_rows([(2, 2)] * 6)
     expert = expert_visitation([demo], spec, horizon)
-    assert expert.total[2, 2] == horizon
+    assert expert[2, 2] == horizon
 
 
 def test_expert_visitation_diverging_demos():
@@ -252,8 +252,8 @@ def test_expert_visitation_diverging_demos():
     a = demo_from_rows([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
     b = demo_from_rows([(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)])
     expert = expert_visitation([a, b], spec, horizon)
-    assert expert.total[1, 0] == 1.0 and expert.total[2, 0] == 1.0
-    assert expert.total[3, 0] == 0.5 and expert.total[3, 1] == 0.5
+    assert expert[1, 0] == 1.0 and expert[2, 0] == 1.0
+    assert expert[3, 0] == 0.5 and expert[3, 1] == 0.5
 
 
 def test_expert_visitation_rejects_short_demo():
@@ -302,7 +302,8 @@ def test_nll_uniform_reward():
     spec = GridSpec(rows=15, cols=15, resolution=1.0, anchor=CellIndex(7, 7))
     horizon = 3
     demo = demo_from_rows([(7, 7), (8, 7), (9, 7), (10, 7)])
-    nll, grad = irl_loss_and_grad(np.zeros((15, 15)), [demo], CellIndex(7, 7), spec, horizon)
+    nll, grad = irl_loss_and_grad(np.zeros((15, 15)), expert_visitation([demo], spec, horizon),
+                                  spec, horizon)
     assert nll == pytest.approx(horizon * math.log(9.0), abs=1e-9)
     assert grad.shape == (15, 15)
 
@@ -313,7 +314,7 @@ def test_nll_matches_oracle():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     horizon = 4
     demo = demo_from_rows([(2, 2), (3, 2), (3, 3), (2, 3), (2, 2)])
-    nll, grad = irl_loss_and_grad(reward, [demo], CellIndex(2, 2), spec, horizon)
+    nll, grad = irl_loss_and_grad(reward, expert_visitation([demo], spec, horizon), spec, horizon)
     dist = enumerate_paths(reward, spec, CellIndex(2, 2), horizon)
     assert nll == pytest.approx(dist.nll(demo.cells), abs=1e-9)
     np.testing.assert_allclose(grad, dist.grad([demo]), atol=1e-9)
@@ -327,9 +328,10 @@ def test_nll_decreases_with_reward_sharpening():
     for r, c in path:
         base[r, c] = 0.0
     demo = demo_from_rows(path)
+    expert = expert_visitation([demo], spec, horizon)
     nlls = []
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
-        nll, _ = irl_loss_and_grad(base * scale, [demo], CellIndex(3, 3), spec, horizon)
+        nll, _ = irl_loss_and_grad(base * scale, expert, spec, horizon)
         nlls.append(nll)
     assert all(b < a for a, b in zip(nlls, nlls[1:]))
 
@@ -340,16 +342,16 @@ def test_grad_matches_finite_differences():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     horizon = 3
     demo = demo_from_rows([(2, 2), (3, 3), (4, 4), (4, 4)])
-    start = CellIndex(2, 2)
-    nll, grad = irl_loss_and_grad(reward, [demo], start, spec, horizon)
+    expert = expert_visitation([demo], spec, horizon)
+    nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
     eps = 1e-5
     for _ in range(10):
         r, c = rs.randint(5), rs.randint(5)
         up, dn = reward.copy(), reward.copy()
         up[r, c] += eps
         dn[r, c] -= eps
-        nup, _ = irl_loss_and_grad(up, [demo], start, spec, horizon)
-        ndn, _ = irl_loss_and_grad(dn, [demo], start, spec, horizon)
+        nup, _ = irl_loss_and_grad(up, expert, spec, horizon)
+        ndn, _ = irl_loss_and_grad(dn, expert, spec, horizon)
         fd = (nup - ndn) / (2 * eps)
         assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
 
@@ -357,8 +359,10 @@ def test_grad_matches_finite_differences():
 def test_loss_requires_demo_at_start():
     spec = small_spec()
     demo = demo_from_rows([(1, 1), (2, 2), (2, 2), (2, 2)])
-    with pytest.raises(ValueError):
-        irl_loss_and_grad(np.zeros((5, 5)), [demo], CellIndex(2, 2), spec, 3)
+    with pytest.raises(ValueError, match="starts at"):
+        expert_visitation([demo], spec, 3)
+    with pytest.raises(ValueError, match="starts at"):
+        train_irl(np.zeros((5, 5, 2)), [demo], train_cfg(spec, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +416,25 @@ def test_gd_line_search_is_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
+def test_train_reduces_demos_to_visit_counts_once(monkeypatch):
+    calls = []
+    real = irl.expert_visitation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(irl, "expert_visitation", counting)
+    spec = small_spec()
+    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
+    _, diag = train_irl(random_features((5, 5, 3), seed=14), [demo],
+                        train_cfg(spec, 3, max_iters=5, tol=0.0))
+    assert diag.iterations == 5
+    assert len(calls) == 1
+
+
 def test_path_reward_convention():
     reward = np.zeros((5, 5))
     reward[3, 2] = -2.0
     demo = demo_from_rows([(2, 2), (3, 2), (3, 2), (3, 2)])
-    assert path_reward(reward, demo, horizon=3) == -6.0
+    assert np.vdot(reward, expert_visitation([demo], small_spec(), 3)) == -6.0
