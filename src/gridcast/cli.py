@@ -52,6 +52,17 @@ def _echo_config(out_dir: Path, cfg: RunConfig) -> None:
     (out_dir / "config_used.cfg").write_text(config_to_text(cfg), encoding="utf-8")
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+
+
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -73,9 +84,7 @@ def cmd_gen(args) -> int:
             entries.append({"file": name, "kind": kind, "seed": seed,
                             "sha256": _sha256(out_dir / name)})
     manifest = {"version": 1, "count": len(entries), "entries": entries}
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     log.info("wrote %d scenes to %s", len(entries), out_dir)
     return 0
 
@@ -92,6 +101,7 @@ def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
 
 
 def cmd_predict(args) -> int:
+    _check_jobs(args)
     cfg = _load_effective_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -102,6 +112,8 @@ def cmd_predict(args) -> int:
         out_path, result.forecast, include_proposals=args.include_proposals,
         extra={"reasoning": result.reasoning, "scene": scene_path.name,
                "demo_horizon_factor": cfg.demo_horizon_factor, "seed": cfg.seed})
+    _write_json(out_dir / (scene_path.stem + ".run.json"),
+                {"scene": scene_path.name, **pipeline.run_record(result)})
     _echo_config(out_dir, cfg)
     log.info("forecast written to %s", out_path)
     return 0
@@ -162,10 +174,8 @@ def cmd_eval(args) -> int:
         metrics.write_report_json(out_dir / "report.json", {"aggregate": report})
         (out_dir / "report.txt").write_text(
             metrics.format_report_table({"aggregate": report}), encoding="utf-8")
-        with open(out_dir / "per_scene.json", "w", encoding="utf-8") as fh:
-            json.dump({name: vars(m) for name, m in sorted(per_scene.items())},
-                      fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out_dir / "per_scene.json",
+                    {name: vars(m) for name, m in sorted(per_scene.items())})
     if skipped:
         raise RuntimeError(f"missing forecasts for {len(skipped)} scene(s): "
                            + ", ".join(sorted(skipped)))
@@ -197,6 +207,7 @@ def _ablate_one(task):
 
 
 def cmd_ablate(args) -> int:
+    _check_jobs(args)
     cfg = _load_effective_config(args)
     scene_files = _scene_files(Path(args.scenes))
     if not scene_files:
@@ -231,9 +242,7 @@ def cmd_ablate(args) -> int:
         (out_dir / "ablation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _echo_config(out_dir, cfg)
     if failures:
-        with open(out_dir / "ablation_failures.json", "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out_dir / "ablation_failures.json", failures)
         raise RuntimeError(f"{len(failures)} of {len(results)} scene(s) failed: "
                            + ", ".join(sorted(failures)))
     return 0

@@ -114,6 +114,26 @@ def neighbour_views(padded: np.ndarray, spec: GridSpec) -> list[np.ndarray]:
             for dr, dc in ACTIONS]
 
 
+def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, slice]]:
+    """The grid clipped to the box ``anchor ± horizon``, and its window.
+
+    Returns (box, (row_slice, col_slice)): ``box`` has the anchor re-indexed
+    into it and the same world frame, and ``full_map[row_slice, col_slice]``
+    cuts the box out of a full-grid map. Every cell the target can reach in
+    ``horizon`` moves lies in the box. The radius is at least 2 so the box
+    meets the 3x3 minimum of a grid; a larger box holds the same cells.
+    """
+    radius = max(horizon, 2)
+    anchor = spec.anchor
+    r0, c0 = max(anchor.row - radius, 0), max(anchor.col - radius, 0)
+    rows = slice(r0, min(anchor.row + radius + 1, spec.rows))
+    cols = slice(c0, min(anchor.col + radius + 1, spec.cols))
+    box = GridSpec(rows=rows.stop - r0, cols=cols.stop - c0, resolution=spec.resolution,
+                   anchor=CellIndex(anchor.row - r0, anchor.col - c0),
+                   anchor_world=spec.anchor_world)
+    return box, (rows, cols)
+
+
 def valid_action_mask(spec: GridSpec) -> np.ndarray:
     """Boolean (rows, cols, 9) mask of actions whose destination stays in-bounds."""
     views = neighbour_views(padded_map(spec, False), spec)

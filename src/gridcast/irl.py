@@ -7,6 +7,14 @@ time-indexed policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)) is derived
 from them one step at a time. The induced path distribution is
 P(tau | s0) proportional to exp(sum of rewards over entered states), which the
 enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small grids.
+
+Each training step plans on the box ``anchor ± horizon`` (grid.reachable_box)
+instead of the whole grid, and its loss and gradient are bit for bit those of
+the full grid. A cell reached at step t lies within t moves of the anchor and
+its successors within t + 1 <= horizon, so they are inside the box: V_t there
+is the same logsumexp of the same operands, and the flows landing there are
+summed in the same order. Cells outside the box are never reached, so their
+flows on the full grid are exactly 0 and their expected visits are 0.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .grid import (
     neighbour_views,
     padded_map,
     quantize_trajectory,
+    reachable_box,
 )
 from . import rng
 
@@ -301,17 +310,25 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
     nll = V_0(anchor) - <R, mu_hat> for the expert's visit counts mu_hat;
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
-    (descend it to raise likelihood).
+    (descend it to raise likelihood). Planning runs on the reachable box, and
+    E[mu] is 0 outside it.
     """
-    values = soft_value_iteration(reward, spec, horizon)
-    visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
-    nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
-    return nll, visits[1:].sum(axis=0) - expert
+    box, window = reachable_box(spec, horizon)
+    box_reward = reward[window]
+    values = soft_value_iteration(box_reward, box, horizon)
+    visits = expected_visitation(soft_policy(values, box_reward, box), box, horizon)
+    nll = float(values[0, box.anchor.row, box.anchor.col]) - float(np.vdot(reward, expert))
+    # zeros, then the box, then -= mu_hat: 0.0 - 0.0 stays +0.0 off the box
+    grad = np.zeros((spec.rows, spec.cols))
+    grad[window] = visits[1:].sum(axis=0)
+    grad -= expert
+    return nll, grad
 
 
 def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    values = soft_value_iteration(reward, spec, horizon)
-    return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
+    box, window = reachable_box(spec, horizon)
+    values = soft_value_iteration(reward[window], box, horizon)
+    return float(values[0, box.anchor.row, box.anchor.col]) - float(np.vdot(reward, expert))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ class PredictionResult:
     scene: scene_mod.SceneContext  # normalized
     reasoning: bool
     diagnostics: TrainDiagnostics | None
+    clusters: rollout.ClusterResult
+    stream_key: int
 
 
 def scene_stream_key(payload: bytes) -> int:
@@ -131,7 +133,26 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         proposals=proposals,
     )
     return PredictionResult(forecast=forecast, reward=reward, policy=policy, spec=spec,
-                            scene=norm, reasoning=reasoning, diagnostics=diagnostics)
+                            scene=norm, reasoning=reasoning, diagnostics=diagnostics,
+                            clusters=clusters, stream_key=stream_key)
+
+
+def run_record(result: PredictionResult) -> dict:
+    """What a prediction did, for ``<stem>.run.json``: IRL convergence (None
+    without reasoning), k-means iterations and final inertia, the stream key.
+    Holds no timings, so same-seed reruns write the same bytes."""
+    diag = result.diagnostics
+    return {
+        "reasoning": result.reasoning,
+        "irl_iterations": diag.iterations if diag else None,
+        "irl_converged": diag.converged if diag else None,
+        "nll_first": diag.nll_history[0] if diag else None,
+        "nll_last": diag.nll_history[-1] if diag else None,
+        "grad_inf": diag.final_grad_inf if diag else None,
+        "kmeans_iterations": result.clusters.n_iter,
+        "kmeans_inertia": result.clusters.inertia_history[-1],
+        "stream_key": result.stream_key,
+    }
 
 
 def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:

@@ -1,12 +1,15 @@
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast import cli
-from gridcast.scene import SCENE_KINDS, generate_scene, normalize_to_target, save_scene
+from gridcast import cli, pipeline
+from gridcast.config import load_config
+from gridcast.scene import (SCENE_KINDS, generate_scene, load_scene, normalize_to_target,
+                            save_scene)
 
 SMALL_CFG = """
 rows=32
@@ -104,6 +107,51 @@ def test_predict_demo_horizon_flag(tmp_path, cfg_file, scene_file):
     assert payload["demo_horizon_factor"] == 2.0
 
 
+def test_predict_writes_run_record_matching_the_prediction(tmp_path, cfg_file, scene_file):
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file,
+                         "--seed", "5"]) == 0
+    a = (out1 / "straight_0000.run.json").read_bytes()
+    assert a == (out2 / "straight_0000.run.json").read_bytes()
+    record = json.loads(a)
+    cfg = replace(load_config(cfg_file), seed=5)
+    key = pipeline.scene_stream_key(Path(scene_file).read_bytes())
+    result = pipeline.predict_scene(load_scene(scene_file), cfg, stream_key=key)
+    diag = result.diagnostics
+    assert record == {
+        "scene": "straight_0000.json", "reasoning": True,
+        "irl_iterations": diag.iterations, "irl_converged": diag.converged,
+        "nll_first": diag.nll_history[0], "nll_last": diag.nll_history[-1],
+        "grad_inf": diag.final_grad_inf, "kmeans_iterations": result.clusters.n_iter,
+        "kmeans_inertia": result.clusters.inertia_history[-1], "stream_key": key,
+    }
+    assert result.stream_key == key
+
+
+def test_predict_run_record_without_reasoning(tmp_path, cfg_file, scene_file):
+    out = tmp_path / "fc"
+    assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file,
+                     "--no-reasoning"]) == 0
+    record = json.loads((out / "straight_0000.run.json").read_text())
+    assert record["reasoning"] is False
+    for name in ("irl_iterations", "irl_converged", "nll_first", "nll_last", "grad_inf"):
+        assert record[name] is None
+    assert record["kmeans_iterations"] >= 1 and record["kmeans_inertia"] >= 0.0
+
+
+@pytest.mark.parametrize("command", ["predict", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, cfg_file, scene_file, capsys, command, jobs):
+    out = tmp_path / "out"
+    target = [scene_file] if command == "predict" else ["--scenes", str(Path(scene_file).parent)]
+    rc = cli.main([command, *target, "--out", str(out), "--config", cfg_file, "--jobs", jobs])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": f"--jobs must be >= 1, got {jobs}"}
+    assert not out.exists()
+
+
 def test_predict_rejects_meaningless_config_value(tmp_path, scene_file, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CFG.strip().replace("lr=0.1", "lr=-5") + "\n", encoding="utf-8")
@@ -130,7 +178,7 @@ def _write_gt_forecasts(scene_dir: Path, forecast_dir: Path):
     for path in sorted(scene_dir.glob("*.json")):
         if path.name == "manifest.json":
             continue
-        scene = normalize_to_target(__import__("gridcast.scene", fromlist=["load_scene"]).load_scene(path))
+        scene = normalize_to_target(load_scene(path))
         modes = [{"prob": 1.0, "points": scene.gt_future.tolist()}]
         (forecast_dir / (path.stem + ".forecast.json")).write_text(
             json.dumps({"version": 1, "modes": modes, "anchors": []}), encoding="utf-8")

@@ -11,6 +11,7 @@ from gridcast.grid import (
     padded_map,
     cells_adjacent,
     quantize_trajectory,
+    reachable_box,
     round_half_away,
     step,
     valid_action_mask,
@@ -111,6 +112,46 @@ def test_padded_map_shape_and_border():
     padded = padded_map(spec, -np.inf)
     assert padded.shape == (6, 7) and np.all(padded == -np.inf)
     assert padded_map(spec, False).dtype == bool
+
+
+def test_reachable_box_clips_at_every_side():
+    spec = GridSpec(rows=20, cols=30, resolution=0.5, anchor=CellIndex(2, 27),
+                    anchor_world=(1.0, -2.0))
+    box, (rows, cols) = reachable_box(spec, 4)
+    assert (rows, cols) == (slice(0, 7), slice(23, 30))  # top and right clipped
+    assert (box.rows, box.cols, box.anchor) == (7, 7, CellIndex(2, 4))
+    spec = GridSpec(rows=20, cols=30, resolution=0.5, anchor=CellIndex(18, 1))
+    box, (rows, cols) = reachable_box(spec, 4)
+    assert (rows, cols) == (slice(14, 20), slice(0, 6))  # bottom and left clipped
+    assert (box.rows, box.cols, box.anchor) == (6, 6, CellIndex(4, 1))
+    spec = GridSpec(rows=20, cols=30, resolution=0.5, anchor=CellIndex(10, 15))
+    _, window = reachable_box(spec, 4)
+    assert window == (slice(6, 15), slice(11, 20))  # interior: the full 9x9 ball
+
+
+def test_reachable_box_of_long_horizon_is_the_grid():
+    spec = GridSpec(rows=9, cols=12, resolution=2.0, anchor=CellIndex(3, 7),
+                    anchor_world=(4.0, 5.0))
+    for horizon in (12, 13, 100):
+        box, window = reachable_box(spec, horizon)
+        assert box == spec
+        assert window == (slice(0, 9), slice(0, 12))
+
+
+def test_reachable_box_keeps_world_frame_and_window_shape():
+    rs = np.random.RandomState(3)
+    for _ in range(50):
+        rows, cols = rs.randint(3, 40), rs.randint(3, 40)
+        spec = GridSpec(rows=rows, cols=cols, resolution=float(rs.uniform(0.5, 2.0)),
+                        anchor=CellIndex(rs.randint(rows), rs.randint(cols)),
+                        anchor_world=tuple(rs.uniform(-5.0, 5.0, 2)))
+        box, window = reachable_box(spec, int(rs.randint(1, 25)))
+        assert np.zeros((rows, cols))[window].shape == (box.rows, box.cols)
+        assert cell_to_world(box.anchor, box) == cell_to_world(spec.anchor, spec)
+        # every box cell is the full-grid cell the window maps it to
+        for cell in (CellIndex(0, 0), CellIndex(box.rows - 1, box.cols - 1)):
+            full = CellIndex(window[0].start + cell.row, window[1].start + cell.col)
+            assert cell_to_world(cell, box) == cell_to_world(full, spec)
 
 
 def test_quantize_straight():

@@ -356,6 +356,63 @@ def test_grad_matches_finite_differences():
         assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
 
 
+def random_walk_expert(spec, horizon, rs):
+    """mu_hat of one random in-grid walk of ``horizon`` moves from the anchor."""
+    counts = np.zeros((spec.rows, spec.cols))
+    r, c = spec.anchor.row, spec.anchor.col
+    for _ in range(horizon):
+        r = min(max(r + rs.randint(-1, 2), 0), spec.rows - 1)
+        c = min(max(c + rs.randint(-1, 2), 0), spec.cols - 1)
+        counts[r, c] += 1.0
+    return counts
+
+
+def test_box_loss_and_grad_equal_full_grid_bitwise():
+    rs = np.random.RandomState(21)
+    cases = []
+    for rows, cols in ((9, 9), (12, 17), (25, 11)):
+        for anchor in ((0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1),
+                       (0, cols // 2), (rows // 2, cols - 1), (rows // 2, cols // 2)):
+            for horizon in (1, 2, min(rows, cols) // 2 - 1, max(rows, cols)):
+                cases.append((rows, cols, anchor, horizon))
+    for rows, cols, anchor, horizon in cases:
+        spec = small_spec(rows, cols, anchor)
+        reward = rs.uniform(-3.0, 0.0, (rows, cols))
+        expert = random_walk_expert(spec, horizon, rs)
+        values = soft_value_iteration(reward, spec, horizon)
+        visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
+        full_nll = (float(values[0, spec.anchor.row, spec.anchor.col])
+                    - float(np.vdot(reward, expert)))
+        full_grad = visits[1:].sum(axis=0) - expert
+        nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+        assert nll == full_nll
+        assert irl._nll_only(reward, expert, spec, horizon) == full_nll
+        assert np.array_equal(grad, full_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(full_grad))  # no -0.0
+
+
+def test_box_grad_matches_finite_differences_and_is_zero_off_box():
+    rs = np.random.RandomState(22)
+    spec = small_spec(rows=9, cols=9, anchor=(1, 4))
+    horizon = 2  # box rows 0..3, cols 2..6
+    reward = rs.uniform(-1.0, 0.0, (9, 9))
+    expert = expert_visitation([demo_from_rows([(1, 4), (2, 5), (3, 5)])], spec, horizon)
+    nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+    off_box = np.ones((9, 9), dtype=bool)
+    off_box[0:4, 2:7] = False
+    assert np.all(grad[off_box] == 0.0)
+    assert np.all(grad[~off_box] != 0.0)
+    eps = 1e-5
+    for r in range(9):
+        for c in range(9):
+            up, dn = reward.copy(), reward.copy()
+            up[r, c] += eps
+            dn[r, c] -= eps
+            fd = (irl._nll_only(up, expert, spec, horizon)
+                  - irl._nll_only(dn, expert, spec, horizon)) / (2 * eps)
+            assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
+
+
 def test_loss_requires_demo_at_start():
     spec = small_spec()
     demo = demo_from_rows([(1, 1), (2, 2), (2, 2), (2, 2)])
