@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,8 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.per_kind < 0:
+        raise ValueError(f"--per-kind must be >= 0, got {args.per_kind}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -171,7 +173,7 @@ def cmd_eval(args) -> int:
         per_scene[scene_path.stem] = metrics.score_forecast(trajs, probs, sc.gt_future)
     if per_scene:
         report = metrics.aggregate(per_scene.values(), k=n_modes)
-        metrics.write_report_json(out_dir / "report.json", {"aggregate": report})
+        _write_json(out_dir / "report.json", {"aggregate": asdict(report)})
         (out_dir / "report.txt").write_text(
             metrics.format_report_table({"aggregate": report}), encoding="utf-8")
         _write_json(out_dir / "per_scene.json",
@@ -230,7 +232,8 @@ def cmd_ablate(args) -> int:
         for variant in variants:
             ms = [metrics.SceneMetrics(**scene_out[variant]) for scene_out in done]
             reports[variant] = metrics.aggregate(ms, k=cfg.modes)
-        metrics.write_report_json(out_dir / "ablation.json", reports)
+        _write_json(out_dir / "ablation.json",
+                    {name: asdict(r) for name, r in reports.items()})
         table = metrics.format_report_table(reports)
         base = reports[VARIANT_BASELINE]
         lines = [table, "deltas vs no_reasoning (negative is better):"]

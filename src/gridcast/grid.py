@@ -48,8 +48,8 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 3 or self.cols < 3:
             raise ValueError(f"grid must be at least 3x3, got {self.rows}x{self.cols}")
-        if not (self.resolution > 0.0):
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if not (math.isfinite(self.resolution) and self.resolution > 0.0):
+            raise ValueError(f"resolution must be a finite positive number, got {self.resolution}")
         if not self.contains(self.anchor.row, self.anchor.col):
             raise ValueError(f"anchor {self.anchor} outside {self.rows}x{self.cols} grid")
 

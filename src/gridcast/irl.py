@@ -8,13 +8,14 @@ from them one step at a time. The induced path distribution is
 P(tau | s0) proportional to exp(sum of rewards over entered states), which the
 enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small grids.
 
-Each training step plans on the box ``anchor ± horizon`` (grid.reachable_box)
-instead of the whole grid, and its loss and gradient are bit for bit those of
-the full grid. A cell reached at step t lies within t moves of the anchor and
-its successors within t + 1 <= horizon, so they are inside the box: V_t there
-is the same logsumexp of the same operands, and the flows landing there are
-summed in the same order. Cells outside the box are never reached, so their
-flows on the full grid are exactly 0 and their expected visits are 0.
+train_irl fits on the box ``anchor ± horizon`` (grid.reachable_box): it cuts
+the features and the expert's visit counts to the box once, and the loss runs
+on whatever grid it is given. This is the full grid's fit in exact arithmetic.
+A cell reached at step t lies within t moves of the anchor, so the target never
+leaves the box: the NLL reads only box cells and the reward gradient
+E[mu] - mu_hat is exactly 0 off it. The reward map's max-shift then runs over
+the box, which neither NLL nor gradient sees, since sum(mu_hat) = sum(E[mu]) =
+horizon makes a constant shift cancel. Only rounding differs.
 """
 
 from __future__ import annotations
@@ -310,25 +311,17 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
     nll = V_0(anchor) - <R, mu_hat> for the expert's visit counts mu_hat;
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
-    (descend it to raise likelihood). Planning runs on the reachable box, and
-    E[mu] is 0 outside it.
+    (descend it to raise likelihood).
     """
-    box, window = reachable_box(spec, horizon)
-    box_reward = reward[window]
-    values = soft_value_iteration(box_reward, box, horizon)
-    visits = expected_visitation(soft_policy(values, box_reward, box), box, horizon)
-    nll = float(values[0, box.anchor.row, box.anchor.col]) - float(np.vdot(reward, expert))
-    # zeros, then the box, then -= mu_hat: 0.0 - 0.0 stays +0.0 off the box
-    grad = np.zeros((spec.rows, spec.cols))
-    grad[window] = visits[1:].sum(axis=0)
-    grad -= expert
-    return nll, grad
+    values = soft_value_iteration(reward, spec, horizon)
+    visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
+    nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
+    return nll, visits[1:].sum(axis=0) - expert
 
 
 def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    box, window = reachable_box(spec, horizon)
-    values = soft_value_iteration(reward[window], box, horizon)
-    return float(values[0, box.anchor.row, box.anchor.col]) - float(np.vdot(reward, expert))
+    values = soft_value_iteration(reward, spec, horizon)
+    return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +339,20 @@ class TrainDiagnostics:
 def train_irl(features: np.ndarray, demos, config: RunConfig):
     """Fit the reward map by descending the MaxEnt NLL until |dNLL| < tol.
 
-    Plans on ``config.grid_spec()`` from its anchor over ``config.horizon``
-    steps; ``optimizer`` "gd" backtracks to keep the loss monotone. Returns
-    (params, diagnostics). Raises IrlDivergenceError when the loss or
-    parameters go non-finite, reporting the offending iteration.
+    ``features`` is the (rows, cols, F) raster of ``config.grid_spec()``; the
+    fit plans from its anchor over ``config.horizon`` steps on the reachable
+    box, cut out of the features and the expert's visit counts once.
+    ``optimizer`` "gd" backtracks to keep the loss monotone. Returns (params,
+    diagnostics). Raises IrlDivergenceError when the loss or parameters go
+    non-finite, reporting the offending iteration.
     """
-    spec = config.grid_spec()
+    grid = config.grid_spec()
     horizon = config.horizon
-    expert = expert_visitation(demos, spec, horizon)
+    if features.shape[:2] != (grid.rows, grid.cols):
+        raise ValueError(f"features shape {features.shape[:2]} != grid {(grid.rows, grid.cols)}")
+    spec, window = reachable_box(grid, horizon)
+    expert = expert_visitation(demos, grid, horizon)[window]
+    features = np.ascontiguousarray(features[window])
     n_features = features.shape[-1]
     if config.reward_mode == "linear":
         params = RewardMapParams.linear(n_features)

@@ -8,8 +8,7 @@ unweighted mean.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +110,6 @@ def aggregate(scene_metrics, k: int) -> MetricReport:
         brier=float(np.mean([m.brier for m in ms])),
         brier_min_fde=float(np.mean([m.brier_min_fde for m in ms])),
     )
-
-
-def write_report_json(path, reports: dict) -> None:
-    payload = {name: asdict(r) for name, r in reports.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def format_report_table(reports: dict) -> str:

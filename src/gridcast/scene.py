@@ -481,6 +481,8 @@ def _finite_array(value, name: str, source: str) -> np.ndarray:
 
 
 def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
+    if not isinstance(payload, dict):
+        raise SceneFormatError(f"{source}: a scene must be a JSON object, got {payload!r:.40}")
     version = payload.get("version")
     if version != SCENE_FORMAT_VERSION:
         raise SceneFormatError(f"{source}: unsupported scene version {version!r}")

@@ -65,6 +65,14 @@ def test_gen_zero_scenes(tmp_path):
     assert manifest["count"] == 0 and manifest["entries"] == []
 
 
+def test_gen_rejects_negative_per_kind(tmp_path, capsys):
+    out = tmp_path / "scenes"
+    assert cli.main(["gen", "--out", str(out), "--per-kind", "-2"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "--per-kind must be >= 0, got -2"}
+    assert not out.exists()
+
+
 def test_predict_writes_valid_forecast(tmp_path, cfg_file, scene_file):
     out = tmp_path / "fc"
     rc = cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file])
@@ -314,6 +322,17 @@ def test_predict_rejects_nonfinite_scene(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "SceneFormatError"
     assert "non-finite" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+def test_predict_rejects_scene_that_is_not_an_object(tmp_path, capsys, text):
+    path = tmp_path / "list.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["predict", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SceneFormatError"
+    assert "must be a JSON object" in err["message"]
 
 
 def test_render_ogm_binary(tmp_path, cfg_file, scene_file):

@@ -61,7 +61,7 @@ def test_validate_rejects_rollouts_below_modes():
     ("temperature", math.nan), ("temperature", 0.0), ("temperature", math.inf),
     ("max_iters", 0), ("hidden", 0), ("modes", 0),
     ("smooth_weight", -1.0), ("smooth_weight", math.nan), ("smooth_weight", math.inf),
-    ("tol", -1e-4), ("tol", math.nan),
+    ("tol", -1e-4), ("tol", math.nan), ("resolution", math.inf),
 ])
 def test_validate_rejects_meaningless_training_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -26,8 +26,9 @@ def spec128():
 def test_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(rows=2, cols=10, resolution=1.0, anchor=CellIndex(0, 0))
-    with pytest.raises(ValueError):
-        GridSpec(rows=10, cols=10, resolution=0.0, anchor=CellIndex(0, 0))
+    for resolution in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="resolution"):
+            GridSpec(rows=10, cols=10, resolution=resolution, anchor=CellIndex(0, 0))
     with pytest.raises(ValueError):
         GridSpec(rows=10, cols=10, resolution=1.0, anchor=CellIndex(10, 0))
 

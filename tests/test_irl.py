@@ -5,7 +5,7 @@ import pytest
 
 from gridcast import irl
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box, valid_action_mask
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
@@ -356,15 +356,19 @@ def test_grad_matches_finite_differences():
         assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
 
 
+def random_walk_demo(spec, horizon, rs):
+    """One random in-grid walk of ``horizon`` moves from the anchor."""
+    cells = [(spec.anchor.row, spec.anchor.col)]
+    for _ in range(horizon):
+        r, c = cells[-1]
+        cells.append((min(max(r + rs.randint(-1, 2), 0), spec.rows - 1),
+                      min(max(c + rs.randint(-1, 2), 0), spec.cols - 1)))
+    return demo_from_rows(cells)
+
+
 def random_walk_expert(spec, horizon, rs):
     """mu_hat of one random in-grid walk of ``horizon`` moves from the anchor."""
-    counts = np.zeros((spec.rows, spec.cols))
-    r, c = spec.anchor.row, spec.anchor.col
-    for _ in range(horizon):
-        r = min(max(r + rs.randint(-1, 2), 0), spec.rows - 1)
-        c = min(max(c + rs.randint(-1, 2), 0), spec.cols - 1)
-        counts[r, c] += 1.0
-    return counts
+    return expert_visitation([random_walk_demo(spec, horizon, rs)], spec, horizon)
 
 
 def test_box_loss_and_grad_equal_full_grid_bitwise():
@@ -488,6 +492,57 @@ def test_train_reduces_demos_to_visit_counts_once(monkeypatch):
                         train_cfg(spec, 3, max_iters=5, tol=0.0))
     assert diag.iterations == 5
     assert len(calls) == 1
+
+
+def test_fit_on_grid_equals_fit_on_its_reachable_box_bitwise():
+    rs = np.random.RandomState(23)
+    rows, cols, horizon = 15, 12, 3
+    features = random_features((rows, cols, 4), seed=24)
+    anchors = ((0, 0), (rows - 1, cols - 1), (0, cols // 2), (rows // 2, 0),
+               (rows // 2, cols // 2))
+    for mode in ("linear", "two_layer"):
+        for optimizer in ("adam", "gd"):
+            for anchor in anchors:
+                spec = small_spec(rows, cols, anchor)
+                box, (row_sl, col_sl) = reachable_box(spec, horizon)
+                assert box.rows * box.cols < rows * cols
+                demos = [random_walk_demo(spec, horizon, rs) for _ in range(2)]
+                box_demos = [demo_from_rows([(c.row - row_sl.start, c.col - col_sl.start)
+                                             for c in d.cells]) for d in demos]
+                knobs = dict(reward_mode=mode, hidden=6, optimizer=optimizer,
+                             max_iters=8, tol=0.0)
+                params, diag = train_irl(features, demos, train_cfg(spec, horizon, **knobs))
+                box_params, box_diag = train_irl(features[row_sl, col_sl], box_demos,
+                                                 train_cfg(box, horizon, **knobs))
+                assert diag.nll_history == box_diag.nll_history
+                assert diag.final_grad_inf == box_diag.final_grad_inf
+                assert np.array_equal(params.as_vector(), box_params.as_vector())
+
+
+def test_train_cuts_to_the_box_once(monkeypatch):
+    calls = []
+    real = irl.reachable_box
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(irl, "reachable_box", counting)
+    spec = small_spec(rows=9, cols=9, anchor=(1, 4))
+    demo = demo_from_rows([(1, 4), (2, 5), (3, 5)])
+    for optimizer in ("adam", "gd"):
+        calls.clear()
+        _, diag = train_irl(random_features((9, 9, 3), seed=25), [demo],
+                            train_cfg(spec, 2, optimizer=optimizer, max_iters=4, tol=0.0))
+        assert diag.iterations >= 2
+        assert len(calls) == 1
+
+
+def test_train_rejects_features_of_another_grid():
+    spec = small_spec()
+    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
+    with pytest.raises(ValueError, match="features shape"):
+        train_irl(np.zeros((6, 5, 2)), [demo], train_cfg(spec, 3))
 
 
 def test_path_reward_convention():

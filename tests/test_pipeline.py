@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridcast import pipeline
+from gridcast import pipeline, scene as scene_mod
 from gridcast.config import RunConfig
 from gridcast.scene import generate_scene
 
@@ -31,6 +33,22 @@ def test_pipeline_deterministic():
     np.testing.assert_array_equal(a.forecast.trajectories, b.forecast.trajectories)
     np.testing.assert_array_equal(a.forecast.probs, b.forecast.probs)
     np.testing.assert_array_equal(a.reward, b.reward)
+
+
+def test_nonfinite_feature_off_the_training_box_is_rejected(monkeypatch):
+    # training reads only the box anchor ± horizon; the full-grid final
+    # reward still sees the far corner
+    real = scene_mod.rasterize_features
+
+    def poisoned(scene, spec):
+        features = real(scene, spec)
+        features[-1, -1, 0] = np.nan
+        return features
+
+    monkeypatch.setattr(scene_mod, "rasterize_features", poisoned)
+    cfg = replace(SMALL, max_iters=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        pipeline.predict_scene(generate_scene("straight", seed=1), cfg, reasoning=True)
 
 
 def test_stream_key_changes_rollouts():

@@ -24,6 +24,7 @@ from gridcast.scene import (
     normalize_to_target,
     rasterize_features,
     save_scene,
+    scene_from_dict,
     scene_to_dict,
     target_pose,
     transformed,
@@ -290,6 +291,16 @@ def test_load_rejects_version_mismatch(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(SceneFormatError, match="unsupported scene version"):
         load_scene(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+def test_load_rejects_a_payload_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "scene.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SceneFormatError, match="must be a JSON object"):
+        load_scene(path)
+    with pytest.raises(SceneFormatError, match="must be a JSON object"):
+        scene_from_dict(json.loads(text))
 
 
 def test_load_parse_error_has_line_context(tmp_path):
