@@ -105,18 +105,19 @@ def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
 def cmd_predict(args) -> int:
     _check_jobs(args)
     cfg = _load_effective_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scene_path = Path(args.scene)
     result = _predict_file(scene_path, cfg, reasoning=not args.no_reasoning)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (scene_path.stem + ".forecast.json")
     rollout.write_forecast(
         out_path, result.forecast, include_proposals=args.include_proposals,
         extra={"reasoning": result.reasoning, "scene": scene_path.name,
                "demo_horizon_factor": cfg.demo_horizon_factor, "seed": cfg.seed})
-    _write_json(out_dir / (scene_path.stem + ".run.json"),
-                {"scene": scene_path.name, **pipeline.run_record(result)})
     _echo_config(out_dir, cfg)
+    _write_json(out_dir / (scene_path.stem + ".run.json"),
+                {"scene": scene_path.name, **pipeline.run_record(result),
+                 "config_sha256": _sha256(out_dir / "config_used.cfg")})
     log.info("forecast written to %s", out_path)
     return 0
 
@@ -126,11 +127,17 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _scene_files(scene_dir: Path) -> list:
+    """The scenes of a directory, in manifest order if it has one; raises when
+    there are none, so a mistyped path never passes as an empty run."""
     manifest = scene_dir / "manifest.json"
     if manifest.exists():
         entries = json.loads(manifest.read_text(encoding="utf-8"))["entries"]
-        return [scene_dir / e["file"] for e in entries]
-    return sorted(p for p in scene_dir.glob("*.json") if p.name != "manifest.json")
+        files = [scene_dir / e["file"] for e in entries]
+    else:
+        files = sorted(p for p in scene_dir.glob("*.json") if p.name != "manifest.json")
+    if not files:
+        raise RuntimeError(f"no scene files found in {scene_dir}")
+    return files
 
 
 def _read_forecast(path: Path, n_modes: int | None, n_points: int):
@@ -155,14 +162,12 @@ def _read_forecast(path: Path, n_modes: int | None, n_points: int):
 
 
 def cmd_eval(args) -> int:
-    scene_dir = Path(args.scenes)
+    scene_files = _scene_files(Path(args.scenes))
     forecast_dir = Path(args.forecasts)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     per_scene = {}
     skipped = []
     n_modes = None
-    for scene_path in _scene_files(scene_dir):
+    for scene_path in scene_files:
         fpath = forecast_dir / (scene_path.stem + ".forecast.json")
         if not fpath.exists():
             skipped.append(scene_path.name)
@@ -172,6 +177,8 @@ def cmd_eval(args) -> int:
         n_modes = len(probs)
         per_scene[scene_path.stem] = metrics.score_forecast(trajs, probs, sc.gt_future)
     if per_scene:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         report = metrics.aggregate(per_scene.values(), k=n_modes)
         _write_json(out_dir / "report.json", {"aggregate": asdict(report)})
         (out_dir / "report.txt").write_text(
@@ -212,8 +219,6 @@ def cmd_ablate(args) -> int:
     _check_jobs(args)
     cfg = _load_effective_config(args)
     scene_files = _scene_files(Path(args.scenes))
-    if not scene_files:
-        raise RuntimeError(f"no scene files found in {args.scenes}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(str(p), vars(cfg)) for p in scene_files]

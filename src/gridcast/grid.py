@@ -102,16 +102,29 @@ def padded_map(spec: GridSpec, border) -> np.ndarray:
     return np.full((spec.rows + 2, spec.cols + 2), border)
 
 
-def neighbour_views(padded: np.ndarray, spec: GridSpec) -> list[np.ndarray]:
-    """The nine (rows, cols) views of a padded map, in ACTIONS order.
+def neighbour_views(padded: np.ndarray, spec: GridSpec,
+                    window: tuple[slice, slice] | None = None) -> list[np.ndarray]:
+    """The nine views of a padded map over the grid or a ``window`` of it, in
+    ACTIONS order.
 
     View ``a`` at (r, c) is the padded map at the successor of cell (r, c)
-    under action ``a``; a move off the grid lands on the border.
+    under action ``a``; a move off the grid lands on the border. ``window`` is
+    a (row_slice, col_slice) pair with explicit bounds, as ``window`` returns.
     """
     if padded.shape != (spec.rows + 2, spec.cols + 2):
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
-    return [padded[1 + dr: 1 + dr + spec.rows, 1 + dc: 1 + dc + spec.cols]
+    rows, cols = window or (slice(0, spec.rows), slice(0, spec.cols))
+    return [padded[1 + dr + rows.start: 1 + dr + rows.stop,
+                   1 + dc + cols.start: 1 + dc + cols.stop]
             for dr, dc in ACTIONS]
+
+
+def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:
+    """The (row_slice, col_slice) of the grid clipped to the box ``anchor ± radius``:
+    every cell the target can reach in ``radius`` moves, and no other."""
+    anchor = spec.anchor
+    return (slice(max(anchor.row - radius, 0), min(anchor.row + radius + 1, spec.rows)),
+            slice(max(anchor.col - radius, 0), min(anchor.col + radius + 1, spec.cols)))
 
 
 def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, slice]]:
@@ -123,13 +136,10 @@ def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, 
     ``horizon`` moves lies in the box. The radius is at least 2 so the box
     meets the 3x3 minimum of a grid; a larger box holds the same cells.
     """
-    radius = max(horizon, 2)
-    anchor = spec.anchor
-    r0, c0 = max(anchor.row - radius, 0), max(anchor.col - radius, 0)
-    rows = slice(r0, min(anchor.row + radius + 1, spec.rows))
-    cols = slice(c0, min(anchor.col + radius + 1, spec.cols))
-    box = GridSpec(rows=rows.stop - r0, cols=cols.stop - c0, resolution=spec.resolution,
-                   anchor=CellIndex(anchor.row - r0, anchor.col - c0),
+    rows, cols = window(spec, max(horizon, 2))
+    box = GridSpec(rows=rows.stop - rows.start, cols=cols.stop - cols.start,
+                   resolution=spec.resolution,
+                   anchor=CellIndex(spec.anchor.row - rows.start, spec.anchor.col - cols.start),
                    anchor_world=spec.anchor_world)
     return box, (rows, cols)
 

@@ -16,6 +16,19 @@ leaves the box: the NLL reads only box cells and the reward gradient
 E[mu] - mu_hat is exactly 0 off it. The reward map's max-shift then runs over
 the box, which neither NLL nor gradient sees, since sum(mu_hat) = sum(E[mu]) =
 horizon makes a constant shift cancel. Only rounding differs.
+
+On the grid it is given, the loss runs step t of value iteration and of the
+forward pass on the window ``anchor ± t`` only (grid.window), and the forward
+pass exponentiates the (9, window) gains stacks value iteration built. This
+is bit for bit the whole-grid loss: a cell within t moves of the anchor reads
+only successors within t+1 moves, with the same operands in the same order,
+and the flows from cells off the window are exactly 0, so skipping them adds
+nothing. Two traps guard that claim. The t = 0 window is one cell, and numpy sums a
+(9, 1, 1) stack pairwise instead of action after action, so that step spells
+the order out. And a windowed V_t holds stale values off its window, where
+exp(gains - V_t) could overflow and 0 * inf = NaN, so the policy is never
+evaluated there. The whole-grid plan is the same loop with the whole grid as
+every step's window.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import numpy as np
 
 from .config import RunConfig
 from .grid import (
-    STAY,
+    N_ACTIONS,
     CellIndex,
     GridSpec,
     eight_connected_line,
@@ -37,6 +50,7 @@ from .grid import (
     padded_map,
     quantize_trajectory,
     reachable_box,
+    window,
 )
 from . import rng
 
@@ -144,71 +158,128 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 # policy(t) -> pi_t(a | s), shape (rows, cols, 9); off-grid actions have prob 0
 Policy = Callable[[int], np.ndarray]
 
+# A step's window is a (row_slice, col_slice) pair with explicit bounds
+# (grid.window); a plan takes one per step t = 0..horizon, and step t's
+# successors must lie in the window of step t+1 or off the grid.
+Window = tuple[slice, slice]
+
+
+def _whole_grid(spec: GridSpec, horizon: int) -> list[Window]:
+    return [(slice(0, spec.rows), slice(0, spec.cols))] * (horizon + 1)
+
+
+def _reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
+    """Step t's window is ``anchor ± t``: where the target can be at step t."""
+    return [window(spec, t) for t in range(horizon + 1)]
+
 
 def _successor_gains(reward: np.ndarray, spec: GridSpec):
-    """gains(V_next) -> (9, rows, cols): R(s') + V_next(s') at each action's
-    successor s', -inf where the move leaves the grid."""
+    """gains(next_values, win, reach, out=None) -> (9, win): R(s') + V_next(s')
+    at each action's successor s' of the cells of ``win``, -inf where the move
+    leaves the grid. ``reach`` holds every in-grid successor; only it is written."""
     padded = padded_map(spec, -np.inf)
-    views = neighbour_views(padded, spec)
+    interior = padded[1:-1, 1:-1]
 
-    def gains(next_values: np.ndarray) -> np.ndarray:
-        np.add(reward, next_values, out=views[STAY])
-        return np.stack(views)
+    def gains(next_values: np.ndarray, win: Window, reach: Window, out=None) -> np.ndarray:
+        np.add(reward[reach], next_values[reach], out=interior[reach])
+        return np.stack(neighbour_views(padded, spec, win), out=out)
 
     return gains
 
 
-def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int) -> np.ndarray:
+def _stack_block(windows: list[Window]) -> list[np.ndarray]:
+    """One empty (9, window) stack per window, all carved from one block.
+    Kept stacks allocated one by one fragment the heap: at the default grid
+    they kept ~3 MB more memory resident after the loss had returned."""
+    shapes = [(N_ACTIONS, rows.stop - rows.start, cols.stop - cols.start)
+              for rows, cols in windows]
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
+                         windows: list[Window] | None = None, return_gains: bool = False):
     """Backward soft Bellman recursion with terminal V_horizon = 0.
 
     V_t(s) = logsumexp over in-grid successors s' of R(s') + V_{t+1}(s').
     Returns the value maps, shape (horizon+1, rows, cols); soft_policy derives
-    the policy from them.
+    the policy from them. With ``windows`` V_t is computed on windows[t] only
+    and holds stale zeros elsewhere (default: the whole grid at every step).
+    With ``return_gains`` returns (values, gains), where gains[t] is step t's
+    (9, windows[t]) stack of R(s') + V_{t+1}(s') for soft_policy to reuse.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
+    windows = windows or _whole_grid(spec, horizon)
     gains = _successor_gains(reward, spec)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
+    kept = _stack_block(windows[:-1]) if return_gains else [None] * horizon
     for t in range(horizon - 1, -1, -1):
-        q = gains(values[t + 1])
+        q = gains(values[t + 1], windows[t], windows[t + 1], out=kept[t])
         # logsumexp over actions; STAY is always valid so the max is finite
         m = q.max(axis=0)
-        values[t] = m + np.log(np.exp(q - m).sum(axis=0))
-    return values
+        e = q - m
+        np.exp(e, out=e)
+        # numpy adds a stack's actions one after another, except in a one-cell
+        # stack (the t = 0 window), which it sums pairwise and so rounds
+        # differently; there the builtin sum keeps the order
+        total = sum(e) if e[0].size == 1 else e.sum(axis=0)
+        np.add(m, np.log(total, out=total), out=values[t][windows[t]])
+    return (values, kept) if return_gains else values
 
 
-def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec) -> Policy:
+def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec,
+                windows: list[Window] | None = None,
+                gains: list[np.ndarray] | None = None) -> Policy:
     """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)).
 
     Each step is computed on demand from the value maps; off-grid actions get
     exp(-inf) = 0. V_t(s) is the logsumexp of the exponents it is subtracted
     from, so every exponent is <= 0 and no finite reward can overflow it.
+    With ``windows`` policy(t) covers windows[t] only, shape (h, w, 9): the
+    values there are the only ones soft_value_iteration computed, and a stale
+    V_t elsewhere could overflow the exponent. ``gains`` are the stacks
+    soft_value_iteration(..., return_gains=True) kept; without them each step's
+    stack is rebuilt from ``reward``.
     """
-    gains = _successor_gains(reward, spec)
+    windows = windows or _whole_grid(spec, values.shape[0] - 1)
+    build = _successor_gains(reward, spec)
 
     def policy(t: int) -> np.ndarray:
+        stack = gains[t] if gains else build(values[t + 1], windows[t], windows[t + 1])
+        probs = stack - values[t][windows[t]]
         # action-major storage keeps each action's block contiguous
-        return np.moveaxis(np.exp(gains(values[t + 1]) - values[t]), 0, -1)
+        return np.exp(probs, out=probs).transpose(1, 2, 0)
 
     return policy
 
 
-def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndarray:
+def expected_visitation(policy: Policy, spec: GridSpec, horizon: int,
+                        windows: list[Window] | None = None) -> np.ndarray:
     """Per-step state distributions D, shape (horizon+1, rows, cols), from the
-    forward pass D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed by steps."""
+    forward pass D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed by steps.
+
+    With ``windows`` step t reads D_t and policy(t) on windows[t] only and
+    writes D_{t+1} on windows[t+1]. That is exact when windows[t] holds every
+    cell the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it
+    skips are exactly 0.
+    """
+    windows = windows or _whole_grid(spec, horizon)
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
     # off-grid moves carry no mass, so the border only ever receives zeros
     landed = padded_map(spec, 0.0)
-    views = neighbour_views(landed, spec)
+    interior = landed[1:-1, 1:-1]
     for t in range(horizon):
-        flow = per_step[t] * np.moveaxis(policy(t), -1, 0)
-        for view, mass in zip(views, flow):
+        win, reach = windows[t], windows[t + 1]
+        flow = per_step[t][win] * policy(t).transpose(2, 0, 1)
+        for view, mass in zip(neighbour_views(landed, spec, win), flow):
             view += mass
-        per_step[t + 1] = views[STAY]
+        per_step[t + 1][reach] = interior[reach]
         landed.fill(0.0)
     return per_step
 
@@ -313,14 +384,16 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
     (descend it to raise likelihood).
     """
-    values = soft_value_iteration(reward, spec, horizon)
-    visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
+    windows = _reach_windows(spec, horizon)
+    values, gains = soft_value_iteration(reward, spec, horizon, windows, return_gains=True)
+    visits = expected_visitation(soft_policy(values, reward, spec, windows, gains),
+                                 spec, horizon, windows)
     nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
     return nll, visits[1:].sum(axis=0) - expert
 
 
 def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    values = soft_value_iteration(reward, spec, horizon)
+    values = soft_value_iteration(reward, spec, horizon, _reach_windows(spec, horizon))
     return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from dataclasses import replace
@@ -133,6 +134,7 @@ def test_predict_writes_run_record_matching_the_prediction(tmp_path, cfg_file, s
         "nll_first": diag.nll_history[0], "nll_last": diag.nll_history[-1],
         "grad_inf": diag.final_grad_inf, "kmeans_iterations": result.clusters.n_iter,
         "kmeans_inertia": result.clusters.inertia_history[-1], "stream_key": key,
+        "config_sha256": hashlib.sha256((out1 / "config_used.cfg").read_bytes()).hexdigest(),
     }
     assert result.stream_key == key
 
@@ -243,6 +245,42 @@ def test_eval_missing_forecast_nonzero_exit(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "stop_0000" in err["message"]
+
+
+@pytest.mark.parametrize("scenes", ["missing", "empty"])
+def test_eval_without_scenes_fails_before_creating_out(tmp_path, capsys, scenes):
+    (tmp_path / "empty").mkdir()
+    forecasts = tmp_path / "fc"
+    forecasts.mkdir()
+    out = tmp_path / "rep"
+    rc = cli.main(["eval", "--forecasts", str(forecasts), "--scenes", str(tmp_path / scenes),
+                   "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "RuntimeError",
+                   "message": f"no scene files found in {tmp_path / scenes}"}
+    assert not out.exists()
+
+
+def test_eval_without_any_forecast_fails_before_creating_out(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    cli.main(["gen", "--out", str(scenes), "--per-kind", "1", "--seed", "2"])
+    out = tmp_path / "rep"
+    rc = cli.main(["eval", "--forecasts", str(tmp_path / "missing"), "--scenes", str(scenes),
+                   "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "RuntimeError" and "missing forecasts" in err["message"]
+    assert not out.exists()
+
+
+def test_predict_missing_scene_fails_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "fc"
+    rc = cli.main(["predict", str(tmp_path / "nope.json"), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "FileNotFoundError"
+    assert not out.exists()
 
 
 def test_ablate_report_structure(tmp_path, cfg_file):

@@ -15,6 +15,7 @@ from gridcast.grid import (
     round_half_away,
     step,
     valid_action_mask,
+    window,
     world_to_cell,
 )
 
@@ -106,6 +107,26 @@ def test_neighbour_views_read_each_actions_successor():
     assert np.all(padded[1:-1, 1:-1] == -1.0)
     with pytest.raises(ValueError):
         neighbour_views(np.zeros((4, 5)), spec)
+
+
+def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():
+    rs = np.random.RandomState(4)
+    for _ in range(30):
+        rows, cols = rs.randint(3, 15), rs.randint(3, 15)
+        spec = GridSpec(rows=rows, cols=cols, resolution=1.0,
+                        anchor=CellIndex(rs.randint(rows), rs.randint(cols)))
+        padded = rs.uniform(size=(rows + 2, cols + 2))
+        reached = np.zeros((rows, cols), dtype=bool)
+        reached[spec.anchor.row, spec.anchor.col] = True
+        for radius in range(max(rows, cols) + 1):
+            win = window(spec, radius)
+            inside = np.zeros((rows, cols), dtype=bool)
+            inside[win] = True
+            assert np.array_equal(inside, reached)
+            for view, whole in zip(neighbour_views(padded, spec, win),
+                                   neighbour_views(padded, spec)):
+                assert np.array_equal(view, whole[win])
+            reached = np.stack(neighbour_views(np.pad(reached, 1), spec)).any(axis=0)
 
 
 def test_padded_map_shape_and_border():

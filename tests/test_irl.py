@@ -379,6 +379,10 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
                        (0, cols // 2), (rows // 2, cols - 1), (rows // 2, cols // 2)):
             for horizon in (1, 2, min(rows, cols) // 2 - 1, max(rows, cols)):
                 cases.append((rows, cols, anchor, horizon))
+    # the benchmark geometries: the 65x65 box the default config (128x128,
+    # H=32, anchor (32, 64)) fits on, and the acceptance config (40x40, H=16,
+    # anchor (10, 20)) with its 27x33 box
+    cases += [(65, 65, (32, 32), 32), (40, 40, (10, 20), 16), (27, 33, (10, 16), 16)]
     for rows, cols, anchor, horizon in cases:
         spec = small_spec(rows, cols, anchor)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
@@ -393,6 +397,35 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         assert irl._nll_only(reward, expert, spec, horizon) == full_nll
         assert np.array_equal(grad, full_grad)
         assert np.array_equal(np.signbit(grad), np.signbit(full_grad))  # no -0.0
+
+
+def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
+    rs = np.random.RandomState(26)
+    real = irl.soft_value_iteration
+
+    def poisoned(reward, spec, horizon, windows, **kwargs):
+        planned = real(reward, spec, horizon, windows, **kwargs)
+        values = planned[0] if isinstance(planned, tuple) else planned
+        for t, win in enumerate(windows):
+            off = np.ones((spec.rows, spec.cols), dtype=bool)
+            off[win] = False
+            values[t][off] = np.nan
+        return planned
+
+    for rows, cols, anchor, horizon in ((9, 9, (4, 4), 3), (12, 17, (0, 16), 5),
+                                        (25, 11, (24, 5), 8), (40, 40, (10, 20), 16)):
+        spec = small_spec(rows, cols, anchor)
+        reward = rs.uniform(-3.0, 0.0, (rows, cols))
+        expert = random_walk_expert(spec, horizon, rs)
+        nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+        only = irl._nll_only(reward, expert, spec, horizon)
+        with monkeypatch.context() as m:
+            m.setattr(irl, "soft_value_iteration", poisoned)
+            poisoned_nll, poisoned_grad = irl_loss_and_grad(reward, expert, spec, horizon)
+            poisoned_only = irl._nll_only(reward, expert, spec, horizon)
+        assert math.isfinite(poisoned_nll) and np.all(np.isfinite(poisoned_grad))
+        assert poisoned_nll == nll and poisoned_only == only
+        assert np.array_equal(poisoned_grad, grad)
 
 
 def test_box_grad_matches_finite_differences_and_is_zero_off_box():
