@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -67,6 +68,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -96,10 +104,20 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
+    """Forecast one scene file; logs one info line with what the fit did and
+    the wall time, which no output file holds."""
+    start = time.perf_counter()
     payload = scene_path.read_bytes()
     sc = scene_mod.load_scene(scene_path)
     key = pipeline.scene_stream_key(payload)
-    return pipeline.predict_scene(sc, cfg, reasoning=reasoning, stream_key=key)
+    result = pipeline.predict_scene(sc, cfg, reasoning=reasoning, stream_key=key)
+    rec = pipeline.run_record(result)
+    variant = f"reasoning_h{cfg.demo_horizon_factor}" if reasoning else VARIANT_BASELINE
+    log.info("scene=%s variant=%s irl_iterations=%s irl_converged=%s nll_first=%r "
+             "nll_last=%r wall_s=%.3f", scene_path.name, variant, rec["irl_iterations"],
+             rec["irl_converged"], rec["nll_first"], rec["nll_last"],
+             time.perf_counter() - start)
+    return result
 
 
 def cmd_predict(args) -> int:
@@ -131,7 +149,12 @@ def _scene_files(scene_dir: Path) -> list:
     there are none, so a mistyped path never passes as an empty run."""
     manifest = scene_dir / "manifest.json"
     if manifest.exists():
-        entries = json.loads(manifest.read_text(encoding="utf-8"))["entries"]
+        payload = _read_json(manifest)
+        entries = payload.get("entries") if isinstance(payload, dict) else None
+        if not (isinstance(entries, list) and all(
+                isinstance(e, dict) and isinstance(e.get("file"), str) for e in entries)):
+            raise ValueError(f"{manifest}: a manifest must be an object whose \"entries\" "
+                             "list gives each scene's \"file\"")
         files = [scene_dir / e["file"] for e in entries]
     else:
         files = sorted(p for p in scene_dir.glob("*.json") if p.name != "manifest.json")
@@ -146,9 +169,15 @@ def _read_forecast(path: Path, n_modes: int | None, n_points: int):
     ``n_modes`` is the mode count every file must share (None for the first
     file); ``n_points`` is the length of the scene's ground-truth future.
     """
-    modes = json.loads(path.read_text(encoding="utf-8"))["modes"]
-    trajs = np.asarray([m["points"] for m in modes], dtype=np.float64)
-    probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
+    payload = _read_json(path)
+    modes = payload.get("modes") if isinstance(payload, dict) else None
+    if not (isinstance(modes, list) and all(isinstance(m, dict) for m in modes)):
+        raise ValueError(f"{path.name}: a forecast must be an object with a list of modes")
+    try:
+        trajs = np.asarray([m["points"] for m in modes], dtype=np.float64)
+        probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path.name}: malformed modes: {exc!r}") from exc
     if n_modes is not None and len(probs) != n_modes:
         raise ValueError(f"{path.name}: {len(probs)} modes, the first forecast has {n_modes}")
     if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
@@ -286,13 +315,14 @@ def cmd_render(args) -> int:
     # scene file: run the pipeline and emit the full figure set
     cfg = _load_effective_config(args)
     result = _predict_file(path, cfg, reasoning=not args.no_reasoning)
-    render.field_to_pgm(out_dir / "reward.pgm", result.reward)
-    render.field_to_csv(out_dir / "reward.csv", result.reward)
+    reward = pipeline.grid_reward(result)
+    render.field_to_pgm(out_dir / "reward.pgm", reward)
+    render.field_to_csv(out_dir / "reward.csv", reward)
     ogm = pipeline.predicted_occupancy(result, cfg)
     render.occupancy_frames(out_dir, ogm, prefix="occupancy")
     occupancy.write_ogm_binary(out_dir / "occupancy.stogm", ogm)
     img = render.trajectory_overlay(result.spec, result.scene.gt_future,
-                                    result.forecast.trajectories, background=result.reward)
+                                    result.forecast.trajectories, background=reward)
     render.write_ppm(out_dir / "overlay.ppm", img)
     _echo_config(out_dir, cfg)
     return 0

@@ -168,8 +168,9 @@ def _whole_grid(spec: GridSpec, horizon: int) -> list[Window]:
     return [(slice(0, spec.rows), slice(0, spec.cols))] * (horizon + 1)
 
 
-def _reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
-    """Step t's window is ``anchor ± t``: where the target can be at step t."""
+def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
+    """Step t's window is ``anchor ± t``: where the target can be at step t.
+    The loss plans on these, and so does the final policy of a scene."""
     return [window(spec, t) for t in range(horizon + 1)]
 
 
@@ -244,7 +245,8 @@ def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec,
     values there are the only ones soft_value_iteration computed, and a stale
     V_t elsewhere could overflow the exponent. ``gains`` are the stacks
     soft_value_iteration(..., return_gains=True) kept; without them each step's
-    stack is rebuilt from ``reward``.
+    stack is rebuilt from ``reward``. The kept stacks are read, never written,
+    so policy(t) returns the same bits however often it is called.
     """
     windows = windows or _whole_grid(spec, values.shape[0] - 1)
     build = _successor_gains(reward, spec)
@@ -384,7 +386,7 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
     (descend it to raise likelihood).
     """
-    windows = _reach_windows(spec, horizon)
+    windows = reach_windows(spec, horizon)
     values, gains = soft_value_iteration(reward, spec, horizon, windows, return_gains=True)
     visits = expected_visitation(soft_policy(values, reward, spec, windows, gains),
                                  spec, horizon, windows)
@@ -393,7 +395,7 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
 
 def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    values = soft_value_iteration(reward, spec, horizon, _reach_windows(spec, horizon))
+    values = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
     return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
 
 

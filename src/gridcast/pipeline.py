@@ -5,20 +5,29 @@ Normalizes a scene, rasterizes context features, trains the per-scene reward
 rollouts into a K-mode forecast. The no-reasoning baseline replaces the
 learned policy with a heading-biased straight-rollout policy and a zero
 reward.
+
+Reasoning runs end to end on the box ``anchor ± horizon`` (grid.reachable_box):
+the raster, the fit, the final plan, the rollouts and the occupancy pass. No
+cell outside it can be reached within the horizon, and the box keeps the
+world frame, so the raster, the fit and the trajectories are those of the
+full grid bit for bit. The final reward's max-shift runs over the box, a
+constant that cancels in the policy and in the mode softmax; only the
+rounding of mode probabilities and occupancy moves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
-from .grid import ACTIONS, N_ACTIONS, GridSpec, valid_action_mask
-from .irl import Policy, TrainDiagnostics
+from .grid import (ACTIONS, N_ACTIONS, CellIndex, GridSpec, reachable_box,
+                   valid_action_mask)
+from .irl import Demonstration, Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
 
@@ -30,10 +39,21 @@ FEATURE_SCALE = np.array([1.0, 1.0 / 8.0, 1.0, 1.0, 1.0 / 50.0, 1.0 / 50.0])
 
 @dataclass
 class PredictionResult:
+    """A scene's forecast and what made it.
+
+    ``reward`` and ``policy`` live on ``box``, cut out of the full grid
+    ``spec`` by ``window``; policy(t) covers ``windows[t]`` of the box (None:
+    all of it). Without reasoning the box is the full grid.
+    """
+
     forecast: rollout.Forecast
     reward: np.ndarray
     policy: Policy
     spec: GridSpec
+    box: GridSpec
+    window: Window
+    windows: list[Window] | None
+    params: RewardMapParams | None  # the fitted reward map, None without reasoning
     scene: scene_mod.SceneContext  # normalized
     reasoning: bool
     diagnostics: TrainDiagnostics | None
@@ -91,6 +111,12 @@ def straight_rollout_policy(spec: GridSpec) -> Policy:
     return lambda t: probs
 
 
+def _into_box(demo: Demonstration, window: Window) -> Demonstration:
+    rows, cols = window
+    return Demonstration(tuple(CellIndex(c.row - rows.start, c.col - cols.start)
+                               for c in demo.cells))
+
+
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
                   reasoning: bool = True, stream_key: int = 0) -> PredictionResult:
     """Run the full per-scene pipeline and return the K-mode forecast."""
@@ -98,24 +124,32 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
     spec = cfg.grid_spec()
     norm = scene_mod.normalize_to_target(raw_scene)
     _, _, _, speed = scene_mod.target_pose(norm)
-    diagnostics = None
+    diagnostics = params = None
     if reasoning:
-        features = scene_mod.rasterize_features(norm, spec) * FEATURE_SCALE
-        demos = build_demos(norm, cfg, spec)
-        params, diagnostics = irl.train_irl(features, demos, cfg)
+        box, window = reachable_box(spec, cfg.horizon)
+        features = scene_mod.rasterize_features(norm, box) * FEATURE_SCALE
+        # built on the full grid, where a quantised point beyond the box only
+        # truncates the demo at horizon+1 states, then re-indexed into the box
+        demos = [_into_box(demo, window) for demo in build_demos(norm, cfg, spec)]
+        params, diagnostics = irl.train_irl(features, demos, replace(
+            cfg, rows=box.rows, cols=box.cols,
+            anchor_row=box.anchor.row, anchor_col=box.anchor.col))
         reward = irl.reward_forward(features, params)
-        policy = irl.soft_policy(irl.soft_value_iteration(reward, spec, cfg.horizon),
-                                 reward, spec)
+        windows = irl.reach_windows(box, cfg.horizon)
+        values, gains = irl.soft_value_iteration(reward, box, cfg.horizon, windows,
+                                                 return_gains=True)
+        policy = irl.soft_policy(values, reward, box, windows, gains)
     else:
+        box, window, windows = spec, (slice(0, spec.rows), slice(0, spec.cols)), None
         reward = np.zeros((spec.rows, spec.cols))
         policy = straight_rollout_policy(spec)
 
-    batch = rollout.sample_rollouts(policy, reward, spec, cfg.rollouts, cfg.horizon,
-                                    rng.derive_seed(cfg.seed, stream_key))
+    batch = rollout.sample_rollouts(policy, reward, box, cfg.rollouts, cfg.horizon,
+                                    rng.derive_seed(cfg.seed, stream_key), windows)
     if reasoning:
         batch = rollout.gather_path_features(batch, features)
     proposals = np.stack([
-        rollout.path_to_trajectory(batch.cells[i], spec, cfg.t_future, speed, norm.dt)
+        rollout.path_to_trajectory(batch.cells[i], box, cfg.t_future, speed, norm.dt)
         for i in range(cfg.rollouts)
     ])
     clusters = rollout.cluster_proposals(proposals, cfg.modes,
@@ -133,6 +167,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         proposals=proposals,
     )
     return PredictionResult(forecast=forecast, reward=reward, policy=policy, spec=spec,
+                            box=box, window=window, windows=windows, params=params,
                             scene=norm, reasoning=reasoning, diagnostics=diagnostics,
                             clusters=clusters, stream_key=stream_key)
 
@@ -156,7 +191,21 @@ def run_record(result: PredictionResult) -> dict:
 
 
 def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:
-    return occupancy.predict_occupancy(result.policy, result.spec, cfg.horizon, cfg.t_future)
+    """The target's (rows, cols, T_f) occupancy on the full grid: the box's,
+    embedded in zeros, which are exact since D_t is 0 off ``anchor ± t``."""
+    out = np.zeros((result.spec.rows, result.spec.cols, cfg.t_future))
+    out[result.window] = occupancy.predict_occupancy(
+        result.policy, result.box, cfg.horizon, cfg.t_future, result.windows)
+    return out
+
+
+def grid_reward(result: PredictionResult) -> np.ndarray:
+    """The reward map over the full grid, for figures: the fitted map applied
+    to a full-grid raster (the forecast itself reads only the box)."""
+    if result.params is None:
+        return result.reward
+    features = scene_mod.rasterize_features(result.scene, result.spec) * FEATURE_SCALE
+    return irl.reward_forward(features, result.params)
 
 
 def score_prediction(result: PredictionResult) -> metrics.SceneMetrics:

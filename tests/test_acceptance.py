@@ -16,7 +16,7 @@ import pytest
 from gridcast import cli, irl, metrics, pipeline, rollout
 from gridcast.config import RunConfig
 from gridcast.grid import CellIndex, GridSpec
-from gridcast.occupancy import focal_bce, predict_occupancy, rasterize_gt_ogm, uniform_occupancy
+from gridcast.occupancy import focal_bce, rasterize_gt_ogm, uniform_occupancy
 from gridcast.oracle import enumerate_paths
 from gridcast.rng import uniform as rng_uniform
 from gridcast.scene import SCENE_KINDS, generate_scene, save_scene
@@ -278,7 +278,7 @@ def ablation_run():
             out["factor10"].append(pipeline.score_prediction(full))
             out["factor20"].append(pipeline.score_prediction(long_sup))
 
-            ogm_pred = predict_occupancy(full.policy, spec, cfg.horizon, cfg.t_future)
+            ogm_pred = pipeline.predicted_occupancy(full, cfg)
             out["mass_gap"] = max(out["mass_gap"],
                                   float(np.abs(ogm_pred.sum(axis=(0, 1)) - 1.0).max()))
             # single-agent comparison: target-only GT for the target-only predictor

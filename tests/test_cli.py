@@ -443,3 +443,98 @@ def test_eval_rejects_short_forecast(tmp_path, capsys):
     assert rc == 1
     assert err["error"] == "ValueError"
     assert "30 finite (x, y) points" in err["message"]
+
+
+@pytest.mark.parametrize("manifest", [{}, [], {"entries": [{"kind": "straight"}]}],
+                         ids=["empty-object", "list", "entry-without-file"])
+def test_scene_dir_with_malformed_manifest_names_it(tmp_path, capsys, manifest):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    save_scene(scenes / "straight_0.json", generate_scene("straight", seed=0))
+    (scenes / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "rep"
+    rc = cli.main(["eval", "--forecasts", str(tmp_path / "fc"), "--scenes", str(scenes),
+                   "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{scenes / 'manifest.json'}: ")
+    assert not out.exists()
+
+
+RAGGED_MODES = [{"prob": 0.5, "points": [[0.0, 0.0]] * 30},
+                {"prob": 0.5, "points": [[0.0, 0.0]] * 29}]
+
+
+@pytest.mark.parametrize("payload, detail", [
+    ([1, 2], "must be an object with a list of modes"),
+    ({"version": 1}, "must be an object with a list of modes"),
+    ({"version": 1, "modes": RAGGED_MODES}, "malformed modes"),
+], ids=["not-an-object", "without-modes", "ragged-points"])
+def test_eval_rejects_malformed_forecast_naming_the_file(tmp_path, capsys, payload, detail):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    save_scene(scenes / "straight_0.json", generate_scene("straight", seed=0))
+    forecasts = tmp_path / "fc"
+    forecasts.mkdir()
+    (forecasts / "straight_0.forecast.json").write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "rep"
+    rc = cli.main(["eval", "--forecasts", str(forecasts), "--scenes", str(scenes),
+                   "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("straight_0.forecast.json: ")
+    assert detail in err["message"]
+    assert not out.exists()
+
+
+def _scene_lines(caplog) -> list:
+    return [r.getMessage() for r in caplog.records
+            if r.name == "gridcast" and r.getMessage().startswith("scene=")]
+
+
+def _wall_s(line: str) -> float:
+    return float(line.rpartition(" wall_s=")[2])
+
+
+def test_predict_info_log_has_one_line_per_scene(tmp_path, cfg_file, scene_file,
+                                                 monkeypatch, caplog):
+    monkeypatch.setenv("FIM_LOG", "info")
+    out = tmp_path / "fc"
+    assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file]) == 0
+    [line] = _scene_lines(caplog)
+    rec = json.loads((out / "straight_0000.run.json").read_text())
+    assert line.startswith(
+        f"scene=straight_0000.json variant=reasoning_h1.0 "
+        f"irl_iterations={rec['irl_iterations']} irl_converged={rec['irl_converged']} "
+        f"nll_first={rec['nll_first']!r} nll_last={rec['nll_last']!r} wall_s=")
+    assert _wall_s(line) > 0.0
+    # the wall time goes to the log only: reruns keep writing the same bytes
+    for path in out.iterdir():
+        assert "wall" not in path.read_text(), path.name
+
+
+def test_ablate_info_log_has_one_line_per_scene_and_variant(tmp_path, cfg_file, monkeypatch,
+                                                            caplog):
+    monkeypatch.setenv("FIM_LOG", "info")
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for i, kind in enumerate(["straight", "stop"]):
+        save_scene(scenes / f"{kind}_{i}.json", generate_scene(kind, seed=i))
+    out = tmp_path / "ablation"
+    assert cli.main(["ablate", "--scenes", str(scenes), "--out", str(out),
+                     "--config", cfg_file]) == 0
+    lines = _scene_lines(caplog)
+    heads = sorted(line.split(" irl_iterations=")[0] for line in lines)
+    assert heads == sorted(f"scene={scene} variant={variant}"
+                           for scene in ("straight_0.json", "stop_1.json")
+                           for variant in ("no_reasoning", "reasoning_h1.0",
+                                           "reasoning_h1.5", "reasoning_h2.0"))
+    for line in lines:
+        reasoning = "variant=reasoning" in line
+        assert ("irl_iterations=None" in line) != reasoning
+        assert ("nll_first=None nll_last=None" in line) != reasoning
+        assert _wall_s(line) > 0.0
+    for path in out.iterdir():
+        assert "wall" not in path.read_text(), path.name

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridcast import pipeline, scene as scene_mod
+from gridcast import irl, occupancy, pipeline, rng, rollout, scene as scene_mod
 from gridcast.config import RunConfig
 from gridcast.scene import generate_scene
 
@@ -36,8 +36,8 @@ def test_pipeline_deterministic():
 
 
 def test_nonfinite_feature_off_the_training_box_is_rejected(monkeypatch):
-    # training reads only the box anchor ± horizon; the full-grid final
-    # reward still sees the far corner
+    # reasoning rasterises only the box anchor ± horizon, so the poisoned
+    # corner is the box's corner, which the fit reads
     real = scene_mod.rasterize_features
 
     def poisoned(scene, spec):
@@ -49,6 +49,34 @@ def test_nonfinite_feature_off_the_training_box_is_rejected(monkeypatch):
     cfg = replace(SMALL, max_iters=2)
     with pytest.raises(ValueError, match="non-finite"):
         pipeline.predict_scene(generate_scene("straight", seed=1), cfg, reasoning=True)
+
+
+def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
+    cfg = replace(SMALL, max_iters=5)
+    result = pipeline.predict_scene(generate_scene("curve", seed=8), cfg, reasoning=True,
+                                    stream_key=8)
+    spec, box, horizon = result.spec, result.box, cfg.horizon
+    assert (box.rows, box.cols) == result.reward.shape
+    assert result.windows == irl.reach_windows(box, horizon)
+    # the same box reward planned without windows: every step on the whole box
+    whole = irl.soft_policy(irl.soft_value_iteration(result.reward, box, horizon),
+                            result.reward, box)
+    seed = rng.derive_seed(cfg.seed, result.stream_key)
+    windowed = rollout.sample_rollouts(result.policy, result.reward, box, cfg.rollouts,
+                                       horizon, seed, result.windows)
+    plain = rollout.sample_rollouts(whole, result.reward, box, cfg.rollouts, horizon, seed)
+    np.testing.assert_array_equal(windowed.cells, plain.cells)
+    assert windowed.path_rewards.tobytes() == plain.path_rewards.tobytes()
+
+    expected = np.zeros((spec.rows, spec.cols, cfg.t_future))
+    expected[result.window] = occupancy.predict_occupancy(whole, box, horizon, cfg.t_future)
+    assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
+    # the rollouts and occupancy above each read policy(t); the kept stacks
+    # stay untouched, so a further call returns the same bits
+    for t, win in enumerate(result.windows[:-1]):
+        first = result.policy(t)
+        assert first.tobytes() == result.policy(t).tobytes()
+        assert first.tobytes() == np.ascontiguousarray(whole(t)[win]).tobytes()
 
 
 def test_stream_key_changes_rollouts():

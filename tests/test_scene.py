@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridcast.grid import CellIndex, GridSpec
+from gridcast.grid import CellIndex, GridSpec, reachable_box
 from gridcast.scene import (
     AVALID,
     AX,
@@ -253,6 +253,34 @@ def test_features_finite_and_reproducible():
     np.testing.assert_array_equal(a, b)
     onroad = a[..., F_ON_ROAD]
     assert set(np.unique(onroad)) <= {0.0, 1.0}
+
+
+# (rows, cols, resolution, anchor, horizon): the default and the acceptance
+# geometry, and an anchor on a corner, where the box is clipped on two sides
+BOX_GEOMETRIES = [(128, 128, 1.0, (32, 64), 32), (40, 40, 2.0, (10, 20), 16),
+                  (40, 40, 2.0, (0, 39), 16)]
+
+
+@pytest.mark.parametrize("rows, cols, res, anchor, horizon", BOX_GEOMETRIES)
+def test_box_raster_is_the_full_raster_cut_to_the_box_bitwise(rows, cols, res, anchor,
+                                                             horizon):
+    spec = GridSpec(rows=rows, cols=cols, resolution=res, anchor=CellIndex(*anchor))
+    box, window = reachable_box(spec, horizon)
+    outside = window[0].stop  # the first row below the box
+    for seed, kind in enumerate(SCENE_KINDS):
+        scene = normalize_to_target(generate_scene(kind, seed=seed))
+        # agent 1 ends one row outside the box, agent 2 on its last row,
+        # one column apart
+        for agent, row, col in ((1, outside, 0), (2, outside - 1, -1)):
+            scene.agents[agent, -1, [AX, AY]] = ((row - anchor[0] + 0.3) * res,
+                                                 (col + 0.2) * res)
+        full = rasterize_features(scene, spec)
+        boxed = rasterize_features(scene, box)
+        assert boxed.shape == (box.rows, box.cols, full.shape[-1])
+        assert boxed.tobytes() == full[window].tobytes(), kind
+        assert full[outside, anchor[1], F_OCCUPANCY] == 1.0
+        assert full[..., F_OCCUPANCY].sum() == 2.0
+        assert boxed[..., F_OCCUPANCY].sum() == 1.0
 
 
 # ---------------------------------------------------------------------------
