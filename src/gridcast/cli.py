@@ -174,10 +174,14 @@ def _read_forecast(path: Path, n_modes: int | None, n_points: int):
     if not (isinstance(modes, list) and all(isinstance(m, dict) for m in modes)):
         raise ValueError(f"{path.name}: a forecast must be an object with a list of modes")
     try:
-        trajs = np.asarray([m["points"] for m in modes], dtype=np.float64)
-        probs = np.asarray([m["prob"] for m in modes], dtype=np.float64)
+        trajs = np.asarray([m["points"] for m in modes])
+        probs = np.asarray([m["prob"] for m in modes])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path.name}: malformed modes: {exc!r}") from exc
+    # numpy would read "1.0" as a number; JSON numbers only
+    if trajs.dtype.kind not in "iuf" or probs.dtype.kind not in "iuf":
+        raise ValueError(f"{path.name}: mode points and probabilities must be JSON numbers")
+    trajs, probs = trajs.astype(np.float64), probs.astype(np.float64)
     if n_modes is not None and len(probs) != n_modes:
         raise ValueError(f"{path.name}: {len(probs)} modes, the first forecast has {n_modes}")
     if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
@@ -300,16 +304,15 @@ def cmd_render(args) -> int:
         ogm = occupancy.read_ogm_binary(path)
         render.occupancy_frames(out_dir, ogm, prefix=path.stem)
         return 0
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if "modes" in payload:  # forecast file: overlay only
+    payload = _read_json(path)
+    if not isinstance(payload, dict) or "modes" in payload:  # forecast file: overlay only
         cfg = _load_effective_config(args)
-        spec = cfg.grid_spec()
-        trajs = [np.asarray(m["points"]) for m in payload["modes"]]
+        trajs, _ = _read_forecast(path, None, cfg.t_future)
         gt = np.zeros((0, 2))
         if args.scene:
             sc = scene_mod.normalize_to_target(scene_mod.load_scene(args.scene))
             gt = sc.gt_future
-        img = render.trajectory_overlay(spec, gt, trajs)
+        img = render.trajectory_overlay(cfg.grid_spec(), gt, trajs)
         render.write_ppm(out_dir / (path.stem + ".overlay.ppm"), img)
         return 0
     # scene file: run the pipeline and emit the full figure set

@@ -2,24 +2,17 @@
 
 A per-cell reward map is trained so that the soft-optimal policy's expected
 state visitations match those of quantized expert demonstrations. Planning is
-finite-horizon soft value iteration, which keeps only the value maps V_t; the
-time-indexed policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)) is derived
-from them one step at a time. The induced path distribution is
+finite-horizon soft value iteration, which keeps only the value maps V_t and
+the (9, window) stacks of R(s') + V_{t+1}(s') they came from; the time-indexed
+policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)) is derived from them one
+step at a time, on the windows it covers. The induced path distribution is
 P(tau | s0) proportional to exp(sum of rewards over entered states), which the
 enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small grids.
 
-train_irl fits on the box ``anchor ± horizon`` (grid.reachable_box): it cuts
-the features and the expert's visit counts to the box once, and the loss runs
-on whatever grid it is given. This is the full grid's fit in exact arithmetic.
-A cell reached at step t lies within t moves of the anchor, so the target never
-leaves the box: the NLL reads only box cells and the reward gradient
-E[mu] - mu_hat is exactly 0 off it. The reward map's max-shift then runs over
-the box, which neither NLL nor gradient sees, since sum(mu_hat) = sum(E[mu]) =
-horizon makes a constant shift cancel. Only rounding differs.
-
-On the grid it is given, the loss runs step t of value iteration and of the
+train_irl fits on whatever grid it is given, from the expert's visit counts
+mu_hat on that grid. The loss runs step t of value iteration and of the
 forward pass on the window ``anchor ± t`` only (grid.window), and the forward
-pass exponentiates the (9, window) gains stacks value iteration built. This
+pass exponentiates the gains stacks value iteration built. This
 is bit for bit the whole-grid loss: a cell within t moves of the anchor reads
 only successors within t+1 moves, with the same operands in the same order,
 and the flows from cells off the window are exactly 0, so skipping them adds
@@ -34,6 +27,7 @@ every step's window.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -49,7 +43,6 @@ from .grid import (
     neighbour_views,
     padded_map,
     quantize_trajectory,
-    reachable_box,
     window,
 )
 from . import rng
@@ -155,17 +148,28 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 # Planning and visitations
 # ---------------------------------------------------------------------------
 
-# policy(t) -> pi_t(a | s), shape (rows, cols, 9); off-grid actions have prob 0
-Policy = Callable[[int], np.ndarray]
-
 # A step's window is a (row_slice, col_slice) pair with explicit bounds
 # (grid.window); a plan takes one per step t = 0..horizon, and step t's
 # successors must lie in the window of step t+1 or off the grid.
 Window = tuple[slice, slice]
 
 
-def _whole_grid(spec: GridSpec, horizon: int) -> list[Window]:
-    return [(slice(0, spec.rows), slice(0, spec.cols))] * (horizon + 1)
+@dataclass(frozen=True)
+class Policy:
+    """A time-indexed policy and the windows it covers: policy(t) is
+    pi_t(a | s) on windows[t], shape (h, w, 9); off-grid actions have prob 0."""
+
+    windows: list[Window]
+    step: Callable[[int], np.ndarray]
+
+    def __call__(self, t: int) -> np.ndarray:
+        return self.step(t)
+
+
+def grid_windows(shape: tuple[int, int], horizon: int) -> list[Window]:
+    """The whole (rows, cols) grid as every step's window: the plan without windows."""
+    rows, cols = shape
+    return [(slice(0, rows), slice(0, cols))] * (horizon + 1)
 
 
 def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
@@ -200,25 +204,25 @@ def _stack_block(windows: list[Window]) -> list[np.ndarray]:
 
 
 def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
-                         windows: list[Window] | None = None, return_gains: bool = False):
+                         windows: list[Window] | None = None):
     """Backward soft Bellman recursion with terminal V_horizon = 0.
 
     V_t(s) = logsumexp over in-grid successors s' of R(s') + V_{t+1}(s').
-    Returns the value maps, shape (horizon+1, rows, cols); soft_policy derives
-    the policy from them. With ``windows`` V_t is computed on windows[t] only
-    and holds stale zeros elsewhere (default: the whole grid at every step).
-    With ``return_gains`` returns (values, gains), where gains[t] is step t's
-    (9, windows[t]) stack of R(s') + V_{t+1}(s') for soft_policy to reuse.
+    Returns (values, gains): the value maps, shape (horizon+1, rows, cols), and
+    for each step t < horizon the (9, windows[t]) stack of R(s') + V_{t+1}(s')
+    they came from, which soft_policy exponentiates. With ``windows`` V_t is
+    computed on windows[t] only and holds stale zeros elsewhere (default: the
+    whole grid at every step).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
-    windows = windows or _whole_grid(spec, horizon)
+    windows = windows or grid_windows(reward.shape, horizon)
     gains = _successor_gains(reward, spec)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
-    kept = _stack_block(windows[:-1]) if return_gains else [None] * horizon
+    kept = _stack_block(windows[:-1])
     for t in range(horizon - 1, -1, -1):
         q = gains(values[t + 1], windows[t], windows[t + 1], out=kept[t])
         # logsumexp over actions; STAY is always valid so the max is finite
@@ -230,54 +234,49 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
         # differently; there the builtin sum keeps the order
         total = sum(e) if e[0].size == 1 else e.sum(axis=0)
         np.add(m, np.log(total, out=total), out=values[t][windows[t]])
-    return (values, kept) if return_gains else values
+    return values, kept
 
 
-def soft_policy(values: np.ndarray, reward: np.ndarray, spec: GridSpec,
-                windows: list[Window] | None = None,
-                gains: list[np.ndarray] | None = None) -> Policy:
-    """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)).
+def soft_policy(values: np.ndarray, gains: list[np.ndarray],
+                windows: list[Window] | None = None) -> Policy:
+    """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s))
+    from what soft_value_iteration returned for ``windows`` (default: the
+    whole grid at every step).
 
-    Each step is computed on demand from the value maps; off-grid actions get
-    exp(-inf) = 0. V_t(s) is the logsumexp of the exponents it is subtracted
-    from, so every exponent is <= 0 and no finite reward can overflow it.
-    With ``windows`` policy(t) covers windows[t] only, shape (h, w, 9): the
-    values there are the only ones soft_value_iteration computed, and a stale
-    V_t elsewhere could overflow the exponent. ``gains`` are the stacks
-    soft_value_iteration(..., return_gains=True) kept; without them each step's
-    stack is rebuilt from ``reward``. The kept stacks are read, never written,
-    so policy(t) returns the same bits however often it is called.
+    Each step is computed on demand from the kept gains stacks; off-grid
+    actions get exp(-inf) = 0. V_t(s) is the logsumexp of the exponents it is
+    subtracted from, so every exponent is <= 0 and no finite reward can
+    overflow it. policy(t) covers windows[t] only: the values there are the
+    only ones soft_value_iteration computed, and a stale V_t elsewhere could
+    overflow the exponent. The stacks are read, never written, so policy(t)
+    returns the same bits however often it is called.
     """
-    windows = windows or _whole_grid(spec, values.shape[0] - 1)
-    build = _successor_gains(reward, spec)
+    windows = windows or grid_windows(values.shape[1:], values.shape[0] - 1)
 
-    def policy(t: int) -> np.ndarray:
-        stack = gains[t] if gains else build(values[t + 1], windows[t], windows[t + 1])
-        probs = stack - values[t][windows[t]]
+    def step(t: int) -> np.ndarray:
+        probs = gains[t] - values[t][windows[t]]
         # action-major storage keeps each action's block contiguous
         return np.exp(probs, out=probs).transpose(1, 2, 0)
 
-    return policy
+    return Policy(windows, step)
 
 
-def expected_visitation(policy: Policy, spec: GridSpec, horizon: int,
-                        windows: list[Window] | None = None) -> np.ndarray:
+def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndarray:
     """Per-step state distributions D, shape (horizon+1, rows, cols), from the
     forward pass D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed by steps.
 
-    With ``windows`` step t reads D_t and policy(t) on windows[t] only and
-    writes D_{t+1} on windows[t+1]. That is exact when windows[t] holds every
-    cell the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it
-    skips are exactly 0.
+    Step t reads D_t and policy(t) on the policy's windows[t] only and writes
+    D_{t+1} on windows[t+1]. That is exact when windows[t] holds every cell
+    the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it skips
+    are exactly 0.
     """
-    windows = windows or _whole_grid(spec, horizon)
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
     # off-grid moves carry no mass, so the border only ever receives zeros
     landed = padded_map(spec, 0.0)
     interior = landed[1:-1, 1:-1]
     for t in range(horizon):
-        win, reach = windows[t], windows[t + 1]
+        win, reach = policy.windows[t], policy.windows[t + 1]
         flow = per_step[t][win] * policy(t).transpose(2, 0, 1)
         for view, mass in zip(neighbour_views(landed, spec, win), flow):
             view += mass
@@ -387,15 +386,14 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     (descend it to raise likelihood).
     """
     windows = reach_windows(spec, horizon)
-    values, gains = soft_value_iteration(reward, spec, horizon, windows, return_gains=True)
-    visits = expected_visitation(soft_policy(values, reward, spec, windows, gains),
-                                 spec, horizon, windows)
+    values, gains = soft_value_iteration(reward, spec, horizon, windows)
+    visits = expected_visitation(soft_policy(values, gains, windows), spec, horizon)
     nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
     return nll, visits[1:].sum(axis=0) - expert
 
 
 def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    values = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
+    values, _ = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
     return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
 
 
@@ -411,23 +409,27 @@ class TrainDiagnostics:
     final_grad_inf: float = float("nan")
 
 
-def train_irl(features: np.ndarray, demos, config: RunConfig):
+def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: RunConfig):
     """Fit the reward map by descending the MaxEnt NLL until |dNLL| < tol.
 
-    ``features`` is the (rows, cols, F) raster of ``config.grid_spec()``; the
-    fit plans from its anchor over ``config.horizon`` steps on the reachable
-    box, cut out of the features and the expert's visit counts once.
-    ``optimizer`` "gd" backtracks to keep the loss monotone. Returns (params,
-    diagnostics). Raises IrlDivergenceError when the loss or parameters go
-    non-finite, reporting the offending iteration.
+    ``features`` is the (rows, cols, F) raster of ``spec`` and ``expert`` the
+    expert's visit counts mu_hat on it (expert_visitation); the fit plans from
+    the anchor of ``spec`` over ``config.horizon`` steps. ``optimizer`` "gd"
+    backtracks to keep the loss monotone. Each iteration logs one debug line
+    (it, nll, grad_inf). Returns (params, diagnostics). Raises
+    IrlDivergenceError when the loss or parameters go non-finite, reporting
+    the offending iteration.
     """
-    grid = config.grid_spec()
+    # the CLI imports and configures logging; a process that never imported it
+    # cannot have enabled debug output, and importing it here would add ~0.4 MB
+    # to the peak memory of every such process
+    logging = sys.modules.get("logging")
+    log = logging.getLogger(__name__) if logging else None
     horizon = config.horizon
-    if features.shape[:2] != (grid.rows, grid.cols):
-        raise ValueError(f"features shape {features.shape[:2]} != grid {(grid.rows, grid.cols)}")
-    spec, window = reachable_box(grid, horizon)
-    expert = expert_visitation(demos, grid, horizon)[window]
-    features = np.ascontiguousarray(features[window])
+    if features.shape[:2] != (spec.rows, spec.cols):
+        raise ValueError(f"features shape {features.shape[:2]} != grid {(spec.rows, spec.cols)}")
+    if np.shape(expert) != (spec.rows, spec.cols):
+        raise ValueError(f"expert shape {np.shape(expert)} != grid {(spec.rows, spec.cols)}")
     n_features = features.shape[-1]
     if config.reward_mode == "linear":
         params = RewardMapParams.linear(n_features)
@@ -453,6 +455,8 @@ def train_irl(features: np.ndarray, demos, config: RunConfig):
             raise IrlDivergenceError("nll is non-finite", it)
         grad_vec = reward_backward(features, params, grad_r).as_vector()
         grad_inf = float(np.abs(grad_r).max())
+        if log:
+            log.debug("it=%d nll=%r grad_inf=%r", it, nll, grad_inf)
         diag.nll_history.append(nll)
         diag.iterations = it
 

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 
 from .grid import GridSpec, world_to_cell
-from .irl import Policy, Window, expected_visitation
+from .irl import Policy, expected_visitation
 
 PROB_CLAMP = 1e-6
 
@@ -40,17 +40,16 @@ def rasterize_gt_ogm(scene, spec: GridSpec) -> np.ndarray:
 
 
 def predict_occupancy(policy: Policy, spec: GridSpec, horizon: int,
-                      n_steps: int, windows: list[Window] | None = None) -> np.ndarray:
+                      n_steps: int) -> np.ndarray:
     """Probabilistic (rows, cols, T_f) occupancy for the target agent at the anchor.
 
     Forecast step j maps to planning time j * horizon / n_steps; visitation
     slices are linearly interpolated between the bracketing planning steps, so
-    each timestamp keeps unit total mass. ``windows`` are the per-step windows
-    policy(t) covers, as in expected_visitation (default: the whole grid).
+    each timestamp keeps unit total mass.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    visit = expected_visitation(policy, spec, horizon, windows)
+    visit = expected_visitation(policy, spec, horizon)
     out = np.zeros((spec.rows, spec.cols, n_steps))
     for j in range(1, n_steps + 1):
         tau = j * horizon / n_steps

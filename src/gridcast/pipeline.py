@@ -6,28 +6,32 @@ rollouts into a K-mode forecast. The no-reasoning baseline replaces the
 learned policy with a heading-biased straight-rollout policy and a zero
 reward.
 
-Reasoning runs end to end on the box ``anchor ± horizon`` (grid.reachable_box):
-the raster, the fit, the final plan, the rollouts and the occupancy pass. No
-cell outside it can be reached within the horizon, and the box keeps the
-world frame, so the raster, the fit and the trajectories are those of the
-full grid bit for bit. The final reward's max-shift runs over the box, a
-constant that cancels in the policy and in the mode softmax; only the
-rounding of mode probabilities and occupancy moves.
+Reasoning runs end to end on the box ``anchor ± horizon`` (grid.reachable_box),
+which predict_scene cuts once: the raster, the fit, the final plan, the
+rollouts and the occupancy pass all run there. No cell outside it can be
+reached within the horizon, and the box keeps the world frame. The raster is
+the full raster's window bit for bit, and so is the expert's mu_hat, built
+from demos on the full grid. The fit is the full grid's in exact arithmetic:
+the target never leaves the box, so the NLL reads only box cells and the
+reward gradient E[mu] - mu_hat is exactly 0 off it. The reward map's
+max-shift then runs over the box, which neither NLL nor gradient sees, since
+sum(mu_hat) = sum(E[mu]) = horizon makes a constant shift cancel; it also
+cancels in the policy and in the mode softmax. Against a run over the full
+grid only rounding differs (mode probabilities and occupancy by ~1e-14).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
-from .grid import (ACTIONS, N_ACTIONS, CellIndex, GridSpec, reachable_box,
-                   valid_action_mask)
-from .irl import Demonstration, Policy, RewardMapParams, TrainDiagnostics, Window
+from .grid import ACTIONS, N_ACTIONS, GridSpec, reachable_box, valid_action_mask
+from .irl import Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
 
@@ -42,8 +46,7 @@ class PredictionResult:
     """A scene's forecast and what made it.
 
     ``reward`` and ``policy`` live on ``box``, cut out of the full grid
-    ``spec`` by ``window``; policy(t) covers ``windows[t]`` of the box (None:
-    all of it). Without reasoning the box is the full grid.
+    ``spec`` by ``window``. Without reasoning the box is the full grid.
     """
 
     forecast: rollout.Forecast
@@ -52,7 +55,6 @@ class PredictionResult:
     spec: GridSpec
     box: GridSpec
     window: Window
-    windows: list[Window] | None
     params: RewardMapParams | None  # the fitted reward map, None without reasoning
     scene: scene_mod.SceneContext  # normalized
     reasoning: bool
@@ -92,12 +94,12 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
     return demos
 
 
-def straight_rollout_policy(spec: GridSpec) -> Policy:
+def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
     Action weights follow exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
-    neutral weight. Masked off-grid actions are renormalized away. The table is
-    built once and returned for every step.
+    neutral weight. Masked off-grid actions are renormalized away. The table
+    covers the whole grid and is built once and returned for every step.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
@@ -108,13 +110,7 @@ def straight_rollout_policy(spec: GridSpec) -> Policy:
     valid = valid_action_mask(spec)
     weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
     probs = weights / weights.sum(axis=-1, keepdims=True)
-    return lambda t: probs
-
-
-def _into_box(demo: Demonstration, window: Window) -> Demonstration:
-    rows, cols = window
-    return Demonstration(tuple(CellIndex(c.row - rows.start, c.col - cols.start)
-                               for c in demo.cells))
+    return Policy(irl.grid_windows((spec.rows, spec.cols), horizon), lambda t: probs)
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
@@ -129,23 +125,22 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         box, window = reachable_box(spec, cfg.horizon)
         features = scene_mod.rasterize_features(norm, box) * FEATURE_SCALE
         # built on the full grid, where a quantised point beyond the box only
-        # truncates the demo at horizon+1 states, then re-indexed into the box
-        demos = [_into_box(demo, window) for demo in build_demos(norm, cfg, spec)]
-        params, diagnostics = irl.train_irl(features, demos, replace(
-            cfg, rows=box.rows, cols=box.cols,
-            anchor_row=box.anchor.row, anchor_col=box.anchor.col))
+        # truncates the demo at horizon+1 states; the fit keeps a copy of the
+        # box's counts, so the full-grid map is freed before it starts
+        expert = irl.expert_visitation(build_demos(norm, cfg, spec), spec, cfg.horizon)
+        expert = expert[window].copy()
+        params, diagnostics = irl.train_irl(features, expert, box, cfg)
         reward = irl.reward_forward(features, params)
         windows = irl.reach_windows(box, cfg.horizon)
-        values, gains = irl.soft_value_iteration(reward, box, cfg.horizon, windows,
-                                                 return_gains=True)
-        policy = irl.soft_policy(values, reward, box, windows, gains)
+        policy = irl.soft_policy(*irl.soft_value_iteration(reward, box, cfg.horizon, windows),
+                                 windows)
     else:
-        box, window, windows = spec, (slice(0, spec.rows), slice(0, spec.cols)), None
+        box, window = spec, (slice(0, spec.rows), slice(0, spec.cols))
         reward = np.zeros((spec.rows, spec.cols))
-        policy = straight_rollout_policy(spec)
+        policy = straight_rollout_policy(spec, cfg.horizon)
 
     batch = rollout.sample_rollouts(policy, reward, box, cfg.rollouts, cfg.horizon,
-                                    rng.derive_seed(cfg.seed, stream_key), windows)
+                                    rng.derive_seed(cfg.seed, stream_key))
     if reasoning:
         batch = rollout.gather_path_features(batch, features)
     proposals = np.stack([
@@ -167,7 +162,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         proposals=proposals,
     )
     return PredictionResult(forecast=forecast, reward=reward, policy=policy, spec=spec,
-                            box=box, window=window, windows=windows, params=params,
+                            box=box, window=window, params=params,
                             scene=norm, reasoning=reasoning, diagnostics=diagnostics,
                             clusters=clusters, stream_key=stream_key)
 
@@ -194,8 +189,8 @@ def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:
     """The target's (rows, cols, T_f) occupancy on the full grid: the box's,
     embedded in zeros, which are exact since D_t is 0 off ``anchor ± t``."""
     out = np.zeros((result.spec.rows, result.spec.cols, cfg.t_future))
-    out[result.window] = occupancy.predict_occupancy(
-        result.policy, result.box, cfg.horizon, cfg.t_future, result.windows)
+    out[result.window] = occupancy.predict_occupancy(result.policy, result.box, cfg.horizon,
+                                                     cfg.t_future)
     return out
 
 

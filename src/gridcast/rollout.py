@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .grid import ACTION_OFFSETS, N_ACTIONS, GridSpec
-from .irl import Policy, Window
+from .irl import Policy
 
 KMEANS_MAX_ITER = 100
 KMEANS_SHIFT_TOL = 1e-6  # meters
@@ -44,16 +44,14 @@ class Forecast:
 
 
 def sample_rollouts(policy: Policy, reward: np.ndarray, spec: GridSpec, count: int,
-                    horizon: int, seed: int,
-                    windows: list[Window] | None = None) -> RolloutBatch:
+                    horizon: int, seed: int) -> RolloutBatch:
     """Ancestral-sample ``count`` paths from the anchor under the time-indexed policy.
 
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
-    Path rewards accumulate the reward of every entered state. With
-    ``windows`` policy(t) covers windows[t] only, as soft_policy's does
-    (default: the whole grid); a path at step t lies within it, since
-    windows[t] holds every cell reachable in t moves.
+    Path rewards accumulate the reward of every entered state. policy(t)
+    covers the policy's windows[t]; a path at step t lies within it, since a
+    plan's windows[t] holds every cell reachable in t moves.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -64,8 +62,8 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, spec: GridSpec, count: i
     rewards = np.zeros(count)
     r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
     for t in range(horizon):
-        r0, c0 = (windows[t][0].start, windows[t][1].start) if windows else (0, 0)
-        p = policy(t)[r - r0, c - c0]                     # (count, 9)
+        rows, cols = policy.windows[t]
+        p = policy(t)[r - rows.start, c - cols.start]     # (count, 9)
         cum = np.cumsum(p, axis=1)
         cum /= cum[:, -1:]
         u = rng.uniform(seed, streams, t)

@@ -538,3 +538,108 @@ def test_ablate_info_log_has_one_line_per_scene_and_variant(tmp_path, cfg_file, 
         assert _wall_s(line) > 0.0
     for path in out.iterdir():
         assert "wall" not in path.read_text(), path.name
+
+
+def test_predict_debug_log_has_one_line_per_irl_iteration(tmp_path, cfg_file, scene_file,
+                                                          monkeypatch, caplog):
+    quiet = tmp_path / "quiet"
+    monkeypatch.setenv("FIM_LOG", "error")
+    assert cli.main(["predict", scene_file, "--out", str(quiet), "--config", cfg_file]) == 0
+    monkeypatch.setenv("FIM_LOG", "debug")
+    out = tmp_path / "fc"
+    assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file]) == 0
+    records = [r for r in caplog.records if r.name == "gridcast.irl"]
+    rec = json.loads((out / "straight_0000.run.json").read_text())
+    assert len(records) == rec["irl_iterations"] > 1
+    for it, record in enumerate(records, start=1):
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith(f"it={it} nll=")
+        assert " grad_inf=" in record.getMessage()
+    assert records[0].getMessage().startswith(f"it=1 nll={rec['nll_first']!r} ")
+    assert records[-1].getMessage() == (f"it={rec['irl_iterations']} nll={rec['nll_last']!r} "
+                                        f"grad_inf={rec['grad_inf']!r}")
+    # the log is the only output that changes
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in quiet.iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (quiet / path.name).read_bytes(), path.name
+
+
+def _render_error(tmp_path, capsys, path):
+    rc = cli.main(["render", str(path), "--out", str(tmp_path / "figs")])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    return rc, err
+
+
+GT_MODES = [{"prob": 1.0, "points": [[float(i), 0.0] for i in range(1, 31)]}]
+
+
+@pytest.mark.parametrize("payload", [
+    {"version": 1, "modes": [{"prob": 1.0}]},
+    {"version": 1, "modes": 3},
+    7,
+    {"version": 1, "modes": RAGGED_MODES},
+], ids=["mode-without-points", "modes-not-a-list", "not-an-object", "ragged-points"])
+def test_render_rejects_malformed_forecast_naming_the_file(tmp_path, capsys, payload):
+    path = tmp_path / "straight_0.forecast.json"
+    path.write_text(json.dumps({"version": 1, "modes": GT_MODES}), encoding="utf-8")
+    assert cli.main(["render", str(path), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "straight_0.forecast.overlay.ppm").exists()
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    rc, err = _render_error(tmp_path, capsys, path)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("straight_0.forecast.json: ")
+
+
+def _malformed_forecast_text(rs) -> str:
+    """A forecast file that eval and render must reject: a valid payload of
+    one 30-point mode, broken by one of nine seeded edits."""
+    points = rs.uniform(-20.0, 20.0, (30, 2)).tolist()
+    payload = {"version": 1, "modes": [{"prob": 1.0, "points": points}], "anchors": []}
+    mode = payload["modes"][0]
+    kind = rs.randint(9)
+    if kind == 0:    # not an object
+        payload = [None, 3, -1.5, "modes", [], True][rs.randint(6)]
+    elif kind == 1:  # modes not a list of objects
+        payload["modes"] = [None, 3, "x", {"prob": 1.0}, [1, 2], [[1.0]]][rs.randint(6)]
+    elif kind == 2:  # a mode without points or prob
+        del mode[("points", "prob")[rs.randint(2)]]
+    elif kind == 3:  # ragged points
+        del mode["points"][rs.randint(30)][rs.randint(2)]
+    elif kind == 4:  # too few or too many points
+        mode["points"] = points[: rs.randint(30)] if rs.randint(2) else points + points[:3]
+    elif kind == 5:  # a coordinate that is not a finite number
+        mode["points"][rs.randint(30)][rs.randint(2)] = [None, "1.0", [1.0], float("nan"),
+                                                         float("inf")][rs.randint(5)]
+    elif kind == 6:  # probabilities that are not a distribution
+        mode["prob"] = [None, "1", float("nan"), -1.0, 1.0 + rs.uniform(1e-6, 1.0),
+                        rs.uniform(0.0, 0.99)][rs.randint(6)]
+    elif kind == 7:  # a second mode that breaks the sum
+        payload["modes"].append({"prob": rs.uniform(0.01, 1.0), "points": points})
+    else:            # truncated JSON text
+        text = json.dumps(payload)
+        return text[: rs.randint(1, len(text))]
+    return json.dumps(payload)
+
+
+def test_malformed_forecasts_fail_eval_and_render_naming_the_file(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    save_scene(scenes / "straight_0.json", generate_scene("straight", seed=0))
+    forecasts = tmp_path / "fc"
+    forecasts.mkdir()
+    path = forecasts / "straight_0.forecast.json"
+    rs = np.random.RandomState(707)
+    for case in range(60):
+        text = _malformed_forecast_text(rs)
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"rep{case}"
+        rc = cli.main(["eval", "--forecasts", str(forecasts), "--scenes", str(scenes),
+                       "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1, text
+        assert "straight_0.forecast.json" in err["message"], (text, err)
+        assert not out.exists()
+        rc, err = _render_error(tmp_path, capsys, path)
+        assert rc == 1, text
+        assert "straight_0.forecast.json" in err["message"], (text, err)

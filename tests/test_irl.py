@@ -5,7 +5,7 @@ import pytest
 
 from gridcast import irl
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box, valid_action_mask
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
@@ -120,8 +120,8 @@ def test_reward_backward_matches_finite_differences(mode):
 def test_uniform_reward_interior_policy_and_value():
     spec = small_spec(rows=13, cols=13, anchor=(6, 6))
     horizon = 3
-    values = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
-    policy = soft_policy(values, np.zeros((13, 13)), spec)
+    values, gains = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
+    policy = soft_policy(values, gains)
     center = (6, 6)
     for t in range(horizon):
         np.testing.assert_allclose(policy(t)[center], np.full(9, 1.0 / 9.0), atol=1e-12)
@@ -133,7 +133,7 @@ def test_single_step_prefers_high_reward_neighbor():
     reward = np.zeros((5, 5))
     reward[3, 2] = 5.0
     reward -= reward.max()
-    policy = soft_policy(soft_value_iteration(reward, spec, horizon=1), reward, spec)
+    policy = soft_policy(*soft_value_iteration(reward, spec, horizon=1))
     best_action = policy(0)[2, 2].argmax()
     assert ACTIONS[best_action] == (1, 0)
 
@@ -144,7 +144,7 @@ def test_policy_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
+    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
     dist = enumerate_paths(reward, spec, start, horizon)
     # product of policy probabilities along each enumerated path
     probs = np.ones(dist.histories.shape[0])
@@ -164,7 +164,7 @@ def test_visitation_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
+    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
     visit = expected_visitation(policy, spec, horizon)
     np.testing.assert_allclose(visit, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
 
@@ -173,8 +173,8 @@ def test_policy_shift_invariance():
     rs = np.random.RandomState(2)
     spec = small_spec()
     reward = rs.uniform(-2.0, 0.0, (5, 5))
-    p1 = soft_policy(soft_value_iteration(reward, spec, 3), reward, spec)
-    p2 = soft_policy(soft_value_iteration(reward + 17.3, spec, 3), reward + 17.3, spec)
+    p1 = soft_policy(*soft_value_iteration(reward, spec, 3))
+    p2 = soft_policy(*soft_value_iteration(reward + 17.3, spec, 3))
     for t in range(3):
         np.testing.assert_allclose(p1(t), p2(t), atol=1e-12)
 
@@ -187,7 +187,7 @@ def test_policy_simplex_and_mass_conservation():
                         anchor=CellIndex(rs.randint(rows), rs.randint(cols)))
         horizon = rs.randint(1, 6)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        policy = soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
+        policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
         valid = valid_action_mask(spec)
         for t in range(horizon):
             np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
@@ -200,16 +200,16 @@ def test_policy_simplex_and_mass_conservation():
 # visitation helpers
 # ---------------------------------------------------------------------------
 
-def _one_hot_policy(spec, action):
+def _one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return lambda t: table
+    return irl.Policy(irl.grid_windows((spec.rows, spec.cols), horizon), lambda t: table)
 
 
 def test_deterministic_policy_unit_spikes():
     spec = small_spec(rows=8, cols=8, anchor=(1, 1))
     horizon = 4
-    policy = _one_hot_policy(spec, ACTIONS.index((1, 1)))
+    policy = _one_hot_policy(spec, ACTIONS.index((1, 1)), horizon)
     visit = expected_visitation(policy, spec, horizon)
     for t in range(horizon + 1):
         assert visit[t].max() == 1.0
@@ -218,7 +218,7 @@ def test_deterministic_policy_unit_spikes():
 
 def test_uniform_policy_first_step():
     spec = small_spec(rows=7, cols=7, anchor=(3, 3))
-    policy = soft_policy(soft_value_iteration(np.zeros((7, 7)), spec, 1), np.zeros((7, 7)), spec)
+    policy = soft_policy(*soft_value_iteration(np.zeros((7, 7)), spec, 1))
     visit = expected_visitation(policy, spec, 1)
     np.testing.assert_allclose(visit[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
     assert visit[1].sum() == pytest.approx(1.0)
@@ -387,8 +387,8 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         spec = small_spec(rows, cols, anchor)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
-        values = soft_value_iteration(reward, spec, horizon)
-        visits = expected_visitation(soft_policy(values, reward, spec), spec, horizon)
+        values, gains = soft_value_iteration(reward, spec, horizon)
+        visits = expected_visitation(soft_policy(values, gains), spec, horizon)
         full_nll = (float(values[0, spec.anchor.row, spec.anchor.col])
                     - float(np.vdot(reward, expert)))
         full_grad = visits[1:].sum(axis=0) - expert
@@ -403,14 +403,13 @@ def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
     rs = np.random.RandomState(26)
     real = irl.soft_value_iteration
 
-    def poisoned(reward, spec, horizon, windows, **kwargs):
-        planned = real(reward, spec, horizon, windows, **kwargs)
-        values = planned[0] if isinstance(planned, tuple) else planned
+    def poisoned(reward, spec, horizon, windows):
+        values, gains = real(reward, spec, horizon, windows)
         for t, win in enumerate(windows):
             off = np.ones((spec.rows, spec.cols), dtype=bool)
             off[win] = False
             values[t][off] = np.nan
-        return planned
+        return values, gains
 
     for rows, cols, anchor, horizon in ((9, 9, (4, 4), 3), (12, 17, (0, 16), 5),
                                         (25, 11, (24, 5), 8), (40, 40, (10, 20), 16)):
@@ -455,33 +454,33 @@ def test_loss_requires_demo_at_start():
     demo = demo_from_rows([(1, 1), (2, 2), (2, 2), (2, 2)])
     with pytest.raises(ValueError, match="starts at"):
         expert_visitation([demo], spec, 3)
-    with pytest.raises(ValueError, match="starts at"):
-        train_irl(np.zeros((5, 5, 2)), [demo], train_cfg(spec, 3))
+
+
+def test_expert_visitation_rejects_empty_demos():
+    with pytest.raises(ValueError):
+        expert_visitation([], small_spec(), 3)
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
-def train_cfg(spec, horizon, **overrides):
-    """Linear-reward training on ``spec`` from its anchor, tol 1e-6 unless overridden."""
-    fields = dict(rows=spec.rows, cols=spec.cols, resolution=spec.resolution,
-                  anchor_row=spec.anchor.row, anchor_col=spec.anchor.col,
-                  horizon=horizon, reward_mode="linear", tol=1e-6)
-    return RunConfig(**{**fields, **overrides})
+def train_cfg(horizon, **overrides):
+    """Linear-reward training over ``horizon`` steps, tol 1e-6 unless overridden."""
+    return RunConfig(**{**dict(horizon=horizon, reward_mode="linear", tol=1e-6), **overrides})
 
 
-def test_train_rejects_empty_demos():
-    spec = small_spec()
-    with pytest.raises(ValueError):
-        train_irl(np.zeros((5, 5, 2)), [], train_cfg(spec, 3))
+def fit(feats, demo, spec, horizon, **overrides):
+    """train_irl on ``spec`` from the visit counts of one demonstration."""
+    expert = expert_visitation([demo], spec, horizon)
+    return train_irl(feats, expert, spec, train_cfg(horizon, **overrides))
 
 
 def test_train_tol_inf_single_iteration():
     spec = small_spec()
     demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
     feats = random_features((5, 5, 3), seed=12)
-    params, diag = train_irl(feats, [demo], train_cfg(spec, 3, tol=float("inf"), max_iters=50))
+    params, diag = fit(feats, demo, spec, 3, tol=float("inf"), max_iters=50)
     assert diag.iterations == 1
     assert diag.converged
     assert np.any(params.as_vector() != 0.0)  # updated once
@@ -494,8 +493,7 @@ def test_train_reduces_nll():
     feats = np.zeros((9, 9, 2))
     feats[:, :, 0] = (np.arange(9)[:, None] - 4) / 4.0  # forward progress
     feats[:, :, 1] = np.abs(np.arange(9)[None, :] - 4) / 4.0
-    params, diag = train_irl(feats, [demo],
-                             train_cfg(spec, horizon, max_iters=60, tol=1e-9, lr=0.1))
+    params, diag = fit(feats, demo, spec, horizon, max_iters=60, tol=1e-9, lr=0.1)
     assert diag.nll_history[-1] < diag.nll_history[0] - 0.5
 
 
@@ -504,78 +502,25 @@ def test_gd_line_search_is_monotone():
     horizon = 4
     demo = demo_from_rows([(4, 4), (5, 5), (6, 6), (7, 7), (8, 8)])
     feats = random_features((9, 9, 4), seed=13)
-    _, diag = train_irl(feats, [demo],
-                        train_cfg(spec, horizon, optimizer="gd", lr=0.5, max_iters=40, tol=0.0))
+    _, diag = fit(feats, demo, spec, horizon, optimizer="gd", lr=0.5, max_iters=40, tol=0.0)
     hist = diag.nll_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-
-
-def test_train_reduces_demos_to_visit_counts_once(monkeypatch):
-    calls = []
-    real = irl.expert_visitation
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(irl, "expert_visitation", counting)
-    spec = small_spec()
-    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
-    _, diag = train_irl(random_features((5, 5, 3), seed=14), [demo],
-                        train_cfg(spec, 3, max_iters=5, tol=0.0))
-    assert diag.iterations == 5
-    assert len(calls) == 1
-
-
-def test_fit_on_grid_equals_fit_on_its_reachable_box_bitwise():
-    rs = np.random.RandomState(23)
-    rows, cols, horizon = 15, 12, 3
-    features = random_features((rows, cols, 4), seed=24)
-    anchors = ((0, 0), (rows - 1, cols - 1), (0, cols // 2), (rows // 2, 0),
-               (rows // 2, cols // 2))
-    for mode in ("linear", "two_layer"):
-        for optimizer in ("adam", "gd"):
-            for anchor in anchors:
-                spec = small_spec(rows, cols, anchor)
-                box, (row_sl, col_sl) = reachable_box(spec, horizon)
-                assert box.rows * box.cols < rows * cols
-                demos = [random_walk_demo(spec, horizon, rs) for _ in range(2)]
-                box_demos = [demo_from_rows([(c.row - row_sl.start, c.col - col_sl.start)
-                                             for c in d.cells]) for d in demos]
-                knobs = dict(reward_mode=mode, hidden=6, optimizer=optimizer,
-                             max_iters=8, tol=0.0)
-                params, diag = train_irl(features, demos, train_cfg(spec, horizon, **knobs))
-                box_params, box_diag = train_irl(features[row_sl, col_sl], box_demos,
-                                                 train_cfg(box, horizon, **knobs))
-                assert diag.nll_history == box_diag.nll_history
-                assert diag.final_grad_inf == box_diag.final_grad_inf
-                assert np.array_equal(params.as_vector(), box_params.as_vector())
-
-
-def test_train_cuts_to_the_box_once(monkeypatch):
-    calls = []
-    real = irl.reachable_box
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(irl, "reachable_box", counting)
-    spec = small_spec(rows=9, cols=9, anchor=(1, 4))
-    demo = demo_from_rows([(1, 4), (2, 5), (3, 5)])
-    for optimizer in ("adam", "gd"):
-        calls.clear()
-        _, diag = train_irl(random_features((9, 9, 3), seed=25), [demo],
-                            train_cfg(spec, 2, optimizer=optimizer, max_iters=4, tol=0.0))
-        assert diag.iterations >= 2
-        assert len(calls) == 1
 
 
 def test_train_rejects_features_of_another_grid():
     spec = small_spec()
     demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
     with pytest.raises(ValueError, match="features shape"):
-        train_irl(np.zeros((6, 5, 2)), [demo], train_cfg(spec, 3))
+        fit(np.zeros((6, 5, 2)), demo, spec, 3)
+
+
+def test_train_rejects_expert_of_another_grid():
+    spec = small_spec()
+    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
+    expert = expert_visitation([demo], spec, 3)
+    for wrong in (expert[:, :4], expert[None], expert.ravel()):
+        with pytest.raises(ValueError, match="expert shape"):
+            train_irl(np.zeros((5, 5, 2)), wrong, spec, train_cfg(3))
 
 
 def test_path_reward_convention():

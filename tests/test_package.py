@@ -1,7 +1,49 @@
+import ast
+from pathlib import Path
+
 import gridcast
+
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(gridcast.__file__).parent.glob("*.py"))}
+
+
+def _referenced(tree) -> set:
+    """Every name a module reads, as a bare name or as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
 
 
 def test_star_import_resolves_every_export():
     namespace = {}
     exec("from gridcast import *", namespace)
     assert set(gridcast.__all__) <= set(namespace)
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in MODULES.items():
+        used = _referenced(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}: {alias.asname or alias.name.split('.')[0]}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*(_referenced(tree) for tree in MODULES.values()))
+    unreferenced = [f"{module}.{node.name}" for module, tree in MODULES.items()
+                    for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and node.name not in referenced]
+    assert unreferenced == []

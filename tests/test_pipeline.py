@@ -57,13 +57,12 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
                                     stream_key=8)
     spec, box, horizon = result.spec, result.box, cfg.horizon
     assert (box.rows, box.cols) == result.reward.shape
-    assert result.windows == irl.reach_windows(box, horizon)
+    assert result.policy.windows == irl.reach_windows(box, horizon)
     # the same box reward planned without windows: every step on the whole box
-    whole = irl.soft_policy(irl.soft_value_iteration(result.reward, box, horizon),
-                            result.reward, box)
+    whole = irl.soft_policy(*irl.soft_value_iteration(result.reward, box, horizon))
     seed = rng.derive_seed(cfg.seed, result.stream_key)
     windowed = rollout.sample_rollouts(result.policy, result.reward, box, cfg.rollouts,
-                                       horizon, seed, result.windows)
+                                       horizon, seed)
     plain = rollout.sample_rollouts(whole, result.reward, box, cfg.rollouts, horizon, seed)
     np.testing.assert_array_equal(windowed.cells, plain.cells)
     assert windowed.path_rewards.tobytes() == plain.path_rewards.tobytes()
@@ -73,7 +72,7 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
     # the rollouts and occupancy above each read policy(t); the kept stacks
     # stay untouched, so a further call returns the same bits
-    for t, win in enumerate(result.windows[:-1]):
+    for t, win in enumerate(result.policy.windows[:-1]):
         first = result.policy(t)
         assert first.tobytes() == result.policy(t).tobytes()
         assert first.tobytes() == np.ascontiguousarray(whole(t)[win]).tobytes()
@@ -96,7 +95,7 @@ def test_no_reasoning_skips_training():
 
 def test_straight_policy_is_forward_biased():
     spec = SMALL.grid_spec()
-    policy = pipeline.straight_rollout_policy(spec)
+    policy = pipeline.straight_rollout_policy(spec, SMALL.horizon)
     interior = policy(0)[10, 20]
     from gridcast.grid import ACTIONS
 
@@ -117,7 +116,7 @@ def test_no_reasoning_occupancy():
     np.testing.assert_allclose(ogm.sum(axis=(0, 1)), 1.0, atol=1e-9)
     spec = result.spec
     r, c = spec.anchor.row, spec.anchor.col
-    straight = pipeline.straight_rollout_policy(spec)(0)[r, c].reshape(3, 3)
+    straight = pipeline.straight_rollout_policy(spec, cfg.horizon)(0)[r, c].reshape(3, 3)
     np.testing.assert_allclose(ogm[r - 1: r + 2, c - 1: c + 2, 0], straight, atol=1e-12)
 
 

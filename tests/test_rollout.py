@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec
-from gridcast.irl import soft_policy, soft_value_iteration
+from gridcast.irl import Policy, grid_windows, soft_policy, soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
     forecast_to_payload,
@@ -19,15 +19,15 @@ def spec_of(rows=21, cols=21, anchor=(10, 10)):
     return GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=CellIndex(*anchor))
 
 
-def one_hot_policy(spec, action):
+def one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return lambda t: table
+    return Policy(grid_windows((spec.rows, spec.cols), horizon), lambda t: table)
 
 
 def uniform_reward_policy(spec, horizon):
     reward = np.zeros((spec.rows, spec.cols))
-    return soft_policy(soft_value_iteration(reward, spec, horizon), reward, spec)
+    return soft_policy(*soft_value_iteration(reward, spec, horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def uniform_reward_policy(spec, horizon):
 def test_deterministic_policy_identical_paths():
     spec = spec_of()
     horizon = 5
-    policy = one_hot_policy(spec, ACTIONS.index((1, 0)))
+    policy = one_hot_policy(spec, ACTIONS.index((1, 0)), horizon)
     reward = np.zeros((spec.rows, spec.cols))
     batch = sample_rollouts(policy, reward, spec, 16, horizon, seed=0)
     assert np.all(batch.cells == batch.cells[0])
@@ -74,7 +74,7 @@ def test_uniform_policy_first_step_frequencies():
 def test_path_rewards_accumulate_entered_cells():
     spec = spec_of()
     horizon = 4
-    policy = one_hot_policy(spec, ACTIONS.index((1, 0)))
+    policy = one_hot_policy(spec, ACTIONS.index((1, 0)), horizon)
     reward = np.full((spec.rows, spec.cols), -0.5)
     batch = sample_rollouts(policy, reward, spec, 3, horizon, seed=0)
     np.testing.assert_allclose(batch.path_rewards, -0.5 * horizon)
@@ -97,7 +97,7 @@ def test_gather_features_matches_direct_indexing():
 
 def test_gather_constant_stack():
     spec = spec_of(rows=9, cols=9, anchor=(4, 4))
-    policy = one_hot_policy(spec, ACTIONS.index((0, 1)))
+    policy = one_hot_policy(spec, ACTIONS.index((0, 1)), 3)
     batch = sample_rollouts(policy, np.zeros((9, 9)), spec, 2, 3, seed=0)
     stack = np.full((9, 9, 2), 7.5)
     got = gather_path_features(batch, stack)
