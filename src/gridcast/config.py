@@ -57,7 +57,7 @@ class RunConfig:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.reward_mode not in ("linear", "two_layer"):
             raise ValueError(f"unknown reward_mode {self.reward_mode!r}")
-        if self.optimizer not in ("adam", "gd"):
+        if self.optimizer != "adam":  # the one optimizer; the key stays for saved configs
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         return self
 

@@ -64,18 +64,18 @@ class IrlDivergenceError(RuntimeError):
 class RewardMapParams:
     """Parameters of the per-cell feature-to-reward map.
 
-    ``linear`` mode: reward = features @ w + b. ``two_layer`` mode applies an
-    affine layer, a rectifier, and a second affine layer, identically at every
-    cell. The same container doubles as a gradient holder in the optimizer.
+    ``linear`` mode: reward = features @ w. ``two_layer`` mode applies an
+    affine layer, a rectifier, and a linear layer, identically at every cell.
+    Neither has an output bias: reward_forward's max-shift removes any
+    constant, so it could not be fitted. The same container doubles as a
+    gradient holder in the optimizer.
     """
 
     mode: str
     w: np.ndarray | None = None
-    b: float = 0.0
     w1: np.ndarray | None = None
     b1: np.ndarray | None = None
     w2: np.ndarray | None = None
-    b2: float = 0.0
 
     @staticmethod
     def linear(n_features: int) -> "RewardMapParams":
@@ -93,24 +93,24 @@ class RewardMapParams:
 
     def as_vector(self) -> np.ndarray:
         if self.mode == "linear":
-            return np.concatenate([self.w, [self.b]])
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2, [self.b2]])
+            return self.w.copy()
+        return np.concatenate([self.w1.ravel(), self.b1, self.w2])
 
     def with_vector(self, vec: np.ndarray) -> "RewardMapParams":
         if self.mode == "linear":
-            return replace(self, w=vec[:-1].copy(), b=float(vec[-1]))
+            return replace(self, w=vec.copy())
         h, f = self.w1.shape
         w1 = vec[: h * f].reshape(h, f).copy()
         b1 = vec[h * f: h * f + h].copy()
-        w2 = vec[h * f + h: h * f + 2 * h].copy()
-        return replace(self, w1=w1, b1=b1, w2=w2, b2=float(vec[-1]))
+        w2 = vec[h * f + h:].copy()
+        return replace(self, w1=w1, b1=b1, w2=w2)
 
 
 def _reward_raw(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
     if params.mode == "linear":
-        return features @ params.w + params.b
+        return features @ params.w
     z = features @ params.w1.T + params.b1
-    return np.maximum(z, 0.0) @ params.w2 + params.b2
+    return np.maximum(z, 0.0) @ params.w2
 
 
 def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
@@ -133,15 +133,14 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
     g = grad_reward
     if params.mode == "linear":
         grad_w = np.tensordot(g, features, axes=([0, 1], [0, 1]))
-        return RewardMapParams(mode="linear", w=grad_w, b=float(g.sum()))
+        return RewardMapParams(mode="linear", w=grad_w)
     z = features @ params.w1.T + params.b1
     act = np.maximum(z, 0.0)
     grad_w2 = np.tensordot(g, act, axes=([0, 1], [0, 1]))
     grad_z = g[..., None] * params.w2 * (z > 0.0)
     grad_b1 = grad_z.sum(axis=(0, 1))
     grad_w1 = np.tensordot(grad_z, features, axes=([0, 1], [0, 1]))
-    return RewardMapParams(mode="two_layer", w1=grad_w1, b1=grad_b1,
-                           w2=grad_w2, b2=float(g.sum()))
+    return RewardMapParams(mode="two_layer", w1=grad_w1, b1=grad_b1, w2=grad_w2)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +391,6 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     return nll, visits[1:].sum(axis=0) - expert
 
 
-def _nll_only(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int) -> float:
-    values, _ = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
-    return float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -410,13 +404,12 @@ class TrainDiagnostics:
 
 
 def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: RunConfig):
-    """Fit the reward map by descending the MaxEnt NLL until |dNLL| < tol.
+    """Fit the reward map by Adam on the MaxEnt NLL until |dNLL| < tol.
 
     ``features`` is the (rows, cols, F) raster of ``spec`` and ``expert`` the
     expert's visit counts mu_hat on it (expert_visitation); the fit plans from
-    the anchor of ``spec`` over ``config.horizon`` steps. ``optimizer`` "gd"
-    backtracks to keep the loss monotone. Each iteration logs one debug line
-    (it, nll, grad_inf). Returns (params, diagnostics). Raises
+    the anchor of ``spec`` over ``config.horizon`` steps. Each iteration logs
+    one debug line (it, nll, grad_inf). Returns (params, diagnostics). Raises
     IrlDivergenceError when the loss or parameters go non-finite, reporting
     the offending iteration.
     """
@@ -443,7 +436,6 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
     m = np.zeros_like(vec)
     v = np.zeros_like(vec)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    gd_lr = config.lr
     prev_nll = None
     grad_inf = float("nan")
 
@@ -460,31 +452,11 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
         diag.nll_history.append(nll)
         diag.iterations = it
 
-        if config.optimizer == "adam":
-            m = beta1 * m + (1 - beta1) * grad_vec
-            v = beta2 * v + (1 - beta2) * grad_vec ** 2
-            m_hat = m / (1 - beta1 ** it)
-            v_hat = v / (1 - beta2 ** it)
-            vec = vec - config.lr * m_hat / (np.sqrt(v_hat) + eps)
-        elif config.optimizer == "gd":
-            # backtracking keeps the loss monotone; lr regrows after success
-            stepped = False
-            for _ in range(30):
-                trial = vec - gd_lr * grad_vec
-                trial_nll = _nll_only(
-                    reward_forward(features, params.with_vector(trial)),
-                    expert, spec, horizon)
-                if math.isfinite(trial_nll) and trial_nll <= nll:
-                    vec = trial
-                    gd_lr = min(gd_lr * 1.25, 1e3)
-                    stepped = True
-                    break
-                gd_lr *= 0.5
-            if not stepped:
-                diag.converged = True
-                break
-        else:
-            raise ValueError(f"unknown optimizer {config.optimizer!r}")
+        m = beta1 * m + (1 - beta1) * grad_vec
+        v = beta2 * v + (1 - beta2) * grad_vec ** 2
+        m_hat = m / (1 - beta1 ** it)
+        v_hat = v / (1 - beta2 ** it)
+        vec = vec - config.lr * m_hat / (np.sqrt(v_hat) + eps)
 
         if not np.all(np.isfinite(vec)):
             raise IrlDivergenceError("parameters are non-finite", it)

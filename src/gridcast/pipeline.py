@@ -6,10 +6,13 @@ rollouts into a K-mode forecast. The no-reasoning baseline replaces the
 learned policy with a heading-biased straight-rollout policy and a zero
 reward.
 
-Reasoning runs end to end on the box ``anchor ± horizon`` (grid.reachable_box),
+Every scene runs end to end on the box ``anchor ± horizon`` (grid.reachable_box),
 which predict_scene cuts once: the raster, the fit, the final plan, the
 rollouts and the occupancy pass all run there. No cell outside it can be
-reached within the horizon, and the box keeps the world frame. The raster is
+reached within the horizon, and the box keeps the world frame. The baseline's
+straight policy is the full grid's bit for bit wherever the target can be
+before the last step: such a cell lies within horizon - 1 of the anchor, so
+the box masks the same moves there as the grid. For reasoning, the raster is
 the full raster's window bit for bit, and so is the expert's mu_hat, built
 from demos on the full grid. The fit is the full grid's in exact arithmetic:
 the target never leaves the box, so the NLL reads only box cells and the
@@ -46,7 +49,7 @@ class PredictionResult:
     """A scene's forecast and what made it.
 
     ``reward`` and ``policy`` live on ``box``, cut out of the full grid
-    ``spec`` by ``window``. Without reasoning the box is the full grid.
+    ``spec`` by ``window``.
     """
 
     forecast: rollout.Forecast
@@ -121,8 +124,8 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
     norm = scene_mod.normalize_to_target(raw_scene)
     _, _, _, speed = scene_mod.target_pose(norm)
     diagnostics = params = None
+    box, window = reachable_box(spec, cfg.horizon)
     if reasoning:
-        box, window = reachable_box(spec, cfg.horizon)
         features = scene_mod.rasterize_features(norm, box) * FEATURE_SCALE
         # built on the full grid, where a quantised point beyond the box only
         # truncates the demo at horizon+1 states; the fit keeps a copy of the
@@ -135,9 +138,8 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         policy = irl.soft_policy(*irl.soft_value_iteration(reward, box, cfg.horizon, windows),
                                  windows)
     else:
-        box, window = spec, (slice(0, spec.rows), slice(0, spec.cols))
-        reward = np.zeros((spec.rows, spec.cols))
-        policy = straight_rollout_policy(spec, cfg.horizon)
+        reward = np.zeros((box.rows, box.cols))
+        policy = straight_rollout_policy(box, cfg.horizon)
 
     batch = rollout.sample_rollouts(policy, reward, box, cfg.rollouts, cfg.horizon,
                                     rng.derive_seed(cfg.seed, stream_key))
@@ -198,7 +200,7 @@ def grid_reward(result: PredictionResult) -> np.ndarray:
     """The reward map over the full grid, for figures: the fitted map applied
     to a full-grid raster (the forecast itself reads only the box)."""
     if result.params is None:
-        return result.reward
+        return np.zeros((result.spec.rows, result.spec.cols))
     features = scene_mod.rasterize_features(result.scene, result.spec) * FEATURE_SCALE
     return irl.reward_forward(features, result.params)
 

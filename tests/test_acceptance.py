@@ -102,7 +102,7 @@ def test_criterion_02_gradient_correctness():
         g = rs.uniform(-1.0, 1.0, (rows, cols))
         for mode in ("linear", "two_layer"):
             if mode == "linear":
-                params = irl.RewardMapParams(mode="linear", w=rs.uniform(-1, 1, 4), b=0.1)
+                params = irl.RewardMapParams(mode="linear", w=rs.uniform(-1, 1, 4))
             else:
                 params = irl.RewardMapParams.two_layer(4, hidden=6, seed=instance)
             analytic = irl.reward_backward(feats, params, g).as_vector()
@@ -111,9 +111,9 @@ def test_criterion_02_gradient_correctness():
             def objective(v):
                 p = params.with_vector(v)
                 if mode == "linear":
-                    raw = feats @ p.w + p.b
+                    raw = feats @ p.w
                 else:
-                    raw = np.maximum(feats @ p.w1.T + p.b1, 0.0) @ p.w2 + p.b2
+                    raw = np.maximum(feats @ p.w1.T + p.b1, 0.0) @ p.w2
                 return float((g * raw).sum())
 
             for i in rs.choice(vec.size, size=min(10, vec.size), replace=False):

@@ -62,6 +62,7 @@ def test_validate_rejects_rollouts_below_modes():
     ("max_iters", 0), ("hidden", 0), ("modes", 0),
     ("smooth_weight", -1.0), ("smooth_weight", math.nan), ("smooth_weight", math.inf),
     ("tol", -1e-4), ("tol", math.nan), ("resolution", math.inf),
+    ("optimizer", "gd"), ("optimizer", "sgd"), ("reward_mode", "cubic"),
 ])
 def test_validate_rejects_meaningless_training_values(field, value):
     with pytest.raises(ValueError, match=field):

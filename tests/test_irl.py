@@ -44,7 +44,7 @@ def test_reward_forward_zero_linear_is_uniform():
 def test_reward_forward_onroad_indicator():
     features = np.zeros((4, 4, 2))
     features[1:3, 1:3, 0] = 1.0  # binary on-road channel
-    params = RewardMapParams(mode="linear", w=np.array([1.0, 0.0]), b=0.0)
+    params = RewardMapParams(mode="linear", w=np.array([1.0, 0.0]))
     field = reward_forward(features, params)
     assert field.max() == 0.0
     np.testing.assert_allclose(field[1:3, 1:3], 0.0)
@@ -58,7 +58,7 @@ def test_reward_forward_two_layer_finite_and_shift_invariant_argmax():
     assert np.all(np.isfinite(field))
     assert field.max() == 0.0
     raw = feats @ params.w1.T + params.b1
-    raw = np.maximum(raw, 0.0) @ params.w2 + params.b2
+    raw = np.maximum(raw, 0.0) @ params.w2
     assert np.unravel_index(raw.argmax(), raw.shape) == np.unravel_index(field.argmax(), field.shape)
 
 
@@ -75,14 +75,12 @@ def test_reward_backward_linear_closed_form():
     grads = reward_backward(feats, RewardMapParams.linear(3), g)
     expected = np.einsum("rc,rcf->f", g, feats)
     np.testing.assert_allclose(grads.w, expected, rtol=1e-12)
-    assert grads.b == pytest.approx(g.sum())
 
 
 def test_reward_backward_zero_grad():
     feats = random_features((5, 5, 3), seed=6)
     grads = reward_backward(feats, RewardMapParams.linear(3), np.zeros((5, 5)))
     np.testing.assert_array_equal(grads.w, 0.0)
-    assert grads.b == 0.0
 
 
 @pytest.mark.parametrize("mode", ["linear", "two_layer"])
@@ -90,7 +88,7 @@ def test_reward_backward_matches_finite_differences(mode):
     feats = random_features((5, 5, 4), seed=7)
     g = random_features((5, 5), seed=8)
     if mode == "linear":
-        params = RewardMapParams(mode="linear", w=random_features((4,), 9), b=0.3)
+        params = RewardMapParams(mode="linear", w=random_features((4,), 9))
     else:
         params = RewardMapParams.two_layer(4, hidden=6, seed=10)
     analytic = reward_backward(feats, params, g).as_vector()
@@ -101,7 +99,6 @@ def test_reward_backward_matches_finite_differences(mode):
         p = params.with_vector(v)
         raw = (feats @ p.w if mode == "linear" else
                np.maximum(feats @ p.w1.T + p.b1, 0.0) @ p.w2)
-        raw = raw + (p.b if mode == "linear" else p.b2)
         return float((g * raw).sum())
 
     rs = np.random.RandomState(11)
@@ -111,6 +108,28 @@ def test_reward_backward_matches_finite_differences(mode):
         dn[i] -= eps
         fd = (objective(up) - objective(dn)) / (2 * eps)
         assert abs(analytic[i] - fd) <= 1e-5 * max(abs(fd), abs(analytic[i]), 1e-8)
+
+
+@pytest.mark.parametrize("mode", ["linear", "two_layer"])
+def test_every_reward_parameter_moves_the_reward(mode):
+    # the max-shift removes any constant, so a parameter that only adds one
+    # (an output bias) could not be fitted
+    feats = random_features((6, 6, 4), seed=14)
+    if mode == "linear":
+        params = RewardMapParams(mode="linear", w=random_features((4,), 15))
+    else:
+        params = RewardMapParams.two_layer(4, hidden=6, seed=16)
+        active = (feats @ params.w1.T + params.b1 > 0.0).sum(axis=(0, 1))
+        # a unit off everywhere is dead on these features, and one on
+        # everywhere makes its hidden bias a constant
+        assert np.all((active > 0) & (active < 36))
+    base = reward_forward(feats, params)
+    vec = params.as_vector()
+    for i in range(vec.size):
+        moved = vec.copy()
+        moved[i] += 1e-3
+        change = np.abs(reward_forward(feats, params.with_vector(moved)) - base).max()
+        assert change > 1e-8, f"coordinate {i} of {vec.size} does not move the reward"
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +413,6 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         full_grad = visits[1:].sum(axis=0) - expert
         nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
         assert nll == full_nll
-        assert irl._nll_only(reward, expert, spec, horizon) == full_nll
         assert np.array_equal(grad, full_grad)
         assert np.array_equal(np.signbit(grad), np.signbit(full_grad))  # no -0.0
 
@@ -417,13 +435,11 @@ def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
         nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
-        only = irl._nll_only(reward, expert, spec, horizon)
         with monkeypatch.context() as m:
             m.setattr(irl, "soft_value_iteration", poisoned)
             poisoned_nll, poisoned_grad = irl_loss_and_grad(reward, expert, spec, horizon)
-            poisoned_only = irl._nll_only(reward, expert, spec, horizon)
         assert math.isfinite(poisoned_nll) and np.all(np.isfinite(poisoned_grad))
-        assert poisoned_nll == nll and poisoned_only == only
+        assert poisoned_nll == nll
         assert np.array_equal(poisoned_grad, grad)
 
 
@@ -444,8 +460,8 @@ def test_box_grad_matches_finite_differences_and_is_zero_off_box():
             up, dn = reward.copy(), reward.copy()
             up[r, c] += eps
             dn[r, c] -= eps
-            fd = (irl._nll_only(up, expert, spec, horizon)
-                  - irl._nll_only(dn, expert, spec, horizon)) / (2 * eps)
+            fd = (irl_loss_and_grad(up, expert, spec, horizon)[0]
+                  - irl_loss_and_grad(dn, expert, spec, horizon)[0]) / (2 * eps)
             assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
 
 
@@ -495,16 +511,6 @@ def test_train_reduces_nll():
     feats[:, :, 1] = np.abs(np.arange(9)[None, :] - 4) / 4.0
     params, diag = fit(feats, demo, spec, horizon, max_iters=60, tol=1e-9, lr=0.1)
     assert diag.nll_history[-1] < diag.nll_history[0] - 0.5
-
-
-def test_gd_line_search_is_monotone():
-    spec = small_spec(rows=9, cols=9, anchor=(4, 4))
-    horizon = 4
-    demo = demo_from_rows([(4, 4), (5, 5), (6, 6), (7, 7), (8, 8)])
-    feats = random_features((9, 9, 4), seed=13)
-    _, diag = fit(feats, demo, spec, horizon, optimizer="gd", lr=0.5, max_iters=40, tol=0.0)
-    hist = diag.nll_history
-    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
 def test_train_rejects_features_of_another_grid():

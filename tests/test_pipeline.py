@@ -93,6 +93,32 @@ def test_no_reasoning_skips_training():
     np.testing.assert_array_equal(result.reward, 0.0)
 
 
+@pytest.mark.parametrize("anchor, horizon", [((10, 20), 17), ((0, 39), 17), ((39, 0), 50)])
+def test_no_reasoning_box_plan_equals_the_full_grid_plan_bitwise(anchor, horizon):
+    # a corner anchor clips the box on two sides; horizon 50 makes it the grid
+    cfg = replace(SMALL, anchor_row=anchor[0], anchor_col=anchor[1], horizon=horizon)
+    result = pipeline.predict_scene(generate_scene("curve", seed=3), cfg, reasoning=False,
+                                    stream_key=3)
+    spec = result.spec
+    full = pipeline.straight_rollout_policy(spec, horizon)
+    seed = rng.derive_seed(cfg.seed, result.stream_key)
+    on_box = rollout.sample_rollouts(result.policy, result.reward, result.box, cfg.rollouts,
+                                     horizon, seed)
+    on_grid = rollout.sample_rollouts(full, np.zeros((spec.rows, spec.cols)), spec,
+                                      cfg.rollouts, horizon, seed)
+    offset = np.array([result.window[0].start, result.window[1].start])
+    np.testing.assert_array_equal(on_box.cells + offset, on_grid.cells)
+    assert on_box.path_rewards.tobytes() == on_grid.path_rewards.tobytes()
+    speed = scene_mod.target_pose(result.scene)[3]
+    proposals = np.stack([rollout.path_to_trajectory(cells, spec, cfg.t_future, speed,
+                                                     result.scene.dt)
+                          for cells in on_grid.cells])
+    assert result.forecast.proposals.tobytes() == proposals.tobytes()
+    expected = occupancy.predict_occupancy(full, spec, horizon, cfg.t_future)
+    assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
+    assert pipeline.grid_reward(result).tobytes() == np.zeros((spec.rows, spec.cols)).tobytes()
+
+
 def test_straight_policy_is_forward_biased():
     spec = SMALL.grid_spec()
     policy = pipeline.straight_rollout_policy(spec, SMALL.horizon)
