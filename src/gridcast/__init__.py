@@ -12,7 +12,6 @@ from .irl import (
     irl_loss_and_grad,
     reward_backward,
     reward_forward,
-    soft_policy,
     soft_value_iteration,
     train_irl,
 )
@@ -28,7 +27,7 @@ __all__ = [
     "build_demonstration",
     "build_path_demonstration", "expected_visitation", "expert_visitation",
     "irl_loss_and_grad", "reward_backward", "reward_forward",
-    "soft_policy", "soft_value_iteration", "train_irl",
+    "soft_value_iteration", "train_irl",
     "RunConfig",
     "SceneContext", "generate_scene", "load_scene", "normalize_to_target",
     "rasterize_features", "save_scene",

@@ -104,8 +104,8 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
-    """Forecast one scene file; logs one info line with what the fit did and
-    the wall time, which no output file holds."""
+    """Forecast one scene file: (result, its run record). Logs one info line
+    with what the fit did and the wall time, which no output file holds."""
     start = time.perf_counter()
     payload = scene_path.read_bytes()
     sc = scene_mod.load_scene(scene_path)
@@ -117,14 +117,14 @@ def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
              "nll_last=%r wall_s=%.3f", scene_path.name, variant, rec["irl_iterations"],
              rec["irl_converged"], rec["nll_first"], rec["nll_last"],
              time.perf_counter() - start)
-    return result
+    return result, rec
 
 
 def cmd_predict(args) -> int:
     _check_jobs(args)
     cfg = _load_effective_config(args)
     scene_path = Path(args.scene)
-    result = _predict_file(scene_path, cfg, reasoning=not args.no_reasoning)
+    result, rec = _predict_file(scene_path, cfg, reasoning=not args.no_reasoning)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (scene_path.stem + ".forecast.json")
@@ -134,7 +134,7 @@ def cmd_predict(args) -> int:
                "demo_horizon_factor": cfg.demo_horizon_factor, "seed": cfg.seed})
     _echo_config(out_dir, cfg)
     _write_json(out_dir / (scene_path.stem + ".run.json"),
-                {"scene": scene_path.name, **pipeline.run_record(result),
+                {"scene": scene_path.name, **rec,
                  "config_sha256": _sha256(out_dir / "config_used.cfg")})
     log.info("forecast written to %s", out_path)
     return 0
@@ -236,11 +236,11 @@ def _ablate_one(task):
     out = {}
     scene_path = Path(scene_path)
     try:
-        result = _predict_file(scene_path, cfg, reasoning=False)
+        result, _ = _predict_file(scene_path, cfg, reasoning=False)
         out[VARIANT_BASELINE] = vars(pipeline.score_prediction(result))
         for factor in DEMO_HORIZON_FACTORS:
             variant_cfg = replace(cfg, demo_horizon_factor=factor)
-            result = _predict_file(scene_path, variant_cfg, reasoning=True)
+            result, _ = _predict_file(scene_path, variant_cfg, reasoning=True)
             out[f"reasoning_h{factor}"] = vars(pipeline.score_prediction(result))
     except Exception as exc:  # one bad scene must not sink the batch
         log.debug("scene %s failed", scene_path.name, exc_info=True)
@@ -317,7 +317,7 @@ def cmd_render(args) -> int:
         return 0
     # scene file: run the pipeline and emit the full figure set
     cfg = _load_effective_config(args)
-    result = _predict_file(path, cfg, reasoning=not args.no_reasoning)
+    result, _ = _predict_file(path, cfg, reasoning=not args.no_reasoning)
     reward = pipeline.grid_reward(result)
     render.field_to_pgm(out_dir / "reward.pgm", reward)
     render.field_to_csv(out_dir / "reward.csv", reward)

@@ -2,26 +2,27 @@
 
 A per-cell reward map is trained so that the soft-optimal policy's expected
 state visitations match those of quantized expert demonstrations. Planning is
-finite-horizon soft value iteration, which keeps only the value maps V_t and
-the (9, window) stacks of R(s') + V_{t+1}(s') they came from; the time-indexed
-policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s)) is derived from them one
-step at a time, on the windows it covers. The induced path distribution is
-P(tau | s0) proportional to exp(sum of rewards over entered states), which the
-enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small grids.
+finite-horizon soft value iteration. At step t each cell s exponentiates the
+gains R(s') + V_{t+1}(s') of its actions' successors s', shifted by their
+maximum m: e_t = exp(gain - m), total_t = sum_a e_t, V_t = m + log(total_t),
+and the time-indexed policy is pi_t = e_t / total_t, the local action
+probability Z_a / Z_s of Ziebart et al. (2008). Every e_t is at most 1 and
+the largest is exp(0) = 1, so 1 <= total_t <= 9: pi_t never overflows, never
+divides by zero and never reads a value map. The induced path distribution
+is P(tau | s0) proportional to exp(sum of rewards over entered states), which
+the enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small
+grids.
 
 train_irl fits on whatever grid it is given, from the expert's visit counts
 mu_hat on that grid. The loss runs step t of value iteration and of the
-forward pass on the window ``anchor ± t`` only (grid.window), and the forward
-pass exponentiates the gains stacks value iteration built. This
-is bit for bit the whole-grid loss: a cell within t moves of the anchor reads
-only successors within t+1 moves, with the same operands in the same order,
-and the flows from cells off the window are exactly 0, so skipping them adds
-nothing. Two traps guard that claim. The t = 0 window is one cell, and numpy sums a
-(9, 1, 1) stack pairwise instead of action after action, so that step spells
-the order out. And a windowed V_t holds stale values off its window, where
-exp(gains - V_t) could overflow and 0 * inf = NaN, so the policy is never
-evaluated there. The whole-grid plan is the same loop with the whole grid as
-every step's window.
+forward pass on the window ``anchor ± t`` only (grid.window). This is bit for
+bit the whole-grid loss: a cell within t moves of the anchor reads only
+successors within t+1 moves, with the same operands in the same order, and
+the flows from cells off the window are exactly 0, so skipping them adds
+nothing. One trap guards that claim: the t = 0 window is one cell, and numpy
+sums a (9, 1, 1) stack pairwise instead of action after action, so that step
+spells the order out. The whole-grid plan is the same loop with the whole
+grid as every step's window.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -156,13 +156,15 @@ Window = tuple[slice, slice]
 @dataclass(frozen=True)
 class Policy:
     """A time-indexed policy and the windows it covers: policy(t) is
-    pi_t(a | s) on windows[t], shape (h, w, 9); off-grid actions have prob 0."""
+    tables[t], pi_t(a | s) on windows[t], shape (h, w, 9); off-grid actions
+    have prob 0. A planned table is the transposed view of an action-major
+    (9, h, w) stack, which keeps each action's block contiguous."""
 
     windows: list[Window]
-    step: Callable[[int], np.ndarray]
+    tables: list[np.ndarray]
 
     def __call__(self, t: int) -> np.ndarray:
-        return self.step(t)
+        return self.tables[t]
 
 
 def grid_windows(shape: tuple[int, int], horizon: int) -> list[Window]:
@@ -207,11 +209,12 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
     """Backward soft Bellman recursion with terminal V_horizon = 0.
 
     V_t(s) = logsumexp over in-grid successors s' of R(s') + V_{t+1}(s').
-    Returns (values, gains): the value maps, shape (horizon+1, rows, cols), and
-    for each step t < horizon the (9, windows[t]) stack of R(s') + V_{t+1}(s')
-    they came from, which soft_policy exponentiates. With ``windows`` V_t is
-    computed on windows[t] only and holds stale zeros elsewhere (default: the
-    whole grid at every step).
+    Returns (values, policy): the value maps, shape (horizon+1, rows, cols),
+    and the soft-optimal Policy, whose table at step t is the normalised
+    exponentials pi_t = e_t / total_t of V_t's logsumexp (off-grid actions get
+    exp(-inf) = 0). Step t runs on windows[t] only, and V_t holds stale zeros
+    elsewhere (default: the whole grid at every step). The tables are
+    read-only, so policy(t) returns the same bits however often it is called.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -221,43 +224,21 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
     windows = windows or grid_windows(reward.shape, horizon)
     gains = _successor_gains(reward, spec)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
-    kept = _stack_block(windows[:-1])
+    stacks = _stack_block(windows[:-1])
     for t in range(horizon - 1, -1, -1):
-        q = gains(values[t + 1], windows[t], windows[t + 1], out=kept[t])
+        e = gains(values[t + 1], windows[t], windows[t + 1], out=stacks[t])
         # logsumexp over actions; STAY is always valid so the max is finite
-        m = q.max(axis=0)
-        e = q - m
+        m = e.max(axis=0)
+        e -= m
         np.exp(e, out=e)
         # numpy adds a stack's actions one after another, except in a one-cell
         # stack (the t = 0 window), which it sums pairwise and so rounds
         # differently; there the builtin sum keeps the order
         total = sum(e) if e[0].size == 1 else e.sum(axis=0)
+        e /= total
+        e.flags.writeable = False
         np.add(m, np.log(total, out=total), out=values[t][windows[t]])
-    return values, kept
-
-
-def soft_policy(values: np.ndarray, gains: list[np.ndarray],
-                windows: list[Window] | None = None) -> Policy:
-    """The soft-optimal policy pi_t(a | s) = exp(R(s') + V_{t+1}(s') - V_t(s))
-    from what soft_value_iteration returned for ``windows`` (default: the
-    whole grid at every step).
-
-    Each step is computed on demand from the kept gains stacks; off-grid
-    actions get exp(-inf) = 0. V_t(s) is the logsumexp of the exponents it is
-    subtracted from, so every exponent is <= 0 and no finite reward can
-    overflow it. policy(t) covers windows[t] only: the values there are the
-    only ones soft_value_iteration computed, and a stale V_t elsewhere could
-    overflow the exponent. The stacks are read, never written, so policy(t)
-    returns the same bits however often it is called.
-    """
-    windows = windows or grid_windows(values.shape[1:], values.shape[0] - 1)
-
-    def step(t: int) -> np.ndarray:
-        probs = gains[t] - values[t][windows[t]]
-        # action-major storage keeps each action's block contiguous
-        return np.exp(probs, out=probs).transpose(1, 2, 0)
-
-    return Policy(windows, step)
+    return values, Policy(windows, [stack.transpose(1, 2, 0) for stack in stacks])
 
 
 def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndarray:
@@ -384,9 +365,8 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
     (descend it to raise likelihood).
     """
-    windows = reach_windows(spec, horizon)
-    values, gains = soft_value_iteration(reward, spec, horizon, windows)
-    visits = expected_visitation(soft_policy(values, gains, windows), spec, horizon)
+    values, policy = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
+    visits = expected_visitation(policy, spec, horizon)
     nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
     return nll, visits[1:].sum(axis=0) - expert
 

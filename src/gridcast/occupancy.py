@@ -100,13 +100,21 @@ def write_ogm_binary(path, ogm: np.ndarray) -> None:
 
 
 def read_ogm_binary(path) -> np.ndarray:
+    """The grid write_ogm_binary wrote. Raises ValueError naming the file for a
+    truncated header or payload, an empty grid, or non-finite values."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 12:
+        raise ValueError(f"{path}: {len(blob)} bytes hold no 12-byte header")
     rows, cols, t_f = struct.unpack_from("<3I", blob, 0)
     body = blob[12:]
     n = rows * cols * t_f
+    if n == 0 or len(body) not in (n, 4 * n):
+        raise ValueError(f"{path}: payload size {len(body)} matches neither uint8 nor "
+                         f"float32 for a nonempty {rows}x{cols}x{t_f} grid")
     if len(body) == n:
         return np.frombuffer(body, dtype=np.uint8).reshape(rows, cols, t_f).copy()
-    if len(body) == 4 * n:
-        return np.frombuffer(body, dtype="<f4").reshape(rows, cols, t_f).astype(np.float64)
-    raise ValueError(f"payload size {len(body)} matches neither uint8 nor float32 for {rows}x{cols}x{t_f}")
+    ogm = np.frombuffer(body, dtype="<f4").reshape(rows, cols, t_f).astype(np.float64)
+    if not np.all(np.isfinite(ogm)):
+        raise ValueError(f"{path}: the grid holds non-finite values")
+    return ogm

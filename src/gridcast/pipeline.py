@@ -113,7 +113,8 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     valid = valid_action_mask(spec)
     weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
     probs = weights / weights.sum(axis=-1, keepdims=True)
-    return Policy(irl.grid_windows((spec.rows, spec.cols), horizon), lambda t: probs)
+    probs.flags.writeable = False
+    return Policy(irl.grid_windows((spec.rows, spec.cols), horizon), [probs] * horizon)
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
@@ -134,9 +135,8 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         expert = expert[window].copy()
         params, diagnostics = irl.train_irl(features, expert, box, cfg)
         reward = irl.reward_forward(features, params)
-        windows = irl.reach_windows(box, cfg.horizon)
-        policy = irl.soft_policy(*irl.soft_value_iteration(reward, box, cfg.horizon, windows),
-                                 windows)
+        _, policy = irl.soft_value_iteration(reward, box, cfg.horizon,
+                                             irl.reach_windows(box, cfg.horizon))
     else:
         reward = np.zeros((box.rows, box.cols))
         policy = straight_rollout_policy(box, cfg.horizon)

@@ -50,14 +50,26 @@ def field_to_csv(path, field: np.ndarray) -> None:
 
 
 def read_field_csv(path) -> np.ndarray:
+    """The field of a field_to_csv dump; raises ValueError naming the file for
+    no cells, a malformed line, a non-finite value or a cell not given once."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()[1:]
-    rows = [line.split(",") for line in lines]
-    n_r = max(int(r[0]) for r in rows) + 1
-    n_c = max(int(r[1]) for r in rows) + 1
-    out = np.zeros((n_r, n_c))
-    for r, c, v in rows:
-        out[int(r), int(c)] = float(v)
+    try:
+        cells = [(int(r), int(c), float(v)) for r, c, v in (line.split(",") for line in lines)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed field line: {exc}") from exc
+    if not cells:
+        raise ValueError(f"{path}: the field has no cells")
+    rows, cols, values = (np.array(column) for column in zip(*cells))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: the field holds non-finite values")
+    if min(rows.min(), cols.min()) < 0:
+        raise ValueError(f"{path}: the field has a negative cell index")
+    out = np.full((rows.max() + 1, cols.max() + 1), np.nan)
+    out[rows, cols] = values
+    if len(cells) != out.size or np.isnan(out).any():
+        raise ValueError(f"{path}: {len(cells)} lines do not give each cell of the "
+                         f"{out.shape[0]}x{out.shape[1]} field once")
     return out
 
 

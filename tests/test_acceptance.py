@@ -50,7 +50,7 @@ def test_criterion_01_oracle_equivalence():
         start = CellIndex(int(rs.randint(rows)), int(rs.randint(cols)))
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
-        policy = irl.soft_policy(*irl.soft_value_iteration(reward, spec, horizon))
+        policy = irl.soft_value_iteration(reward, spec, horizon)[1]
         visit = irl.expected_visitation(policy, spec, horizon)
         dist = enumerate_paths(reward, spec, start, horizon)
         worst_marginal = max(worst_marginal,
@@ -84,7 +84,7 @@ def test_criterion_02_gradient_correctness():
         start = CellIndex(2, 2)
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
-        policy = irl.soft_policy(*irl.soft_value_iteration(reward, spec, horizon))
+        policy = irl.soft_value_iteration(reward, spec, horizon)[1]
         demos = [_rollout_demo(policy, reward, spec, horizon, seed=10 * instance + j)
                  for j in range(2)]
         expert = irl.expert_visitation(demos, spec, horizon)
@@ -139,7 +139,7 @@ def recovery_run():
     start = CellIndex(4, 4)
     spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
     true_reward = rng_uniform(12345, 77, np.arange(rows * cols)).reshape(rows, cols) * -1.0
-    true_policy = irl.soft_policy(*irl.soft_value_iteration(true_reward, spec, horizon))
+    true_policy = irl.soft_value_iteration(true_reward, spec, horizon)[1]
     batch = rollout.sample_rollouts(true_policy, true_reward, spec, 16, horizon, seed=99)
     demos = [irl.Demonstration(cells=tuple(CellIndex(int(r), int(c)) for r, c in path))
              for path in batch.cells]
@@ -154,7 +154,7 @@ def recovery_run():
     elapsed = time.monotonic() - t0
 
     reward = irl.reward_forward(features, params)
-    policy = irl.soft_policy(*irl.soft_value_iteration(reward, spec, horizon))
+    policy = irl.soft_value_iteration(reward, spec, horizon)[1]
     learned = irl.expected_visitation(policy, spec, horizon)[1:].sum(axis=0)
     expert = irl.expert_visitation(demos, spec, horizon)
     return {"horizon": horizon, "diag": diag, "elapsed": elapsed,
@@ -195,7 +195,7 @@ def test_criterion_05_conservation_invariants():
                         anchor=CellIndex(int(rs.randint(rows)), int(rs.randint(cols))))
         horizon = int(rs.randint(1, 7))
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        policy = irl.soft_policy(*irl.soft_value_iteration(reward, spec, horizon))
+        policy = irl.soft_value_iteration(reward, spec, horizon)[1]
         for t in range(horizon):
             worst_simplex = max(worst_simplex,
                                 float(np.abs(policy(t).sum(axis=-1) - 1.0).max()))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,6 +138,23 @@ def test_predict_writes_run_record_matching_the_prediction(tmp_path, cfg_file, s
         "config_sha256": hashlib.sha256((out1 / "config_used.cfg").read_bytes()).hexdigest(),
     }
     assert result.stream_key == key
+
+
+def test_predict_builds_the_run_record_once(tmp_path, cfg_file, scene_file, monkeypatch):
+    records = []
+    real = pipeline.run_record
+
+    def counted(result):
+        records.append(real(result))
+        return records[-1]
+
+    monkeypatch.setattr(pipeline, "run_record", counted)
+    out = tmp_path / "fc"
+    assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file]) == 0
+    [rec] = records
+    written = json.loads((out / "straight_0000.run.json").read_text())
+    assert written == {"scene": "straight_0000.json", **rec,
+                       "config_sha256": written["config_sha256"]}
 
 
 def test_predict_run_record_without_reasoning(tmp_path, cfg_file, scene_file):
@@ -380,6 +398,64 @@ def test_render_ogm_binary(tmp_path, cfg_file, scene_file):
     rc = cli.main(["render", str(figs / "occupancy.stogm"), "--out", str(out2)])
     assert rc == 0
     assert len(list(out2.glob("occupancy_*.pgm"))) == 30
+
+
+FIELD_CSV = "row,col,value\n0,0,-1.5\n0,1,0.0\n1,0,-0.25\n1,1,-3.0\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "row,col,value\n",
+    FIELD_CSV.replace("-0.25", "nan"),
+    FIELD_CSV.replace("-3.0", "-inf"),
+    FIELD_CSV[:-5],
+    FIELD_CSV.rsplit("1,1,", 1)[0],
+    FIELD_CSV.replace("0,1,0.0", "0,0,0.0"),
+    FIELD_CSV.replace("-1.5", "x"),
+    FIELD_CSV.replace("1,1,", "-1,1,"),
+    "row,col,value\n-5,0,1.0\n",
+], ids=["empty", "header-only", "nan", "inf", "cut-mid-line", "missing-cell",
+        "duplicate-cell", "not-a-number", "negative-index", "only-negative-index"])
+def test_render_rejects_malformed_field_csv_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "reward.csv"
+    path.write_text(FIELD_CSV, encoding="utf-8")
+    assert cli.main(["render", str(path), "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "reward.pgm").read_bytes().startswith(b"P5\n2 2\n255\n")
+    path.write_text(text, encoding="utf-8")
+    rc, err = _render_error(tmp_path, capsys, path)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert "reward.csv" in err["message"]
+    assert not any((tmp_path / "figs").iterdir())
+
+
+def _ogm_bytes(ogm) -> bytes:
+    return struct.pack("<3I", *ogm.shape) + np.ascontiguousarray(ogm, dtype="<f4").tobytes()
+
+
+OGM = np.linspace(0.0, 1.0, 2 * 3 * 4).reshape(2, 3, 4)
+
+
+@pytest.mark.parametrize("blob", [
+    b"",
+    _ogm_bytes(OGM)[:7],
+    _ogm_bytes(OGM)[:-3],
+    _ogm_bytes(OGM)[:12],
+    _ogm_bytes(np.zeros((0, 3, 4))),
+    _ogm_bytes(np.where(OGM == OGM[1, 2, 3], np.nan, OGM)),
+    _ogm_bytes(np.where(OGM == OGM[0, 0, 1], np.inf, OGM)),
+], ids=["empty", "cut-header", "cut-payload", "header-only", "empty-grid", "nan", "inf"])
+def test_render_rejects_malformed_ogm_binary_naming_the_file(tmp_path, capsys, blob):
+    path = tmp_path / "occupancy.stogm"
+    path.write_bytes(_ogm_bytes(OGM))
+    assert cli.main(["render", str(path), "--out", str(tmp_path / "ok")]) == 0
+    assert len(list((tmp_path / "ok").glob("occupancy_*.pgm"))) == 4
+    path.write_bytes(blob)
+    rc, err = _render_error(tmp_path, capsys, path)
+    assert rc == 1
+    assert err["error"] == "ValueError"
+    assert "occupancy.stogm" in err["message"]
+    assert not any((tmp_path / "figs").iterdir())
 
 
 def test_render_byte_identical_across_runs(tmp_path, cfg_file, scene_file):

@@ -15,7 +15,6 @@ from gridcast.irl import (
     irl_loss_and_grad,
     reward_backward,
     reward_forward,
-    soft_policy,
     soft_value_iteration,
     train_irl,
 )
@@ -139,8 +138,7 @@ def test_every_reward_parameter_moves_the_reward(mode):
 def test_uniform_reward_interior_policy_and_value():
     spec = small_spec(rows=13, cols=13, anchor=(6, 6))
     horizon = 3
-    values, gains = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
-    policy = soft_policy(values, gains)
+    values, policy = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
     center = (6, 6)
     for t in range(horizon):
         np.testing.assert_allclose(policy(t)[center], np.full(9, 1.0 / 9.0), atol=1e-12)
@@ -152,7 +150,7 @@ def test_single_step_prefers_high_reward_neighbor():
     reward = np.zeros((5, 5))
     reward[3, 2] = 5.0
     reward -= reward.max()
-    policy = soft_policy(*soft_value_iteration(reward, spec, horizon=1))
+    policy = soft_value_iteration(reward, spec, horizon=1)[1]
     best_action = policy(0)[2, 2].argmax()
     assert ACTIONS[best_action] == (1, 0)
 
@@ -163,7 +161,7 @@ def test_policy_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
+    policy = soft_value_iteration(reward, spec, horizon)[1]
     dist = enumerate_paths(reward, spec, start, horizon)
     # product of policy probabilities along each enumerated path
     probs = np.ones(dist.histories.shape[0])
@@ -183,7 +181,7 @@ def test_visitation_matches_enumeration():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     start = CellIndex(2, 2)
     horizon = 4
-    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
+    policy = soft_value_iteration(reward, spec, horizon)[1]
     visit = expected_visitation(policy, spec, horizon)
     np.testing.assert_allclose(visit, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
 
@@ -192,8 +190,8 @@ def test_policy_shift_invariance():
     rs = np.random.RandomState(2)
     spec = small_spec()
     reward = rs.uniform(-2.0, 0.0, (5, 5))
-    p1 = soft_policy(*soft_value_iteration(reward, spec, 3))
-    p2 = soft_policy(*soft_value_iteration(reward + 17.3, spec, 3))
+    p1 = soft_value_iteration(reward, spec, 3)[1]
+    p2 = soft_value_iteration(reward + 17.3, spec, 3)[1]
     for t in range(3):
         np.testing.assert_allclose(p1(t), p2(t), atol=1e-12)
 
@@ -206,7 +204,7 @@ def test_policy_simplex_and_mass_conservation():
                         anchor=CellIndex(rs.randint(rows), rs.randint(cols)))
         horizon = rs.randint(1, 6)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
+        policy = soft_value_iteration(reward, spec, horizon)[1]
         valid = valid_action_mask(spec)
         for t in range(horizon):
             np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
@@ -222,7 +220,7 @@ def test_policy_simplex_and_mass_conservation():
 def _one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return irl.Policy(irl.grid_windows((spec.rows, spec.cols), horizon), lambda t: table)
+    return irl.Policy(irl.grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
 
 
 def test_deterministic_policy_unit_spikes():
@@ -237,7 +235,7 @@ def test_deterministic_policy_unit_spikes():
 
 def test_uniform_policy_first_step():
     spec = small_spec(rows=7, cols=7, anchor=(3, 3))
-    policy = soft_policy(*soft_value_iteration(np.zeros((7, 7)), spec, 1))
+    policy = soft_value_iteration(np.zeros((7, 7)), spec, 1)[1]
     visit = expected_visitation(policy, spec, 1)
     np.testing.assert_allclose(visit[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
     assert visit[1].sum() == pytest.approx(1.0)
@@ -406,8 +404,8 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         spec = small_spec(rows, cols, anchor)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
-        values, gains = soft_value_iteration(reward, spec, horizon)
-        visits = expected_visitation(soft_policy(values, gains), spec, horizon)
+        values, policy = soft_value_iteration(reward, spec, horizon)
+        visits = expected_visitation(policy, spec, horizon)
         full_nll = (float(values[0, spec.anchor.row, spec.anchor.col])
                     - float(np.vdot(reward, expert)))
         full_grad = visits[1:].sum(axis=0) - expert
@@ -421,13 +419,14 @@ def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
     rs = np.random.RandomState(26)
     real = irl.soft_value_iteration
 
+    # the policy is e_t / total_t, so the loss reads the value maps at
+    # V_0(anchor) only: every other entry may be anything
     def poisoned(reward, spec, horizon, windows):
-        values, gains = real(reward, spec, horizon, windows)
-        for t, win in enumerate(windows):
-            off = np.ones((spec.rows, spec.cols), dtype=bool)
-            off[win] = False
-            values[t][off] = np.nan
-        return values, gains
+        values, policy = real(reward, spec, horizon, windows)
+        anchor = values[0, spec.anchor.row, spec.anchor.col]
+        values[:] = np.nan
+        values[0, spec.anchor.row, spec.anchor.col] = anchor
+        return values, policy
 
     for rows, cols, anchor, horizon in ((9, 9, (4, 4), 3), (12, 17, (0, 16), 5),
                                         (25, 11, (24, 5), 8), (40, 40, (10, 20), 16)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec
-from gridcast.irl import Policy, grid_windows, soft_policy, soft_value_iteration
+from gridcast.irl import Policy, grid_windows, soft_value_iteration
 from gridcast.occupancy import (
     focal_bce,
     predict_occupancy,
@@ -73,7 +73,7 @@ def test_gt_idempotent_and_agent_order_independent():
 def one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return Policy(grid_windows((spec.rows, spec.cols), horizon), lambda t: table)
+    return Policy(grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
 
 
 def test_deterministic_policy_spike_slices():
@@ -90,7 +90,7 @@ def test_uniform_policy_first_slice():
     spec = spec_of(rows=15, cols=15, anchor=(7, 7))
     horizon = 4
     reward = np.zeros((15, 15))
-    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
+    policy = soft_value_iteration(reward, spec, horizon)[1]
     ogm = predict_occupancy(policy, spec, horizon, n_steps=horizon)
     np.testing.assert_allclose(ogm[6:9, 6:9, 0], 1.0 / 9.0, atol=1e-12)
 
@@ -100,7 +100,7 @@ def test_slices_conserve_mass():
     horizon = 9
     rs = np.random.RandomState(0)
     reward = rs.uniform(-1, 0, (31, 31))
-    policy = soft_policy(*soft_value_iteration(reward, spec, horizon))
+    policy = soft_value_iteration(reward, spec, horizon)[1]
     ogm = predict_occupancy(policy, spec, horizon, n_steps=30)
     sums = ogm.sum(axis=(0, 1))
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)

@@ -59,7 +59,7 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     assert (box.rows, box.cols) == result.reward.shape
     assert result.policy.windows == irl.reach_windows(box, horizon)
     # the same box reward planned without windows: every step on the whole box
-    whole = irl.soft_policy(*irl.soft_value_iteration(result.reward, box, horizon))
+    whole = irl.soft_value_iteration(result.reward, box, horizon)[1]
     seed = rng.derive_seed(cfg.seed, result.stream_key)
     windowed = rollout.sample_rollouts(result.policy, result.reward, box, cfg.rollouts,
                                        horizon, seed)
@@ -70,12 +70,32 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     expected = np.zeros((spec.rows, spec.cols, cfg.t_future))
     expected[result.window] = occupancy.predict_occupancy(whole, box, horizon, cfg.t_future)
     assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
-    # the rollouts and occupancy above each read policy(t); the kept stacks
-    # stay untouched, so a further call returns the same bits
+    # the rollouts and occupancy above each read policy(t); the tables are
+    # read-only, so a further call returns the same bits
     for t, win in enumerate(result.policy.windows[:-1]):
         first = result.policy(t)
         assert first.tobytes() == result.policy(t).tobytes()
         assert first.tobytes() == np.ascontiguousarray(whole(t)[win]).tobytes()
+
+
+@pytest.mark.parametrize("planned", [True, False])
+def test_policy_tables_are_read_only(planned):
+    spec = SMALL.grid_spec()
+    horizon = 6
+    if planned:
+        reward = np.random.RandomState(4).uniform(-2.0, 0.0, (spec.rows, spec.cols))
+        policy = irl.soft_value_iteration(reward, spec, horizon,
+                                          irl.reach_windows(spec, horizon))[1]
+    else:
+        policy = pipeline.straight_rollout_policy(spec, horizon)
+    for t in range(horizon):
+        table = policy(t)
+        before = table.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            np.exp(table, out=table)
+        assert policy(t).tobytes() == before
 
 
 def test_stream_key_changes_rollouts():

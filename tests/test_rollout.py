@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec
-from gridcast.irl import Policy, grid_windows, soft_policy, soft_value_iteration
+from gridcast.irl import Policy, grid_windows, soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
     forecast_to_payload,
@@ -22,12 +22,12 @@ def spec_of(rows=21, cols=21, anchor=(10, 10)):
 def one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return Policy(grid_windows((spec.rows, spec.cols), horizon), lambda t: table)
+    return Policy(grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
 
 
 def uniform_reward_policy(spec, horizon):
     reward = np.zeros((spec.rows, spec.cols))
-    return soft_policy(*soft_value_iteration(reward, spec, horizon))
+    return soft_value_iteration(reward, spec, horizon)[1]
 
 
 # ---------------------------------------------------------------------------
