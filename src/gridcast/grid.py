@@ -93,30 +93,62 @@ def step(cell: CellIndex, action: int, spec: GridSpec) -> CellIndex | None:
 
 
 def padded_map(spec: GridSpec, border) -> np.ndarray:
-    """A (rows+2, cols+2) map for neighbour_views, every cell set to ``border``.
+    """A (rows+2, cols+2) map for neighbourhood, every cell set to ``border``.
 
-    The grid itself is view STAY of the map; the one-cell border stands for
+    The grid itself is the map's interior; the one-cell border stands for
     every off-grid successor, so its value decides what an off-grid move reads
-    (-inf for values, 0 or False for mass and masks).
+    (-inf for values, False for masks).
     """
     return np.full((spec.rows + 2, spec.cols + 2), border)
 
 
-def neighbour_views(padded: np.ndarray, spec: GridSpec,
-                    window: tuple[slice, slice] | None = None) -> list[np.ndarray]:
-    """The nine views of a padded map over the grid or a ``window`` of it, in
-    ACTIONS order.
+def _strided_view(base: np.ndarray, shape, offset: int, strides) -> np.ndarray:
+    """A read-only view of the contiguous array ``base``. The ndarray
+    constructor raises ValueError if ``base`` is not contiguous or if any
+    element of the view would lie outside its buffer."""
+    view = np.ndarray(shape, base.dtype, base, offset, strides)
+    view.flags.writeable = False
+    return view
 
-    View ``a`` at (r, c) is the padded map at the successor of cell (r, c)
-    under action ``a``; a move off the grid lands on the border. ``window`` is
+
+def neighbourhood(padded: np.ndarray, spec: GridSpec,
+                  window: tuple[slice, slice] | None = None) -> np.ndarray:
+    """The read-only (3, 3, h, w) neighbourhood of a padded map over the grid
+    or a ``window`` of it.
+
+    Entry (dr+1, dc+1, r, c) is the padded map at the successor of window cell
+    (r, c) under the move (dr, dc); a move off the grid reads the border. Its
+    first two axes flatten to the nine actions in ACTIONS order. ``window`` is
     a (row_slice, col_slice) pair with explicit bounds, as ``window`` returns.
+    The view shares memory with ``padded``, so it sees later writes into it.
     """
     if padded.shape != (spec.rows + 2, spec.cols + 2):
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
     rows, cols = window or (slice(0, spec.rows), slice(0, spec.cols))
-    return [padded[1 + dr + rows.start: 1 + dr + rows.stop,
-                   1 + dc + cols.start: 1 + dc + cols.stop]
-            for dr, dc in ACTIONS]
+    s_row, s_col = padded.strides
+    return _strided_view(padded, (3, 3, rows.stop - rows.start, cols.stop - cols.start),
+                         rows.start * s_row + cols.start * s_col,
+                         (s_row, s_col, s_row, s_col))
+
+
+def inflows(flows: np.ndarray, spec: GridSpec, window: tuple[slice, slice]) -> np.ndarray:
+    """The read-only (3, 3, h, w) inflows of a window: what each cell receives
+    under each action.
+
+    ``flows`` is a (9, rows+2, cols+2) map of the mass each cell sends under
+    each action, the grid at its interior and zeros on its border. Entry
+    (dr+1, dc+1, r, c) is the flow of action (dr, dc) out of the cell (r-dr,
+    c-dc) of the window, the one that move lands on (r, c); a source off the
+    grid reads the zero border.
+    """
+    if flows.shape != (N_ACTIONS, spec.rows + 2, spec.cols + 2):
+        raise ValueError(f"flow map shape {flows.shape} != "
+                         f"{(N_ACTIONS, spec.rows + 2, spec.cols + 2)}")
+    rows, cols = window
+    s_action, s_row, s_col = flows.strides
+    return _strided_view(flows, (3, 3, rows.stop - rows.start, cols.stop - cols.start),
+                         (rows.start + 2) * s_row + (cols.start + 2) * s_col,
+                         (3 * s_action - s_row, s_action - s_col, s_row, s_col))
 
 
 def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:
@@ -146,9 +178,10 @@ def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, 
 
 def valid_action_mask(spec: GridSpec) -> np.ndarray:
     """Boolean (rows, cols, 9) mask of actions whose destination stays in-bounds."""
-    views = neighbour_views(padded_map(spec, False), spec)
-    views[STAY][...] = True
-    return np.stack(views, axis=-1)
+    padded = padded_map(spec, False)
+    padded[1:-1, 1:-1] = True
+    view = neighbourhood(padded, spec).transpose(2, 3, 0, 1)
+    return view.reshape(spec.rows, spec.cols, N_ACTIONS)
 
 
 def eight_connected_line(a: CellIndex, b: CellIndex) -> list[CellIndex]:

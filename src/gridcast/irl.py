@@ -23,6 +23,18 @@ nothing. One trap guards that claim: the t = 0 window is one cell, and numpy
 sums a (9, 1, 1) stack pairwise instead of action after action, so that step
 spells the order out. The whole-grid plan is the same loop with the whole
 grid as every step's window.
+
+Both passes gather through read-only strided views (grid.neighbourhood,
+grid.inflows), one copy into a contiguous (9, window) stack per step. Value
+iteration copies each cell's nine successor gains. The forward pass writes
+the flows D_t pi_t of windows[t] into a zero-bordered buffer and copies each
+cell's nine inflows, then sums them over the action axis. That sum adds a
+cell's inflows in ACTIONS order, one after another, exactly as a scatter of
+the nine flow maps in ACTIONS order into a zeroed map did, and the flows it
+reads from sources off windows[t] or off the grid are exactly 0, which adds
+nothing (x + 0.0 == x). The destination window of every step holds at least
+2x2 cells, so the one-cell pairwise trap above never applies there. The
+forecasts are therefore those of the nine-slice formulation bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ from .grid import (
     GridSpec,
     eight_connected_line,
     cells_adjacent,
-    neighbour_views,
+    inflows,
+    neighbourhood,
     padded_map,
     quantize_trajectory,
     window,
@@ -180,15 +193,17 @@ def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
 
 
 def _successor_gains(reward: np.ndarray, spec: GridSpec):
-    """gains(next_values, win, reach, out=None) -> (9, win): R(s') + V_next(s')
-    at each action's successor s' of the cells of ``win``, -inf where the move
-    leaves the grid. ``reach`` holds every in-grid successor; only it is written."""
+    """gains(next_values, win, reach, out) -> out: fills the (9, win) stack
+    ``out`` with R(s') + V_next(s') at each action's successor s' of the cells
+    of ``win``, -inf where the move leaves the grid. ``reach`` holds every
+    in-grid successor; only it is written."""
     padded = padded_map(spec, -np.inf)
     interior = padded[1:-1, 1:-1]
 
-    def gains(next_values: np.ndarray, win: Window, reach: Window, out=None) -> np.ndarray:
+    def gains(next_values: np.ndarray, win: Window, reach: Window, out: np.ndarray) -> np.ndarray:
         np.add(reward[reach], next_values[reach], out=interior[reach])
-        return np.stack(neighbour_views(padded, spec, win), out=out)
+        np.copyto(out.reshape(3, 3, *out.shape[1:]), neighbourhood(padded, spec, win))
+        return out
 
     return gains
 
@@ -248,20 +263,23 @@ def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndar
     Step t reads D_t and policy(t) on the policy's windows[t] only and writes
     D_{t+1} on windows[t+1]. That is exact when windows[t] holds every cell
     the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it skips
-    are exactly 0.
+    are exactly 0. Each step gathers: it writes the flows D_t pi_t, then sums
+    the nine inflows of every cell of windows[t+1] (grid.inflows).
     """
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
-    # off-grid moves carry no mass, so the border only ever receives zeros
-    landed = padded_map(spec, 0.0)
-    interior = landed[1:-1, 1:-1]
+    # flows[a] at s is D_t(s) pi_t(a | s) on the grid (the interior) and 0 on
+    # the border; step t writes windows[t], which holds windows[t-1]
+    flows = np.zeros((N_ACTIONS, spec.rows + 2, spec.cols + 2))
+    interior = flows[:, 1:-1, 1:-1]
     for t in range(horizon):
         win, reach = policy.windows[t], policy.windows[t + 1]
-        flow = per_step[t][win] * policy(t).transpose(2, 0, 1)
-        for view, mass in zip(neighbour_views(landed, spec, win), flow):
-            view += mass
-        per_step[t + 1][reach] = interior[reach]
-        landed.fill(0.0)
+        np.multiply(per_step[t][win], policy(t).transpose(2, 0, 1),
+                    out=interior[:, win[0], win[1]])
+        landed = per_step[t + 1][reach]
+        received = np.empty((N_ACTIONS,) + landed.shape)
+        np.copyto(received.reshape(3, 3, *landed.shape), inflows(flows, spec, reach))
+        received.sum(axis=0, out=landed)
     return per_step
 
 

@@ -101,7 +101,8 @@ def write_ogm_binary(path, ogm: np.ndarray) -> None:
 
 def read_ogm_binary(path) -> np.ndarray:
     """The grid write_ogm_binary wrote. Raises ValueError naming the file for a
-    truncated header or payload, an empty grid, or non-finite values."""
+    truncated header or payload, an empty grid, or values that are no
+    occupancy: a uint8 value other than 0 or 1, a float one outside [0, 1]."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12:
@@ -113,8 +114,14 @@ def read_ogm_binary(path) -> np.ndarray:
         raise ValueError(f"{path}: payload size {len(body)} matches neither uint8 nor "
                          f"float32 for a nonempty {rows}x{cols}x{t_f} grid")
     if len(body) == n:
-        return np.frombuffer(body, dtype=np.uint8).reshape(rows, cols, t_f).copy()
+        ogm = np.frombuffer(body, dtype=np.uint8).reshape(rows, cols, t_f).copy()
+        if ogm.max() > 1:
+            raise ValueError(f"{path}: a binary grid holds {ogm.max()}, not only 0 and 1")
+        return ogm
     ogm = np.frombuffer(body, dtype="<f4").reshape(rows, cols, t_f).astype(np.float64)
     if not np.all(np.isfinite(ogm)):
         raise ValueError(f"{path}: the grid holds non-finite values")
+    if not np.all((ogm >= 0.0) & (ogm <= 1.0)):
+        raise ValueError(f"{path}: the grid holds values outside [0, 1], "
+                         f"from {ogm.min()} to {ogm.max()}")
     return ogm

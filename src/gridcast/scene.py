@@ -470,11 +470,19 @@ def save_scene(path, scene: SceneContext) -> None:
         fh.write("\n")
 
 
+# every key scene_to_dict writes; scene_from_dict rejects any other
+SCENE_KEYS = frozenset({"version", "kind", "dt", "target_index", "agents", "lanes",
+                        "gt_future", "extended_future", "agent_futures", "to_world"})
+
+
 def _finite_array(value, name: str, source: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"{source}: {name}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":  # strings, booleans, null, objects, ragged lists
+        raise SceneFormatError(f"{source}: {name} must hold numbers only, got {value!r:.40}")
+    arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise SceneFormatError(f"{source}: {name} contains non-finite values")
     return arr
@@ -484,8 +492,11 @@ def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
     if not isinstance(payload, dict):
         raise SceneFormatError(f"{source}: a scene must be a JSON object, got {payload!r:.40}")
     version = payload.get("version")
-    if version != SCENE_FORMAT_VERSION:
+    if type(version) is not int or version != SCENE_FORMAT_VERSION:
         raise SceneFormatError(f"{source}: unsupported scene version {version!r}")
+    unknown = sorted(set(payload) - SCENE_KEYS)
+    if unknown:
+        raise SceneFormatError(f"{source}: unknown keys {unknown}")
     try:
         agents, lanes, gt_future = (_finite_array(payload[key], key, source)
                                     for key in ("agents", "lanes", "gt_future"))

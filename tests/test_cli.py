@@ -444,7 +444,12 @@ OGM = np.linspace(0.0, 1.0, 2 * 3 * 4).reshape(2, 3, 4)
     _ogm_bytes(np.zeros((0, 3, 4))),
     _ogm_bytes(np.where(OGM == OGM[1, 2, 3], np.nan, OGM)),
     _ogm_bytes(np.where(OGM == OGM[0, 0, 1], np.inf, OGM)),
-], ids=["empty", "cut-header", "cut-payload", "header-only", "empty-grid", "nan", "inf"])
+    _ogm_bytes(np.full((4, 4, 2), -3.0)),
+    _ogm_bytes(np.full((4, 4, 2), 7.5)),
+    _ogm_bytes(np.where(OGM == OGM[1, 1, 1], 1.0 + 1e-6, OGM)),
+    struct.pack("<3I", 4, 4, 2) + bytes([0, 1] * 8 + [7] + [0] * 15),
+], ids=["empty", "cut-header", "cut-payload", "header-only", "empty-grid", "nan", "inf",
+        "negative", "above-one", "just-above-one", "binary-holding-7"])
 def test_render_rejects_malformed_ogm_binary_naming_the_file(tmp_path, capsys, blob):
     path = tmp_path / "occupancy.stogm"
     path.write_bytes(_ogm_bytes(OGM))
@@ -719,3 +724,151 @@ def test_malformed_forecasts_fail_eval_and_render_naming_the_file(tmp_path, caps
         rc, err = _render_error(tmp_path, capsys, path)
         assert rc == 1, text
         assert "straight_0.forecast.json" in err["message"], (text, err)
+
+
+SCENE_ARRAYS = ("agents", "lanes", "gt_future", "extended_future", "agent_futures", "to_world")
+
+
+def _malformed_scene_text(rs, payload) -> tuple[str, str]:
+    """(edit, text) of a scene file that predict must reject: a valid scene
+    payload broken by one of seven seeded edits."""
+    payload = json.loads(json.dumps(payload))
+    key = SCENE_ARRAYS[rs.randint(len(SCENE_ARRAYS))]
+    kind = rs.randint(7)
+    if kind == 0:
+        text = json.dumps(payload)
+        return "truncated JSON", text[: rs.randint(1, len(text))]
+    if kind == 1:
+        field = ("version", "target_index", "dt", key)[rs.randint(4)]
+        value = [None, "1", True, {"x": 1}, "0.1", [[["1.0"]]], 1.5][rs.randint(7)]
+        if field in ("dt",) + SCENE_ARRAYS and value == 1.5:
+            value = [value]  # a number where an array is due, and the reverse
+        payload[field] = value
+        return f"{field} = {value!r}", json.dumps(payload)
+    if kind == 2:
+        entry = payload[key]
+        while isinstance(entry[0], list):
+            entry = entry[rs.randint(len(entry))]
+        value = [None, "1.0", [1.0], {}][rs.randint(4)]
+        entry[rs.randint(len(entry))] = value
+        return f"an entry of {key} = {value!r}", json.dumps(payload)
+    if kind == 3:  # JSON's non-standard literals, which json.load accepts
+        literal = ["NaN", "Infinity", "-Infinity", "1e999"][rs.randint(4)]
+        text = json.dumps(payload[key])
+        starts = [i for i, ch in enumerate(text) if ch in "-0123456789" and text[i - 1] in "[ "]
+        start = starts[rs.randint(len(starts))]
+        end = start + 1
+        while text[end] not in ",]":
+            end += 1
+        rest = json.dumps({k: v for k, v in payload.items() if k != key})
+        return (f"a number of {key} = {literal}",
+                rest[:-1] + f', "{key}": ' + text[:start] + literal + text[end:] + "}")
+    if kind == 4:
+        name = ["agent", "extended", "lane", "Kind", "futures", "dt_s"][rs.randint(6)]
+        payload[name] = 1.0
+        return f"unknown key {name!r}", json.dumps(payload)
+    if kind == 5:
+        n_agents = len(payload["agents"])
+        field, value = [
+            ("target_index", [-1, n_agents, n_agents + 3][rs.randint(3)]),
+            ("dt", [0.0, -0.1, -1e-9][rs.randint(3)]),
+            ("version", [0, 2, -1][rs.randint(3)]),
+            ("extended_future", payload["gt_future"][: rs.randint(len(payload["gt_future"]))]),
+            ("to_world", payload["to_world"][: rs.randint(3)]),
+            ("agents", []),
+        ][rs.randint(6)]
+        payload[field] = value
+        return f"{field} out of range", json.dumps(payload)
+    if rs.randint(2):
+        missing = ("agents", "lanes", "gt_future")[rs.randint(3)]
+        del payload[missing]
+        return f"no {missing}", json.dumps(payload)
+    payload[key] = _drop_last_column(payload[key])
+    return f"{key} of the wrong shape", json.dumps(payload)
+
+
+def _drop_last_column(rows):
+    return [_drop_last_column(row) for row in rows] if isinstance(rows[0], list) else rows[:-1]
+
+
+def test_malformed_scenes_fail_predict_with_a_structured_error(tmp_path, cfg_file, capsys):
+    path = tmp_path / "straight_0.json"
+    save_scene(path, generate_scene("straight", seed=0))
+    payload = {**json.loads(path.read_text(encoding="utf-8")), "to_world": [1.5, -2.0, 0.3]}
+    assert all(key in payload for key in SCENE_ARRAYS)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["predict", str(path), "--out", str(tmp_path / "ok"), "--config", cfg_file]) == 0
+    capsys.readouterr()
+    rs = np.random.RandomState(505)
+    wrong = []
+    for case in range(100):
+        edit, text = _malformed_scene_text(rs, payload)
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{case}"
+        rc = cli.main(["predict", str(path), "--out", str(out), "--config", cfg_file])
+        err = capsys.readouterr().err
+        error = json.loads(err.strip().splitlines()[-1]) if rc == 1 else {}
+        if (rc != 1 or "Traceback" in err or error.get("error") != "SceneFormatError"
+                or "straight_0.json" not in error.get("message", "") or out.exists()):
+            wrong.append((edit, rc, error))
+    assert wrong == []
+
+
+CONFIG_FLOATS = ("resolution", "temperature", "smooth_weight", "lr", "tol",
+                 "demo_horizon_factor")
+CONFIG_INTS = ("rows", "cols", "anchor_row", "anchor_col", "horizon", "t_future",
+               "rollouts", "modes", "hidden", "max_iters", "seed")
+CONFIG_OUT_OF_RANGE = (
+    "rows=2", "cols=-4", "anchor_row=32", "anchor_col=-1", "resolution=0", "resolution=-2.0",
+    "horizon=0", "t_future=0", "max_iters=0", "hidden=0", "modes=0", "rollouts=3\nmodes=6",
+    "lr=0", "lr=-0.1", "temperature=-1", "smooth_weight=-0.5", "tol=-1e-3",
+    "demo_horizon_factor=1.2", "reward_mode=cubic", "optimizer=sgd",
+)
+
+
+def _malformed_config_text(rs) -> tuple[str, str]:
+    """(edit, text) of a config file that predict must reject: SMALL_CFG
+    broken by one of five seeded edits, its lines shuffled."""
+    lines = SMALL_CFG.strip().splitlines()
+    kind = rs.randint(5)
+    if kind == 0:  # a line cut before its '=', and the rest of the file lost
+        i = rs.randint(len(lines))
+        lines = lines[:i] + [lines[i][: rs.randint(1, lines[i].index("="))]]
+        edit = f"cut at {lines[-1]!r}"
+    elif kind == 1:
+        if rs.randint(2):
+            name = CONFIG_INTS[rs.randint(len(CONFIG_INTS))]
+            edit = f"{name}={['1.5', 'abc', '', '2e3', '0x10', 'True'][rs.randint(6)]}"
+        else:
+            name = CONFIG_FLOATS[rs.randint(len(CONFIG_FLOATS))]
+            edit = f"{name}={['abc', '', '1,5', '0.1.2', 'None'][rs.randint(5)]}"
+    elif kind == 2:
+        names = CONFIG_FLOATS + CONFIG_INTS
+        name = names[rs.randint(len(names))]
+        values = ["nan", "-inf"] if name == "tol" else ["nan", "inf", "-inf", "1e999"]
+        edit = f"{name}={values[rs.randint(len(values))]}"
+    elif kind == 3:
+        edit = f"{['horizn', 'Rows', 'alpha', 'seed_', 'k'][rs.randint(5)]}=3"
+    else:
+        edit = CONFIG_OUT_OF_RANGE[rs.randint(len(CONFIG_OUT_OF_RANGE))]
+    if kind:  # the edit replaces the lines of the keys it sets
+        keys = {line.split("=")[0] for line in edit.splitlines()}
+        lines = [line for line in lines if line.split("=")[0] not in keys] + [edit]
+    rs.shuffle(lines)
+    return edit, "\n".join(lines) + "\n"
+
+
+def test_malformed_configs_fail_predict_with_a_structured_error(tmp_path, scene_file, capsys):
+    path = tmp_path / "bad.cfg"
+    rs = np.random.RandomState(606)
+    wrong = []
+    for case in range(100):
+        edit, text = _malformed_config_text(rs)
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{case}"
+        rc = cli.main(["predict", scene_file, "--out", str(out), "--config", str(path)])
+        err = capsys.readouterr().err
+        error = json.loads(err.strip().splitlines()[-1]) if rc == 1 else {}
+        if rc != 1 or "Traceback" in err or error.get("error") != "ValueError" or out.exists():
+            wrong.append((edit, rc, error))
+    assert wrong == []

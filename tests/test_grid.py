@@ -3,11 +3,13 @@ import pytest
 
 from gridcast.grid import (
     ACTIONS,
+    N_ACTIONS,
     STAY,
     CellIndex,
     GridSpec,
     cell_to_world,
-    neighbour_views,
+    inflows,
+    neighbourhood,
     padded_map,
     cells_adjacent,
     quantize_trajectory,
@@ -86,10 +88,10 @@ def test_step_total_over_actions():
                     assert spec.contains(nxt.row, nxt.col)
 
 
-def test_neighbour_views_read_each_actions_successor():
+def test_neighbourhood_reads_each_actions_successor():
     spec = GridSpec(rows=4, cols=5, resolution=1.0, anchor=CellIndex(0, 0))
     padded = np.arange(6 * 7, dtype=float).reshape(6, 7)  # distinct values
-    views = neighbour_views(padded, spec)
+    views = neighbourhood(padded, spec).reshape(N_ACTIONS, spec.rows, spec.cols)
     assert len(views) == len(ACTIONS)
     for r in range(spec.rows):
         for c in range(spec.cols):
@@ -102,11 +104,41 @@ def test_neighbour_views_read_each_actions_successor():
                     expected = padded[1 + nxt.row, 1 + nxt.col]
                 assert views[a].shape == (spec.rows, spec.cols)
                 assert views[a][r, c] == expected
-    # views share memory with the padded map, so writes land in it
-    views[STAY][...] = -1.0
-    assert np.all(padded[1:-1, 1:-1] == -1.0)
+    # the view shares memory with the padded map, so it sees writes into it,
+    # and it is read-only, so nothing writes through it
+    view = neighbourhood(padded, spec)
+    padded[1:-1, 1:-1] = -1.0
+    assert np.all(view[1, 1] == -1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        view[1, 1, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.exp(view, out=view)
     with pytest.raises(ValueError):
-        neighbour_views(np.zeros((4, 5)), spec)
+        neighbourhood(np.zeros((4, 5)), spec)
+    with pytest.raises(ValueError):
+        neighbourhood(np.zeros((6, 8)), spec)
+    with pytest.raises(ValueError):  # a non-contiguous map exposes no single buffer
+        neighbourhood(np.zeros((6, 14))[:, ::2], spec)
+
+
+def test_inflows_read_the_flow_that_lands_on_each_cell():
+    rs = np.random.RandomState(5)
+    spec = GridSpec(rows=4, cols=5, resolution=1.0, anchor=CellIndex(1, 2))
+    flows = np.zeros((N_ACTIONS, 6, 7))
+    flows[:, 1:-1, 1:-1] = rs.uniform(size=(N_ACTIONS, 4, 5))
+    for win in ((slice(0, 4), slice(0, 5)), window(spec, 1), (slice(2, 4), slice(0, 2))):
+        received = inflows(flows, spec, win).reshape(N_ACTIONS, *flows[0, 1:-1, 1:-1][win].shape)
+        for r in range(win[0].start, win[0].stop):
+            for c in range(win[1].start, win[1].stop):
+                for a, (dr, dc) in enumerate(ACTIONS):
+                    source = (r - dr, c - dc)
+                    expected = (flows[a, 1 + source[0], 1 + source[1]]
+                                if spec.contains(*source) else 0.0)
+                    assert received[a, r - win[0].start, c - win[1].start] == expected
+    with pytest.raises(ValueError, match="read-only"):
+        inflows(flows, spec, window(spec, 1))[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        inflows(np.zeros((N_ACTIONS, 4, 5)), spec, window(spec, 1))
 
 
 def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():
@@ -123,10 +155,9 @@ def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():
             inside = np.zeros((rows, cols), dtype=bool)
             inside[win] = True
             assert np.array_equal(inside, reached)
-            for view, whole in zip(neighbour_views(padded, spec, win),
-                                   neighbour_views(padded, spec)):
-                assert np.array_equal(view, whole[win])
-            reached = np.stack(neighbour_views(np.pad(reached, 1), spec)).any(axis=0)
+            assert np.array_equal(neighbourhood(padded, spec, win),
+                                  neighbourhood(padded, spec)[:, :, win[0], win[1]])
+            reached = neighbourhood(np.pad(reached, 1), spec).any(axis=(0, 1))
 
 
 def test_padded_map_shape_and_border():

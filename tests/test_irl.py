@@ -415,6 +415,64 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         assert np.array_equal(np.signbit(grad), np.signbit(full_grad))  # no -0.0
 
 
+def _reference_views(padded, win):
+    """The nine slices of a padded map at each action's successor, in ACTIONS order."""
+    rows, cols = win
+    return [padded[1 + dr + rows.start: 1 + dr + rows.stop, 1 + dc + cols.start: 1 + dc + cols.stop]
+            for dr, dc in ACTIONS]
+
+
+def reference_plan(reward, spec, horizon, windows):
+    """Value iteration and the forward pass as nine stacked slices and nine
+    scatters: the formulation the strided gathers replaced, kept to pin them."""
+    padded = np.full((spec.rows + 2, spec.cols + 2), -np.inf)
+    values = np.zeros((horizon + 1, spec.rows, spec.cols))
+    tables = [None] * horizon
+    for t in range(horizon - 1, -1, -1):
+        reach = windows[t + 1]
+        padded[1:-1, 1:-1][reach] = reward[reach] + values[t + 1][reach]
+        e = np.stack(_reference_views(padded, windows[t]))
+        m = e.max(axis=0)
+        e = np.exp(e - m)
+        total = sum(e) if e[0].size == 1 else e.sum(axis=0)
+        tables[t] = (e / total).transpose(1, 2, 0)
+        values[t][windows[t]] = m + np.log(total)
+    visits = np.zeros((horizon + 1, spec.rows, spec.cols))
+    visits[0, spec.anchor.row, spec.anchor.col] = 1.0
+    for t in range(horizon):
+        landed = np.zeros((spec.rows + 2, spec.cols + 2))
+        flow = visits[t][windows[t]] * tables[t].transpose(2, 0, 1)
+        for view, mass in zip(_reference_views(landed, windows[t]), flow):
+            view += mass
+        visits[t + 1][windows[t + 1]] = landed[1:-1, 1:-1][windows[t + 1]]
+    return values, tables, visits
+
+
+@pytest.mark.parametrize("rows,cols,anchor,horizon", [
+    (9, 9, (4, 4), 3),
+    (12, 17, (5, 8), 6),
+    (12, 17, (0, 0), 5),        # corner: the t = 1 window is 2x2
+    (11, 14, (10, 13), 4),      # the opposite corner
+    (7, 5, (3, 2), 9),          # the horizon outgrows the grid
+    (3, 3, (1, 1), 4),          # the smallest grid
+    (3, 3, (0, 2), 2),
+    (27, 33, (10, 16), 16),     # the acceptance config's box
+])
+@pytest.mark.parametrize("whole_grid", [True, False], ids=["grid-windows", "reach-windows"])
+def test_strided_planner_equals_the_sliced_reference_bitwise(rows, cols, anchor, horizon,
+                                                               whole_grid):
+    spec = small_spec(rows, cols, anchor)
+    reward = np.random.RandomState(rows * cols + horizon).uniform(-3.0, 0.0, (rows, cols))
+    windows = (irl.grid_windows((rows, cols), horizon) if whole_grid
+               else irl.reach_windows(spec, horizon))
+    ref_values, ref_tables, ref_visits = reference_plan(reward, spec, horizon, windows)
+    values, policy = soft_value_iteration(reward, spec, horizon, windows)
+    assert np.array_equal(values, ref_values)
+    for t in range(horizon):
+        assert np.array_equal(policy(t), ref_tables[t])
+    assert np.array_equal(expected_visitation(policy, spec, horizon), ref_visits)
+
+
 def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
     rs = np.random.RandomState(26)
     real = irl.soft_value_iteration

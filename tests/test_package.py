@@ -47,3 +47,20 @@ def test_every_private_function_is_referenced():
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and node.name not in referenced]
     assert unreferenced == []
+
+
+def test_no_module_builds_unchecked_strided_views():
+    # as_strided builds a view without a bounds check, so a wrong stride reads
+    # out of bounds silently; strided views go through the ndarray constructor
+    # (grid._strided_view), which raises instead
+    banned = {"stride_tricks", "as_strided"}
+    found = []
+    for module, tree in MODULES.items():
+        names = _referenced(tree) | {alias.name for node in ast.walk(tree)
+                                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                                     for alias in node.names}
+        modules = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module}
+        found += [f"{module}: {name}" for name in sorted(names | modules)
+                  if banned & set(name.split("."))]
+    assert found == []
