@@ -75,8 +75,8 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path) -> RunConfig:
-    """Flat UTF-8 key=value file; '#' starts a comment; unknown keys rejected."""
-    overrides = {}
+    """Flat UTF-8 key=value file; '#' starts a comment; unknown or repeated keys rejected."""
+    overrides, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -88,6 +88,9 @@ def load_config(path) -> RunConfig:
             key, value = key.strip(), value.strip()
             if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
             try:
                 overrides[key] = _parse_value(key, value)
             except ValueError as exc:

@@ -79,9 +79,10 @@ class RewardMapParams:
 
     ``linear`` mode: reward = features @ w. ``two_layer`` mode applies an
     affine layer, a rectifier, and a linear layer, identically at every cell.
-    Neither has an output bias: reward_forward's max-shift removes any
-    constant, so it could not be fitted. The same container doubles as a
-    gradient holder in the optimizer.
+    Neither has an output bias: every path makes the same number of moves,
+    so a constant added to every cell leaves the path distribution unchanged
+    and could not be fitted. The same container doubles as a gradient holder
+    in the optimizer.
     """
 
     mode: str
@@ -119,28 +120,19 @@ class RewardMapParams:
         return replace(self, w1=w1, b1=b1, w2=w2)
 
 
-def _reward_raw(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
+def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
+    """Per-cell reward, the network output as it is."""
+    if not np.all(np.isfinite(features)):
+        raise ValueError("feature stack contains non-finite values")
     if params.mode == "linear":
         return features @ params.w
     z = features @ params.w1.T + params.b1
     return np.maximum(z, 0.0) @ params.w2
 
 
-def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
-    """Per-cell reward, shifted so the maximum over cells is exactly zero.
-
-    The shift stabilizes planning and leaves the policy unchanged; it is
-    treated as a constant in backprop (see reward_backward).
-    """
-    if not np.all(np.isfinite(features)):
-        raise ValueError("feature stack contains non-finite values")
-    raw = _reward_raw(features, params)
-    return raw - raw.max()
-
-
 def reward_backward(features: np.ndarray, params: RewardMapParams,
                     grad_reward: np.ndarray) -> RewardMapParams:
-    """Exact gradient of sum_s grad_reward(s) * R_unshifted(s) w.r.t. params."""
+    """Exact gradient of sum_s grad_reward(s) * R(s) w.r.t. params."""
     if not np.all(np.isfinite(grad_reward)):
         raise ValueError("grad_reward contains non-finite values")
     g = grad_reward
@@ -192,22 +184,6 @@ def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
     return [window(spec, t) for t in range(horizon + 1)]
 
 
-def _successor_gains(reward: np.ndarray, spec: GridSpec):
-    """gains(next_values, win, reach, out) -> out: fills the (9, win) stack
-    ``out`` with R(s') + V_next(s') at each action's successor s' of the cells
-    of ``win``, -inf where the move leaves the grid. ``reach`` holds every
-    in-grid successor; only it is written."""
-    padded = padded_map(spec, -np.inf)
-    interior = padded[1:-1, 1:-1]
-
-    def gains(next_values: np.ndarray, win: Window, reach: Window, out: np.ndarray) -> np.ndarray:
-        np.add(reward[reach], next_values[reach], out=interior[reach])
-        np.copyto(out.reshape(3, 3, *out.shape[1:]), neighbourhood(padded, spec, win))
-        return out
-
-    return gains
-
-
 def _stack_block(windows: list[Window]) -> list[np.ndarray]:
     """One empty (9, window) stack per window, all carved from one block.
     Kept stacks allocated one by one fragment the heap: at the default grid
@@ -237,11 +213,17 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
     windows = windows or grid_windows(reward.shape, horizon)
-    gains = _successor_gains(reward, spec)
+    # gains R(s') + V_{t+1}(s'), -inf off the grid; step t writes them on
+    # windows[t+1], which holds every in-grid successor of windows[t]
+    padded = padded_map(spec, -np.inf)
+    gains = padded[1:-1, 1:-1]
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
     stacks = _stack_block(windows[:-1])
     for t in range(horizon - 1, -1, -1):
-        e = gains(values[t + 1], windows[t], windows[t + 1], out=stacks[t])
+        win, reach = windows[t], windows[t + 1]
+        np.add(reward[reach], values[t + 1][reach], out=gains[reach])
+        e = stacks[t]
+        np.copyto(e.reshape(3, 3, *e.shape[1:]), neighbourhood(padded, spec, win))
         # logsumexp over actions; STAY is always valid so the max is finite
         m = e.max(axis=0)
         e -= m
@@ -252,7 +234,7 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
         total = sum(e) if e[0].size == 1 else e.sum(axis=0)
         e /= total
         e.flags.writeable = False
-        np.add(m, np.log(total, out=total), out=values[t][windows[t]])
+        np.add(m, np.log(total, out=total), out=values[t][win])
     return values, Policy(windows, [stack.transpose(1, 2, 0) for stack in stacks])
 
 
@@ -395,6 +377,10 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
 @dataclass
 class TrainDiagnostics:
+    """nll_history[-1] and final_grad_inf belong to the last evaluated
+    parameters; train_irl takes one more Adam step after that evaluation and
+    returns the stepped parameters."""
+
     nll_history: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False

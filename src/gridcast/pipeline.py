@@ -14,13 +14,9 @@ straight policy is the full grid's bit for bit wherever the target can be
 before the last step: such a cell lies within horizon - 1 of the anchor, so
 the box masks the same moves there as the grid. For reasoning, the raster is
 the full raster's window bit for bit, and so is the expert's mu_hat, counted
-on the box from demos built on the full grid. The fit is the full grid's in
-exact arithmetic: the target never leaves the box, so the NLL reads only box
-cells and the reward gradient E[mu] - mu_hat is exactly 0 off it. The reward
-map's max-shift then runs over the box, which neither NLL nor gradient sees, since
-sum(mu_hat) = sum(E[mu]) = horizon makes a constant shift cancel; it also
-cancels in the policy and in the mode softmax. Against a run over the full
-grid only rounding differs (mode probabilities and occupancy by ~1e-14).
+on the full grid from demos built there and cut to the box. The fit is the
+full grid's in exact arithmetic: the target never leaves the box, so the NLL
+reads only box cells and the reward gradient E[mu] - mu_hat is exactly 0 off it.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
-from .grid import ACTIONS, N_ACTIONS, CellIndex, GridSpec, reachable_box, valid_action_mask
+from .grid import ACTIONS, N_ACTIONS, GridSpec, reachable_box, valid_action_mask
 from .irl import Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
@@ -97,15 +93,6 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
     return demos
 
 
-def _demos_on_box(demos: list, window: Window) -> list:
-    """Full-grid demos re-indexed into the box that ``window`` cuts. A demo
-    makes horizon moves from the anchor, so the box holds all its cells."""
-    rows, cols = window
-    return [irl.Demonstration(tuple(CellIndex(cell.row - rows.start, cell.col - cols.start)
-                                    for cell in demo.cells))
-            for demo in demos]
-
-
 def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
@@ -138,9 +125,9 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
     if reasoning:
         features = scene_mod.rasterize_features(norm, box) * FEATURE_SCALE
         # built on the full grid, where a quantised point beyond the box only
-        # truncates the demo at horizon+1 states, then counted on the box
-        demos = _demos_on_box(build_demos(norm, cfg, spec), window)
-        expert = irl.expert_visitation(demos, box, cfg.horizon)
+        # truncates the demo at horizon+1 states; every visit lies in the box
+        expert = irl.expert_visitation(build_demos(norm, cfg, spec), spec,
+                                       cfg.horizon)[window].copy()
         params, diagnostics = irl.train_irl(features, expert, box, cfg)
         reward = irl.reward_forward(features, params)
         _, policy = irl.soft_value_iteration(reward, box, cfg.horizon,

@@ -480,7 +480,10 @@ def _finite_array(value, name: str, source: str) -> np.ndarray:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise SceneFormatError(f"{source}: {name}: {exc}") from exc
-    if arr.dtype.kind not in "iuf":  # strings, booleans, null, objects, ragged lists
+    # strings, booleans, null, objects, ragged lists; numpy reads a true or false
+    # among numbers as 1 or 0, so only the parsed values show it
+    if arr.dtype.kind not in "iuf" or any(
+            type(v) is bool for v in np.asarray(value, dtype=object).flat):
         raise SceneFormatError(f"{source}: {name} must hold numbers only, got {value!r:.40}")
     arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

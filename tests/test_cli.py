@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gridcast import cli, pipeline
-from gridcast.config import load_config
+from gridcast.config import RunConfig, load_config
 from gridcast.scene import (SCENE_KINDS, generate_scene, load_scene, normalize_to_target,
                             save_scene)
 
@@ -166,6 +167,16 @@ def test_predict_run_record_without_reasoning(tmp_path, cfg_file, scene_file):
     for name in ("irl_iterations", "irl_converged", "nll_first", "nll_last", "grad_inf"):
         assert record[name] is None
     assert record["kmeans_iterations"] >= 1 and record["kmeans_inertia"] >= 0.0
+
+
+def test_readme_run_record_format_lists_the_written_keys(tmp_path, cfg_file, scene_file):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [listed] = re.findall(r"Run record \(`predict`\): JSON `\{([^}]*)\}`", readme)
+    out = tmp_path / "fc"
+    assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file]) == 0
+    record = json.loads((out / "straight_0000.run.json").read_text())
+    # the file sorts its keys; the README lists them in pipeline.run_record's order
+    assert sorted(name.strip() for name in listed.split(",")) == sorted(record)
 
 
 @pytest.mark.parametrize("command", ["predict", "ablate"])
@@ -800,9 +811,18 @@ def test_malformed_scenes_fail_predict_with_a_structured_error(tmp_path, cfg_fil
     assert cli.main(["predict", str(path), "--out", str(tmp_path / "ok"), "--config", cfg_file]) == 0
     capsys.readouterr()
     rs = np.random.RandomState(505)
+    cases = [_malformed_scene_text(rs, payload) for _ in range(100)]
+    # a true or false among numbers, which numpy would read as 1.0 or 0.0
+    for key in SCENE_ARRAYS:
+        for literal in (True, False):
+            mixed = json.loads(json.dumps(payload))
+            entry = mixed[key]
+            while isinstance(entry[-1], list):
+                entry = entry[-1]
+            entry[-1] = literal
+            cases.append((f"the last number of {key} = {literal}", json.dumps(mixed)))
     wrong = []
-    for case in range(100):
-        edit, text = _malformed_scene_text(rs, payload)
+    for case, (edit, text) in enumerate(cases):
         path.write_text(text, encoding="utf-8")
         out = tmp_path / f"out{case}"
         rc = cli.main(["predict", str(path), "--out", str(out), "--config", cfg_file])
@@ -828,9 +848,9 @@ CONFIG_OUT_OF_RANGE = (
 
 def _malformed_config_text(rs) -> tuple[str, str]:
     """(edit, text) of a config file that predict must reject: SMALL_CFG
-    broken by one of five seeded edits, its lines shuffled."""
+    broken by one of six seeded edits, its lines shuffled."""
     lines = SMALL_CFG.strip().splitlines()
-    kind = rs.randint(5)
+    kind = rs.randint(6)
     if kind == 0:  # a line cut before its '=', and the rest of the file lost
         i = rs.randint(len(lines))
         lines = lines[:i] + [lines[i][: rs.randint(1, lines[i].index("="))]]
@@ -849,8 +869,14 @@ def _malformed_config_text(rs) -> tuple[str, str]:
         edit = f"{name}={values[rs.randint(len(values))]}"
     elif kind == 3:
         edit = f"{['horizn', 'Rows', 'alpha', 'seed_', 'k'][rs.randint(5)]}=3"
-    else:
+    elif kind == 4:
         edit = CONFIG_OUT_OF_RANGE[rs.randint(len(CONFIG_OUT_OF_RANGE))]
+    else:  # a key set twice, first out of range and then valid
+        bad = CONFIG_OUT_OF_RANGE[rs.randint(len(CONFIG_OUT_OF_RANGE))].splitlines()[0]
+        key = bad.split("=")[0]
+        good = next((line for line in lines if line.startswith(key + "=")),
+                    f"{key}={getattr(RunConfig(), key)}")
+        edit = f"{bad}\n{good}"
     if kind:  # the edit replaces the lines of the keys it sets
         keys = {line.split("=")[0] for line in edit.splitlines()}
         lines = [line for line in lines if line.split("=")[0] not in keys] + [edit]

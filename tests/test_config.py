@@ -39,6 +39,15 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_a_repeated_key(tmp_path):
+    # a valid last value must not hide an invalid first one
+    path = tmp_path / "twice.cfg"
+    path.write_text("tol=-1\nrows=48\n# tol again\ntol=1e-4\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: line 4: key 'tol' repeats line 1"
+
+
 def test_load_config_rejects_bad_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("rows=twelve\n", encoding="utf-8")

@@ -45,20 +45,20 @@ def test_reward_forward_onroad_indicator():
     features[1:3, 1:3, 0] = 1.0  # binary on-road channel
     params = RewardMapParams(mode="linear", w=np.array([1.0, 0.0]))
     field = reward_forward(features, params)
-    assert field.max() == 0.0
-    np.testing.assert_allclose(field[1:3, 1:3], 0.0)
-    assert np.all(field[0, :] == -1.0)
+    assert np.all(field[1:3, 1:3] == 1.0)
+    off_road = np.ones((4, 4), dtype=bool)
+    off_road[1:3, 1:3] = False
+    assert np.all(field[off_road] == 0.0)
 
 
-def test_reward_forward_two_layer_finite_and_shift_invariant_argmax():
+def test_reward_forward_two_layer_is_the_raw_network_output():
     feats = random_features((7, 7, 5), seed=2)
     params = RewardMapParams.two_layer(5, hidden=8, seed=3)
     field = reward_forward(feats, params)
     assert np.all(np.isfinite(field))
-    assert field.max() == 0.0
     raw = feats @ params.w1.T + params.b1
     raw = np.maximum(raw, 0.0) @ params.w2
-    assert np.unravel_index(raw.argmax(), raw.shape) == np.unravel_index(field.argmax(), field.shape)
+    assert np.array_equal(field, raw)
 
 
 def test_reward_forward_rejects_nonfinite():
@@ -111,8 +111,9 @@ def test_reward_backward_matches_finite_differences(mode):
 
 @pytest.mark.parametrize("mode", ["linear", "two_layer"])
 def test_every_reward_parameter_moves_the_reward(mode):
-    # the max-shift removes any constant, so a parameter that only adds one
-    # (an output bias) could not be fitted
+    # fixed-length paths make a constant reward unidentifiable, so a parameter
+    # that only adds one (an output bias) could not be fitted: each move must
+    # vary over the cells
     feats = random_features((6, 6, 4), seed=14)
     if mode == "linear":
         params = RewardMapParams(mode="linear", w=random_features((4,), 15))
@@ -127,8 +128,8 @@ def test_every_reward_parameter_moves_the_reward(mode):
     for i in range(vec.size):
         moved = vec.copy()
         moved[i] += 1e-3
-        change = np.abs(reward_forward(feats, params.with_vector(moved)) - base).max()
-        assert change > 1e-8, f"coordinate {i} of {vec.size} does not move the reward"
+        change = np.ptp(reward_forward(feats, params.with_vector(moved)) - base)
+        assert change > 1e-8, f"coordinate {i} of {vec.size} only shifts the reward"
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,14 @@ def test_policy_shift_invariance():
     p2 = soft_value_iteration(reward + 17.3, spec, 3)[1]
     for t in range(3):
         np.testing.assert_allclose(p1(t), p2(t), atol=1e-12)
+    # every path enters exactly `horizon` cells, so R + c raises V_0 by
+    # horizon * c and <R + c, mu_hat> by c * sum(mu_hat) = horizon * c
+    expert = expert_visitation([demo_from_rows([(2, 2), (2, 3), (3, 3), (3, 3)])], spec, 3)
+    nll, grad = irl_loss_and_grad(reward, expert, spec, 3)
+    for c in (-50.0, 17.3, 1e3):
+        nll_c, grad_c = irl_loss_and_grad(reward + c, expert, spec, 3)
+        assert abs(nll_c - nll) <= 1e-9
+        np.testing.assert_allclose(grad_c, grad, rtol=0.0, atol=1e-9)
 
 
 def test_policy_simplex_and_mass_conservation():

@@ -258,6 +258,21 @@ def test_reward_tempering_shifts_mass():
     assert p[1] > p[0]
 
 
+def test_mode_probabilities_ignore_a_constant_reward_shift():
+    # a path's reward sums the H cells it enters, so R + c adds H * c to every
+    # path and to every cluster's mean; the softmax over modes cancels it
+    rs = np.random.RandomState(30)
+    membership = rs.randint(0, 5, size=96)  # the sixth cluster stays empty
+    path_rewards = rs.uniform(-20.0, 0.0, size=96)
+    horizon = 16
+    for temperature in (1.0, 0.5, 3.0):
+        p = score_modes(membership, path_rewards, 6, temperature)
+        for c in (-50.0, 17.3, 1e3):
+            q = score_modes(membership, path_rewards + horizon * c, 6, temperature)
+            np.testing.assert_allclose(q, p, rtol=0.0, atol=1e-12)
+            assert q[5] == 0.0
+
+
 def test_temperature_must_be_positive():
     with pytest.raises(ValueError):
         score_modes(np.zeros(4, dtype=int), np.zeros(4), k=1, temperature=0.0)
