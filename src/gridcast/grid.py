@@ -97,7 +97,7 @@ def padded_map(spec: GridSpec, border) -> np.ndarray:
 
     The grid itself is the map's interior; the one-cell border stands for
     every off-grid successor, so its value decides what an off-grid move reads
-    (-inf for values, False for masks).
+    (-inf for gains, False for masks).
     """
     return np.full((spec.rows + 2, spec.cols + 2), border)
 

@@ -14,15 +14,15 @@ the enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small
 grids.
 
 train_irl fits on whatever grid it is given, from the expert's visit counts
-mu_hat on that grid. The loss runs step t of value iteration and of the
-forward pass on the window ``anchor ± t`` only (grid.window). This is bit for
-bit the whole-grid loss: a cell within t moves of the anchor reads only
-successors within t+1 moves, with the same operands in the same order, and
-the flows from cells off the window are exactly 0, so skipping them adds
-nothing. One trap guards that claim: the t = 0 window is one cell, and numpy
-sums a (9, 1, 1) stack pairwise instead of action after action, so that step
-spells the order out. The whole-grid plan is the same loop with the whole
-grid as every step's window.
+mu_hat on that grid. Step t of value iteration and of the forward pass runs
+on the window ``anchor ± t`` only (grid.window). This is bit for bit the
+whole-grid plan: a cell within t moves of the anchor reads only successors
+within t+1 moves, with the same operands in the same order, and the flows
+from cells off the window are exactly 0, so skipping them adds nothing. One
+trap guards that claim: the t = 0 window is one cell, and numpy sums a
+(9, 1, 1) stack pairwise instead of action after action, so that step
+spells the order out. No value map is kept: one padded gains map carries
+R + V_{t+1} from step to step, and the plan returns log Z = V_0(anchor).
 
 Both passes gather through read-only strided views (grid.neighbourhood,
 grid.inflows), one copy into a contiguous (9, window) stack per step. Value
@@ -152,35 +152,39 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 # Planning and visitations
 # ---------------------------------------------------------------------------
 
-# A step's window is a (row_slice, col_slice) pair with explicit bounds
-# (grid.window); a plan takes one per step t = 0..horizon, and step t's
-# successors must lie in the window of step t+1 or off the grid.
-Window = tuple[slice, slice]
+Window = tuple[slice, slice]  # (row_slice, col_slice) with explicit bounds (grid.window)
 
 
 @dataclass(frozen=True)
 class Policy:
-    """A time-indexed policy and the windows it covers: policy(t) is
-    tables[t], pi_t(a | s) on windows[t], shape (h, w, 9); off-grid actions
-    have prob 0. A planned table is the transposed view of an action-major
-    (9, h, w) stack, which keeps each action's block contiguous."""
+    """A time-indexed policy on the grid ``spec`` over horizon len(tables):
+    policy(t) is tables[t], pi_t(a | s) on windows[t] = ``anchor ± t``, shape
+    (h, w, 9); off-grid actions have prob 0. A planned table is the transposed
+    view of an action-major (9, h, w) stack. Raises ValueError for no tables
+    or a table whose shape is not its window's."""
 
-    windows: list[Window]
+    spec: GridSpec
     tables: list[np.ndarray]
+    windows: list[Window] = field(init=False)
+
+    def __post_init__(self):
+        if not self.tables:
+            raise ValueError("a policy needs a table for at least one step")
+        windows = reach_windows(self.spec, len(self.tables))
+        for t, (table, (rows, cols)) in enumerate(zip(self.tables, windows)):
+            shape = (rows.stop - rows.start, cols.stop - cols.start, N_ACTIONS)
+            if table.shape != shape:
+                raise ValueError(f"policy table {t} has shape {table.shape}, "
+                                 f"its window needs {shape}")
+        object.__setattr__(self, "windows", windows)
 
     def __call__(self, t: int) -> np.ndarray:
         return self.tables[t]
 
 
-def grid_windows(shape: tuple[int, int], horizon: int) -> list[Window]:
-    """The whole (rows, cols) grid as every step's window: the plan without windows."""
-    rows, cols = shape
-    return [(slice(0, rows), slice(0, cols))] * (horizon + 1)
-
-
 def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
-    """Step t's window is ``anchor ± t``: where the target can be at step t.
-    The loss plans on these, and so does the final policy of a scene."""
+    """Step t's window is ``anchor ± t``, for t = 0..horizon: where the target
+    can be at step t. Step t's successors lie in window t+1 or off the grid."""
     return [window(spec, t) for t in range(horizon + 1)]
 
 
@@ -195,33 +199,30 @@ def _stack_block(windows: list[Window]) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
-def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
-                         windows: list[Window] | None = None):
-    """Backward soft Bellman recursion with terminal V_horizon = 0.
-
-    V_t(s) = logsumexp over in-grid successors s' of R(s') + V_{t+1}(s').
-    Returns (values, policy): the value maps, shape (horizon+1, rows, cols),
-    and the soft-optimal Policy, whose table at step t is the normalised
-    exponentials pi_t = e_t / total_t of V_t's logsumexp (off-grid actions get
-    exp(-inf) = 0). Step t runs on windows[t] only, and V_t holds stale zeros
-    elsewhere (default: the whole grid at every step). The tables are
-    read-only, so policy(t) returns the same bits however often it is called.
+def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
+    """Backward soft Bellman recursion with terminal V_horizon = 0, step t on
+    the window ``anchor ± t``: V_t(s) = logsumexp over in-grid successors s'
+    of R(s') + V_{t+1}(s'). Returns (log_partition, policy): log Z =
+    V_0(anchor) and the soft-optimal Policy, whose table at step t is the
+    normalised exponentials pi_t = e_t / total_t of V_t's logsumexp
+    (off-grid actions get exp(-inf) = 0). The tables are read-only, so
+    policy(t) returns the same bits however often it is called.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
-    windows = windows or grid_windows(reward.shape, horizon)
-    # gains R(s') + V_{t+1}(s'), -inf off the grid; step t writes them on
-    # windows[t+1], which holds every in-grid successor of windows[t]
+    windows = reach_windows(spec, horizon)
+    # gains R(s') + V_{t+1}(s'), -inf off the grid: step t reads them on
+    # windows[t+1], which holds every in-grid successor of windows[t], and
+    # then writes R + V_t on windows[t] for step t - 1
     padded = padded_map(spec, -np.inf)
     gains = padded[1:-1, 1:-1]
-    values = np.zeros((horizon + 1, spec.rows, spec.cols))
+    np.add(reward[windows[horizon]], 0.0, out=gains[windows[horizon]])  # V_horizon = 0
     stacks = _stack_block(windows[:-1])
     for t in range(horizon - 1, -1, -1):
-        win, reach = windows[t], windows[t + 1]
-        np.add(reward[reach], values[t + 1][reach], out=gains[reach])
+        win = windows[t]
         e = stacks[t]
         np.copyto(e.reshape(3, 3, *e.shape[1:]), neighbourhood(padded, spec, win))
         # logsumexp over actions; STAY is always valid so the max is finite
@@ -234,20 +235,23 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int,
         total = sum(e) if e[0].size == 1 else e.sum(axis=0)
         e /= total
         e.flags.writeable = False
-        np.add(m, np.log(total, out=total), out=values[t][win])
-    return values, Policy(windows, [stack.transpose(1, 2, 0) for stack in stacks])
+        v = np.add(m, np.log(total, out=total), out=m)  # V_t on win
+        np.add(reward[win], v, out=gains[win])
+    # the t = 0 window is the anchor alone
+    return float(v[0, 0]), Policy(spec, [stack.transpose(1, 2, 0) for stack in stacks])
 
 
-def expected_visitation(policy: Policy, spec: GridSpec, horizon: int) -> np.ndarray:
-    """Per-step state distributions D, shape (horizon+1, rows, cols), from the
-    forward pass D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed by steps.
+def expected_visitation(policy: Policy) -> np.ndarray:
+    """Per-step state distributions D on the policy's grid, shape (horizon+1,
+    rows, cols), from D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed.
 
     Step t reads D_t and policy(t) on the policy's windows[t] only and writes
-    D_{t+1} on windows[t+1]. That is exact when windows[t] holds every cell
+    D_{t+1} on windows[t+1]. That is exact, since windows[t] holds every cell
     the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it skips
     are exactly 0. Each step gathers: it writes the flows D_t pi_t, then sums
     the nine inflows of every cell of windows[t+1] (grid.inflows).
     """
+    spec, horizon = policy.spec, len(policy.tables)
     per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
     per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
     # flows[a] at s is D_t(s) pi_t(a | s) on the grid (the interior) and 0 on
@@ -365,9 +369,9 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
     (descend it to raise likelihood).
     """
-    values, policy = soft_value_iteration(reward, spec, horizon, reach_windows(spec, horizon))
-    visits = expected_visitation(policy, spec, horizon)
-    nll = float(values[0, spec.anchor.row, spec.anchor.col]) - float(np.vdot(reward, expert))
+    log_partition, policy = soft_value_iteration(reward, spec, horizon)
+    visits = expected_visitation(policy)
+    nll = log_partition - float(np.vdot(reward, expert))
     return nll, visits[1:].sum(axis=0) - expert
 
 

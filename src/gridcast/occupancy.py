@@ -39,17 +39,15 @@ def rasterize_gt_ogm(scene, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def predict_occupancy(policy: Policy, spec: GridSpec, horizon: int,
-                      n_steps: int) -> np.ndarray:
-    """Probabilistic (rows, cols, T_f) occupancy for the target agent at the anchor.
+def predict_occupancy(policy: Policy, n_steps: int) -> np.ndarray:
+    """Probabilistic (rows, cols, T_f) occupancy of the target on the policy's grid.
 
     Forecast step j maps to planning time j * horizon / n_steps; visitation
     slices are linearly interpolated between the bracketing planning steps, so
     each timestamp keeps unit total mass.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    visit = expected_visitation(policy, spec, horizon)
+    spec, horizon = policy.spec, len(policy.tables)
+    visit = expected_visitation(policy)
     out = np.zeros((spec.rows, spec.cols, n_steps))
     for j in range(1, n_steps + 1):
         tau = j * horizon / n_steps

@@ -44,15 +44,14 @@ FEATURE_SCALE = np.array([1.0, 1.0 / 8.0, 1.0, 1.0, 1.0 / 50.0, 1.0 / 50.0])
 class PredictionResult:
     """A scene's forecast and what made it.
 
-    ``reward`` and ``policy`` live on ``box``, cut out of the full grid
-    ``spec`` by ``window``.
+    ``reward`` and ``policy`` live on the reachable box ``policy.spec``, cut
+    out of the full grid ``spec`` by ``window``.
     """
 
     forecast: rollout.Forecast
     reward: np.ndarray
     policy: Policy
     spec: GridSpec
-    box: GridSpec
     window: Window
     params: RewardMapParams | None  # the fitted reward map, None without reasoning
     scene: scene_mod.SceneContext  # normalized
@@ -97,8 +96,8 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
     Action weights follow exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
-    neutral weight. Masked off-grid actions are renormalized away. The table
-    covers the whole grid and is built once and returned for every step.
+    neutral weight. Masked off-grid actions are renormalized away. Each step's
+    table is its window's view of one read-only table over the whole grid.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
@@ -110,7 +109,7 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
     probs = weights / weights.sum(axis=-1, keepdims=True)
     probs.flags.writeable = False
-    return Policy(irl.grid_windows((spec.rows, spec.cols), horizon), [probs] * horizon)
+    return Policy(spec, [probs[win] for win in irl.reach_windows(spec, horizon)[:-1]])
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
@@ -130,13 +129,12 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
                                        cfg.horizon)[window].copy()
         params, diagnostics = irl.train_irl(features, expert, box, cfg)
         reward = irl.reward_forward(features, params)
-        _, policy = irl.soft_value_iteration(reward, box, cfg.horizon,
-                                             irl.reach_windows(box, cfg.horizon))
+        _, policy = irl.soft_value_iteration(reward, box, cfg.horizon)
     else:
         reward = np.zeros((box.rows, box.cols))
         policy = straight_rollout_policy(box, cfg.horizon)
 
-    batch = rollout.sample_rollouts(policy, reward, box, cfg.rollouts, cfg.horizon,
+    batch = rollout.sample_rollouts(policy, reward, cfg.rollouts,
                                     rng.derive_seed(cfg.seed, stream_key))
     if reasoning:
         batch = rollout.gather_path_features(batch, features)
@@ -159,7 +157,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         proposals=proposals,
     )
     return PredictionResult(forecast=forecast, reward=reward, policy=policy, spec=spec,
-                            box=box, window=window, params=params,
+                            window=window, params=params,
                             scene=norm, reasoning=reasoning, diagnostics=diagnostics,
                             clusters=clusters, stream_key=stream_key)
 
@@ -186,8 +184,7 @@ def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:
     """The target's (rows, cols, T_f) occupancy on the full grid: the box's,
     embedded in zeros, which are exact since D_t is 0 off ``anchor ± t``."""
     out = np.zeros((result.spec.rows, result.spec.cols, cfg.t_future))
-    out[result.window] = occupancy.predict_occupancy(result.policy, result.box, cfg.horizon,
-                                                     cfg.t_future)
+    out[result.window] = occupancy.predict_occupancy(result.policy, cfg.t_future)
     return out
 
 

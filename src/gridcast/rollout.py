@@ -43,18 +43,18 @@ class Forecast:
     proposals: np.ndarray     # (L, T, 2)
 
 
-def sample_rollouts(policy: Policy, reward: np.ndarray, spec: GridSpec, count: int,
-                    horizon: int, seed: int) -> RolloutBatch:
-    """Ancestral-sample ``count`` paths from the anchor under the time-indexed policy.
+def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -> RolloutBatch:
+    """Ancestral-sample ``count`` paths from the anchor of the policy's grid.
 
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
     Path rewards accumulate the reward of every entered state. policy(t)
-    covers the policy's windows[t]; a path at step t lies within it, since a
-    plan's windows[t] holds every cell reachable in t moves.
+    covers the policy's windows[t]; a path at step t lies within it, since
+    windows[t] holds every cell reachable in t moves.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    spec, horizon = policy.spec, len(policy.tables)
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
     cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
     cells[:, 0, 0] = spec.anchor.row

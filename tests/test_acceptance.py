@@ -30,8 +30,8 @@ def _criterion(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _rollout_demo(policy, reward, spec, horizon, seed):
-    batch = rollout.sample_rollouts(policy, reward, spec, 1, horizon, seed)
+def _rollout_demo(policy, reward, seed):
+    batch = rollout.sample_rollouts(policy, reward, 1, seed)
     return irl.Demonstration(
         cells=tuple(CellIndex(int(r), int(c)) for r, c in batch.cells[0]))
 
@@ -51,11 +51,11 @@ def test_criterion_01_oracle_equivalence():
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
         policy = irl.soft_value_iteration(reward, spec, horizon)[1]
-        visit = irl.expected_visitation(policy, spec, horizon)
+        visit = irl.expected_visitation(policy)
         dist = enumerate_paths(reward, spec, start, horizon)
         worst_marginal = max(worst_marginal,
                              float(np.abs(visit - dist.marginals()).max()))
-        demo = _rollout_demo(policy, reward, spec, horizon, seed=i)
+        demo = _rollout_demo(policy, reward, seed=i)
         nll, _ = irl.irl_loss_and_grad(reward, irl.expert_visitation([demo], spec, horizon),
                                        spec, horizon)
         worst_nll = max(worst_nll, abs(nll - dist.nll(demo.cells)))
@@ -85,7 +85,7 @@ def test_criterion_02_gradient_correctness():
         spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
         reward = rs.uniform(-1.0, 0.0, (rows, cols))
         policy = irl.soft_value_iteration(reward, spec, horizon)[1]
-        demos = [_rollout_demo(policy, reward, spec, horizon, seed=10 * instance + j)
+        demos = [_rollout_demo(policy, reward, seed=10 * instance + j)
                  for j in range(2)]
         expert = irl.expert_visitation(demos, spec, horizon)
         _, grad = irl.irl_loss_and_grad(reward, expert, spec, horizon)
@@ -140,7 +140,7 @@ def recovery_run():
     spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=start)
     true_reward = rng_uniform(12345, 77, np.arange(rows * cols)).reshape(rows, cols) * -1.0
     true_policy = irl.soft_value_iteration(true_reward, spec, horizon)[1]
-    batch = rollout.sample_rollouts(true_policy, true_reward, spec, 16, horizon, seed=99)
+    batch = rollout.sample_rollouts(true_policy, true_reward, 16, seed=99)
     demos = [irl.Demonstration(cells=tuple(CellIndex(int(r), int(c)) for r, c in path))
              for path in batch.cells]
     features = np.eye(rows * cols).reshape(rows, cols, rows * cols)
@@ -155,7 +155,7 @@ def recovery_run():
 
     reward = irl.reward_forward(features, params)
     policy = irl.soft_value_iteration(reward, spec, horizon)[1]
-    learned = irl.expected_visitation(policy, spec, horizon)[1:].sum(axis=0)
+    learned = irl.expected_visitation(policy)[1:].sum(axis=0)
     expert = irl.expert_visitation(demos, spec, horizon)
     return {"horizon": horizon, "diag": diag, "elapsed": elapsed,
             "learned": learned, "expert": expert}
@@ -199,7 +199,7 @@ def test_criterion_05_conservation_invariants():
         for t in range(horizon):
             worst_simplex = max(worst_simplex,
                                 float(np.abs(policy(t).sum(axis=-1) - 1.0).max()))
-        visit = irl.expected_visitation(policy, spec, horizon)
+        visit = irl.expected_visitation(policy)
         worst_mass = max(worst_mass,
                          float(np.abs(visit.sum(axis=(1, 2)) - 1.0).max()))
     elapsed = time.monotonic() - t0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,11 +140,15 @@ def test_every_reward_parameter_moves_the_reward(mode):
 def test_uniform_reward_interior_policy_and_value():
     spec = small_spec(rows=13, cols=13, anchor=(6, 6))
     horizon = 3
-    values, policy = soft_value_iteration(np.zeros((13, 13)), spec, horizon)
-    center = (6, 6)
+    policy = soft_value_iteration(np.zeros((13, 13)), spec, horizon)[1]
     for t in range(horizon):
-        np.testing.assert_allclose(policy(t)[center], np.full(9, 1.0 / 9.0), atol=1e-12)
-        assert values[t][center] == pytest.approx((horizon - t) * math.log(9.0), abs=1e-9)
+        rows, cols = policy.windows[t]
+        np.testing.assert_allclose(policy(t)[6 - rows.start, 6 - cols.start],
+                                   np.full(9, 1.0 / 9.0), atol=1e-12)
+    # V_t(centre) is the log Z of the horizon - t steps left from the centre
+    for steps in range(1, horizon + 1):
+        log_z = soft_value_iteration(np.zeros((13, 13)), spec, steps)[0]
+        assert log_z == pytest.approx(steps * math.log(9.0), abs=1e-9)
 
 
 def test_single_step_prefers_high_reward_neighbor():
@@ -152,7 +157,7 @@ def test_single_step_prefers_high_reward_neighbor():
     reward[3, 2] = 5.0
     reward -= reward.max()
     policy = soft_value_iteration(reward, spec, horizon=1)[1]
-    best_action = policy(0)[2, 2].argmax()
+    best_action = policy(0)[0, 0].argmax()  # the t = 0 window is the anchor
     assert ACTIONS[best_action] == (1, 0)
 
 
@@ -172,7 +177,8 @@ def test_policy_matches_enumeration():
         dr = dist.histories[:, t + 1, 0].astype(int) - r
         dc = dist.histories[:, t + 1, 1].astype(int) - c
         actions = (dr + 1) * 3 + (dc + 1)
-        probs *= policy(t)[r, c, actions]
+        rows, cols = policy.windows[t]
+        probs *= policy(t)[r - rows.start, c - cols.start, actions]
     np.testing.assert_allclose(probs, dist.probs, atol=1e-9)
 
 
@@ -183,7 +189,7 @@ def test_visitation_matches_enumeration():
     start = CellIndex(2, 2)
     horizon = 4
     policy = soft_value_iteration(reward, spec, horizon)[1]
-    visit = expected_visitation(policy, spec, horizon)
+    visit = expected_visitation(policy)
     np.testing.assert_allclose(visit, enumerate_paths(reward, spec, start, horizon).marginals(), atol=1e-9)
 
 
@@ -217,8 +223,8 @@ def test_policy_simplex_and_mass_conservation():
         valid = valid_action_mask(spec)
         for t in range(horizon):
             np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
-            assert np.all(policy(t)[~valid] == 0.0)
-        visit = expected_visitation(policy, spec, horizon)
+            assert np.all(policy(t)[~valid[policy.windows[t]]] == 0.0)
+        visit = expected_visitation(policy)
         np.testing.assert_allclose(visit.sum(axis=(1, 2)), 1.0, atol=1e-9)
 
 
@@ -229,14 +235,28 @@ def test_policy_simplex_and_mass_conservation():
 def _one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return irl.Policy(irl.grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
+    return irl.Policy(spec, [table[win] for win in irl.reach_windows(spec, horizon)[:-1]])
+
+
+def test_policy_rejects_a_table_off_its_window():
+    # a whole-grid table where a window's belongs would read the wrong cells
+    spec = small_spec(rows=9, cols=9, anchor=(4, 4))
+    table = np.full((9, 9, 9), 1.0 / 9.0)
+    with pytest.raises(ValueError, match=r"table 1 has shape \(9, 9, 9\), "
+                                         r"its window needs \(3, 3, 9\)"):
+        irl.Policy(spec, [table[4:5, 4:5], table])
+
+
+def test_policy_rejects_no_tables():
+    with pytest.raises(ValueError, match="at least one step"):
+        irl.Policy(small_spec(), [])
 
 
 def test_deterministic_policy_unit_spikes():
     spec = small_spec(rows=8, cols=8, anchor=(1, 1))
     horizon = 4
     policy = _one_hot_policy(spec, ACTIONS.index((1, 1)), horizon)
-    visit = expected_visitation(policy, spec, horizon)
+    visit = expected_visitation(policy)
     for t in range(horizon + 1):
         assert visit[t].max() == 1.0
         assert visit[t][1 + t, 1 + t] == 1.0
@@ -245,7 +265,7 @@ def test_deterministic_policy_unit_spikes():
 def test_uniform_policy_first_step():
     spec = small_spec(rows=7, cols=7, anchor=(3, 3))
     policy = soft_value_iteration(np.zeros((7, 7)), spec, 1)[1]
-    visit = expected_visitation(policy, spec, 1)
+    visit = expected_visitation(policy)
     np.testing.assert_allclose(visit[1][2:5, 2:5], 1.0 / 9.0, atol=1e-12)
     assert visit[1].sum() == pytest.approx(1.0)
 
@@ -413,8 +433,7 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         spec = small_spec(rows, cols, anchor)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
-        values, policy = soft_value_iteration(reward, spec, horizon)
-        visits = expected_visitation(policy, spec, horizon)
+        values, _, visits = reference_plan(reward, spec, horizon, grid_windows(spec, horizon))
         full_nll = (float(values[0, spec.anchor.row, spec.anchor.col])
                     - float(np.vdot(reward, expert)))
         full_grad = visits[1:].sum(axis=0) - expert
@@ -431,9 +450,16 @@ def _reference_views(padded, win):
             for dr, dc in ACTIONS]
 
 
+def grid_windows(spec, horizon):
+    """The whole grid as every step's window: the plan without windows."""
+    return [(slice(0, spec.rows), slice(0, spec.cols))] * (horizon + 1)
+
+
 def reference_plan(reward, spec, horizon, windows):
-    """Value iteration and the forward pass as nine stacked slices and nine
-    scatters: the formulation the strided gathers replaced, kept to pin them."""
+    """Value iteration and the forward pass on the given windows as nine
+    stacked slices and nine scatters, keeping every value map: the
+    formulation the strided gathers and the reach windows replaced, kept to
+    pin them. Returns (values, tables, visits); tables[t] covers windows[t]."""
     padded = np.full((spec.rows + 2, spec.cols + 2), -np.inf)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
     tables = [None] * horizon
@@ -457,6 +483,13 @@ def reference_plan(reward, spec, horizon, windows):
     return values, tables, visits
 
 
+def cut(table, outer, inner):
+    """The part on window ``inner`` of a table that covers window ``outer``."""
+    (o_rows, o_cols), (i_rows, i_cols) = outer, inner
+    return table[i_rows.start - o_rows.start: i_rows.stop - o_rows.start,
+                 i_cols.start - o_cols.start: i_cols.stop - o_cols.start]
+
+
 @pytest.mark.parametrize("rows,cols,anchor,horizon", [
     (9, 9, (4, 4), 3),
     (12, 17, (5, 8), 6),
@@ -472,41 +505,30 @@ def test_strided_planner_equals_the_sliced_reference_bitwise(rows, cols, anchor,
                                                                whole_grid):
     spec = small_spec(rows, cols, anchor)
     reward = np.random.RandomState(rows * cols + horizon).uniform(-3.0, 0.0, (rows, cols))
-    windows = (irl.grid_windows((rows, cols), horizon) if whole_grid
-               else irl.reach_windows(spec, horizon))
+    windows = grid_windows(spec, horizon) if whole_grid else irl.reach_windows(spec, horizon)
     ref_values, ref_tables, ref_visits = reference_plan(reward, spec, horizon, windows)
-    values, policy = soft_value_iteration(reward, spec, horizon, windows)
-    assert np.array_equal(values, ref_values)
+    log_partition, policy = soft_value_iteration(reward, spec, horizon)
+    assert log_partition == ref_values[0, spec.anchor.row, spec.anchor.col]
     for t in range(horizon):
-        assert np.array_equal(policy(t), ref_tables[t])
-    assert np.array_equal(expected_visitation(policy, spec, horizon), ref_visits)
+        assert np.array_equal(policy(t), cut(ref_tables[t], windows[t], policy.windows[t]))
+    assert np.array_equal(expected_visitation(policy), ref_visits)
 
 
-def test_windowed_loss_never_reads_values_off_the_windows(monkeypatch):
-    rs = np.random.RandomState(26)
-    real = irl.soft_value_iteration
-
-    # the policy is e_t / total_t, so the loss reads the value maps at
-    # V_0(anchor) only: every other entry may be anything
-    def poisoned(reward, spec, horizon, windows):
-        values, policy = real(reward, spec, horizon, windows)
-        anchor = values[0, spec.anchor.row, spec.anchor.col]
-        values[:] = np.nan
-        values[0, spec.anchor.row, spec.anchor.col] = anchor
-        return values, policy
-
-    for rows, cols, anchor, horizon in ((9, 9, (4, 4), 3), (12, 17, (0, 16), 5),
-                                        (25, 11, (24, 5), 8), (40, 40, (10, 20), 16)):
-        spec = small_spec(rows, cols, anchor)
-        reward = rs.uniform(-3.0, 0.0, (rows, cols))
-        expert = random_walk_expert(spec, horizon, rs)
-        nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
-        with monkeypatch.context() as m:
-            m.setattr(irl, "soft_value_iteration", poisoned)
-            poisoned_nll, poisoned_grad = irl_loss_and_grad(reward, expert, spec, horizon)
-        assert math.isfinite(poisoned_nll) and np.all(np.isfinite(poisoned_grad))
-        assert poisoned_nll == nll
-        assert np.array_equal(poisoned_grad, grad)
+def test_planner_keeps_no_value_maps():
+    # the default config's 65x65 box: the policy stacks hold
+    # 9 * 8 * sum_t (2t + 1)^2 = 3,144,960 bytes, and (33, 65, 65) value maps
+    # would add 1,115,400 more
+    spec = small_spec(65, 65, (32, 32))
+    reward = np.random.RandomState(27).uniform(-3.0, 0.0, (65, 65))
+    tracemalloc.start()
+    try:
+        policy = soft_value_iteration(reward, spec, 32)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacks = sum(table.nbytes for table in policy.tables)
+    assert stacks == 3_144_960
+    assert peak <= stacks + 512 * 1024
 
 
 def test_box_grad_matches_finite_differences_and_is_zero_off_box():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec
-from gridcast.irl import Policy, grid_windows, soft_value_iteration
+from gridcast.irl import Policy, reach_windows, soft_value_iteration
 from gridcast.occupancy import (
     focal_bce,
     predict_occupancy,
@@ -73,14 +73,14 @@ def test_gt_idempotent_and_agent_order_independent():
 def one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return Policy(grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
+    return Policy(spec, [table[win] for win in reach_windows(spec, horizon)[:-1]])
 
 
 def test_deterministic_policy_spike_slices():
     spec = spec_of(rows=32, cols=9, anchor=(2, 4))
     horizon = 8
     policy = one_hot_policy(spec, ACTIONS.index((1, 0)), horizon)
-    ogm = predict_occupancy(policy, spec, horizon, n_steps=8)
+    ogm = predict_occupancy(policy, n_steps=8)
     for t in range(8):
         assert ogm[:, :, t].sum() == pytest.approx(1.0, abs=1e-12)
         assert ogm[2 + t + 1, 4, t] == pytest.approx(1.0, abs=1e-12)
@@ -91,7 +91,7 @@ def test_uniform_policy_first_slice():
     horizon = 4
     reward = np.zeros((15, 15))
     policy = soft_value_iteration(reward, spec, horizon)[1]
-    ogm = predict_occupancy(policy, spec, horizon, n_steps=horizon)
+    ogm = predict_occupancy(policy, n_steps=horizon)
     np.testing.assert_allclose(ogm[6:9, 6:9, 0], 1.0 / 9.0, atol=1e-12)
 
 
@@ -101,7 +101,7 @@ def test_slices_conserve_mass():
     rs = np.random.RandomState(0)
     reward = rs.uniform(-1, 0, (31, 31))
     policy = soft_value_iteration(reward, spec, horizon)[1]
-    ogm = predict_occupancy(policy, spec, horizon, n_steps=30)
+    ogm = predict_occupancy(policy, n_steps=30)
     sums = ogm.sum(axis=(0, 1))
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 

@@ -6,6 +6,7 @@ import pytest
 from gridcast import irl, occupancy, pipeline, rng, rollout, scene as scene_mod
 from gridcast.config import RunConfig
 from gridcast.scene import generate_scene
+from test_irl import grid_windows, reference_plan
 
 SMALL = RunConfig(rows=40, cols=40, resolution=2.0, anchor_row=10, anchor_col=20,
                   horizon=17, rollouts=48, max_iters=25, tol=1e-5, lr=0.1)
@@ -55,27 +56,30 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     cfg = replace(SMALL, max_iters=5)
     result = pipeline.predict_scene(generate_scene("curve", seed=8), cfg, reasoning=True,
                                     stream_key=8)
-    spec, box, horizon = result.spec, result.box, cfg.horizon
+    spec, box, horizon = result.spec, result.policy.spec, cfg.horizon
     assert (box.rows, box.cols) == result.reward.shape
     assert result.policy.windows == irl.reach_windows(box, horizon)
     # the same box reward planned without windows: every step on the whole box
-    whole = irl.soft_value_iteration(result.reward, box, horizon)[1]
+    _, ref_tables, ref_visits = reference_plan(result.reward, box, horizon,
+                                               grid_windows(box, horizon))
+    windows = result.policy.windows[:-1]
+    whole = irl.Policy(box, [table[win] for table, win in zip(ref_tables, windows)])
+    assert np.array_equal(irl.expected_visitation(result.policy), ref_visits)
     seed = rng.derive_seed(cfg.seed, result.stream_key)
-    windowed = rollout.sample_rollouts(result.policy, result.reward, box, cfg.rollouts,
-                                       horizon, seed)
-    plain = rollout.sample_rollouts(whole, result.reward, box, cfg.rollouts, horizon, seed)
+    windowed = rollout.sample_rollouts(result.policy, result.reward, cfg.rollouts, seed)
+    plain = rollout.sample_rollouts(whole, result.reward, cfg.rollouts, seed)
     np.testing.assert_array_equal(windowed.cells, plain.cells)
     assert windowed.path_rewards.tobytes() == plain.path_rewards.tobytes()
 
     expected = np.zeros((spec.rows, spec.cols, cfg.t_future))
-    expected[result.window] = occupancy.predict_occupancy(whole, box, horizon, cfg.t_future)
+    expected[result.window] = occupancy.predict_occupancy(whole, cfg.t_future)
     assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
     # the rollouts and occupancy above each read policy(t); the tables are
     # read-only, so a further call returns the same bits
-    for t, win in enumerate(result.policy.windows[:-1]):
+    for t, win in enumerate(windows):
         first = result.policy(t)
         assert first.tobytes() == result.policy(t).tobytes()
-        assert first.tobytes() == np.ascontiguousarray(whole(t)[win]).tobytes()
+        assert first.tobytes() == np.ascontiguousarray(ref_tables[t][win]).tobytes()
 
 
 @pytest.mark.parametrize("planned", [True, False])
@@ -84,8 +88,7 @@ def test_policy_tables_are_read_only(planned):
     horizon = 6
     if planned:
         reward = np.random.RandomState(4).uniform(-2.0, 0.0, (spec.rows, spec.cols))
-        policy = irl.soft_value_iteration(reward, spec, horizon,
-                                          irl.reach_windows(spec, horizon))[1]
+        policy = irl.soft_value_iteration(reward, spec, horizon)[1]
     else:
         policy = pipeline.straight_rollout_policy(spec, horizon)
     for t in range(horizon):
@@ -122,10 +125,9 @@ def test_no_reasoning_box_plan_equals_the_full_grid_plan_bitwise(anchor, horizon
     spec = result.spec
     full = pipeline.straight_rollout_policy(spec, horizon)
     seed = rng.derive_seed(cfg.seed, result.stream_key)
-    on_box = rollout.sample_rollouts(result.policy, result.reward, result.box, cfg.rollouts,
-                                     horizon, seed)
-    on_grid = rollout.sample_rollouts(full, np.zeros((spec.rows, spec.cols)), spec,
-                                      cfg.rollouts, horizon, seed)
+    on_box = rollout.sample_rollouts(result.policy, result.reward, cfg.rollouts, seed)
+    on_grid = rollout.sample_rollouts(full, np.zeros((spec.rows, spec.cols)), cfg.rollouts,
+                                      seed)
     offset = np.array([result.window[0].start, result.window[1].start])
     np.testing.assert_array_equal(on_box.cells + offset, on_grid.cells)
     assert on_box.path_rewards.tobytes() == on_grid.path_rewards.tobytes()
@@ -134,7 +136,7 @@ def test_no_reasoning_box_plan_equals_the_full_grid_plan_bitwise(anchor, horizon
                                                      result.scene.dt)
                           for cells in on_grid.cells])
     assert result.forecast.proposals.tobytes() == proposals.tobytes()
-    expected = occupancy.predict_occupancy(full, spec, horizon, cfg.t_future)
+    expected = occupancy.predict_occupancy(full, cfg.t_future)
     assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
     assert pipeline.grid_reward(result).tobytes() == np.zeros((spec.rows, spec.cols)).tobytes()
 
@@ -142,7 +144,7 @@ def test_no_reasoning_box_plan_equals_the_full_grid_plan_bitwise(anchor, horizon
 def test_straight_policy_is_forward_biased():
     spec = SMALL.grid_spec()
     policy = pipeline.straight_rollout_policy(spec, SMALL.horizon)
-    interior = policy(0)[10, 20]
+    interior = policy(0)[0, 0]  # the t = 0 window is the anchor (10, 20)
     from gridcast.grid import ACTIONS
 
     fwd = interior[ACTIONS.index((1, 0))]
@@ -162,7 +164,7 @@ def test_no_reasoning_occupancy():
     np.testing.assert_allclose(ogm.sum(axis=(0, 1)), 1.0, atol=1e-9)
     spec = result.spec
     r, c = spec.anchor.row, spec.anchor.col
-    straight = pipeline.straight_rollout_policy(spec, cfg.horizon)(0)[r, c].reshape(3, 3)
+    straight = pipeline.straight_rollout_policy(spec, cfg.horizon)(0)[0, 0].reshape(3, 3)
     np.testing.assert_allclose(ogm[r - 1: r + 2, c - 1: c + 2, 0], straight, atol=1e-12)
 
 

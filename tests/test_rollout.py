@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec
-from gridcast.irl import Policy, grid_windows, soft_value_iteration
+from gridcast.irl import Policy, reach_windows, soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
     forecast_to_payload,
@@ -22,7 +22,7 @@ def spec_of(rows=21, cols=21, anchor=(10, 10)):
 def one_hot_policy(spec, action, horizon):
     table = np.zeros((spec.rows, spec.cols, 9))
     table[:, :, action] = 1.0
-    return Policy(grid_windows((spec.rows, spec.cols), horizon), [table] * horizon)
+    return Policy(spec, [table[win] for win in reach_windows(spec, horizon)[:-1]])
 
 
 def uniform_reward_policy(spec, horizon):
@@ -39,7 +39,7 @@ def test_deterministic_policy_identical_paths():
     horizon = 5
     policy = one_hot_policy(spec, ACTIONS.index((1, 0)), horizon)
     reward = np.zeros((spec.rows, spec.cols))
-    batch = sample_rollouts(policy, reward, spec, 16, horizon, seed=0)
+    batch = sample_rollouts(policy, reward, 16, seed=0)
     assert np.all(batch.cells == batch.cells[0])
     assert batch.cells[0, -1, 0] == 15
 
@@ -48,11 +48,11 @@ def test_rollouts_reproducible():
     spec = spec_of()
     policy = uniform_reward_policy(spec, 6)
     reward = np.zeros((21, 21))
-    a = sample_rollouts(policy, reward, spec, 32, 6, seed=9)
-    b = sample_rollouts(policy, reward, spec, 32, 6, seed=9)
+    a = sample_rollouts(policy, reward, 32, seed=9)
+    b = sample_rollouts(policy, reward, 32, seed=9)
     np.testing.assert_array_equal(a.cells, b.cells)
     np.testing.assert_array_equal(a.path_rewards, b.path_rewards)
-    c = sample_rollouts(policy, reward, spec, 32, 6, seed=10)
+    c = sample_rollouts(policy, reward, 32, seed=10)
     assert not np.array_equal(a.cells, c.cells)
 
 
@@ -61,7 +61,7 @@ def test_uniform_policy_first_step_frequencies():
     spec = spec_of()
     policy = uniform_reward_policy(spec, 1)
     reward = np.zeros((21, 21))
-    batch = sample_rollouts(policy, reward, spec, 90000, 1, seed=123)
+    batch = sample_rollouts(policy, reward, 90000, seed=123)
     n = 90000
     p = 1.0 / 9.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -76,7 +76,7 @@ def test_path_rewards_accumulate_entered_cells():
     horizon = 4
     policy = one_hot_policy(spec, ACTIONS.index((1, 0)), horizon)
     reward = np.full((spec.rows, spec.cols), -0.5)
-    batch = sample_rollouts(policy, reward, spec, 3, horizon, seed=0)
+    batch = sample_rollouts(policy, reward, 3, seed=0)
     np.testing.assert_allclose(batch.path_rewards, -0.5 * horizon)
 
 
@@ -85,7 +85,7 @@ def test_gather_features_matches_direct_indexing():
     horizon = 5
     policy = uniform_reward_policy(spec, horizon)
     reward = np.zeros((9, 9))
-    batch = sample_rollouts(policy, reward, spec, 8, horizon, seed=4)
+    batch = sample_rollouts(policy, reward, 8, seed=4)
     rs = np.random.RandomState(0)
     stack = rs.uniform(size=(9, 9, 3))
     got = gather_path_features(batch, stack)
@@ -98,7 +98,7 @@ def test_gather_features_matches_direct_indexing():
 def test_gather_constant_stack():
     spec = spec_of(rows=9, cols=9, anchor=(4, 4))
     policy = one_hot_policy(spec, ACTIONS.index((0, 1)), 3)
-    batch = sample_rollouts(policy, np.zeros((9, 9)), spec, 2, 3, seed=0)
+    batch = sample_rollouts(policy, np.zeros((9, 9)), 2, seed=0)
     stack = np.full((9, 9, 2), 7.5)
     got = gather_path_features(batch, stack)
     np.testing.assert_array_equal(got.features, 7.5)
