@@ -34,16 +34,15 @@ class CellIndex:
 class GridSpec:
     """Grid geometry: dimensions, cell size, and the target-anchored origin.
 
-    ``anchor`` is the cell the target agent's current position maps to;
-    ``anchor_world`` is that cell center in meters (the origin in the
-    target-centric frame).
+    ``anchor`` is the cell the target agent's current position maps to. Its
+    centre is the origin of the target frame: cell (r, c) has its centre at
+    ((r - anchor.row) * resolution, (c - anchor.col) * resolution) meters.
     """
 
     rows: int
     cols: int
     resolution: float
     anchor: CellIndex
-    anchor_world: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.rows < 3 or self.cols < 3:
@@ -67,20 +66,23 @@ def round_half_away(value: float) -> int:
 def world_to_cell(point, spec: GridSpec) -> CellIndex | None:
     """Map a continuous (x, y) point to its nearest cell; None when off-grid."""
     x, y = float(point[0]), float(point[1])
-    row = spec.anchor.row + round_half_away((x - spec.anchor_world[0]) / spec.resolution)
-    col = spec.anchor.col + round_half_away((y - spec.anchor_world[1]) / spec.resolution)
+    row = spec.anchor.row + round_half_away(x / spec.resolution)
+    col = spec.anchor.col + round_half_away(y / spec.resolution)
     if not spec.contains(row, col):
         return None
     return CellIndex(row, col)
 
 
-def cell_to_world(cell: CellIndex, spec: GridSpec) -> tuple[float, float]:
-    """Cell-center coordinates in meters; inverse of world_to_cell on the lattice."""
-    if not spec.contains(cell.row, cell.col):
-        raise ValueError(f"cell {cell} outside {spec.rows}x{spec.cols} grid")
-    x = spec.anchor_world[0] + (cell.row - spec.anchor.row) * spec.resolution
-    y = spec.anchor_world[1] + (cell.col - spec.anchor.col) * spec.resolution
-    return (x, y)
+def cell_to_world(cells, spec: GridSpec) -> np.ndarray:
+    """Cell-centre coordinates in meters of an integer (..., 2) array of
+    (row, col) cells, as a (..., 2) float array; inverse of world_to_cell on
+    the lattice. Raises ValueError for a cell off the grid."""
+    cells = np.asarray(cells)
+    if cells.shape[-1:] != (2,) or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(f"expected an integer (..., 2) cell array, got {cells.dtype} {cells.shape}")
+    if np.any(cells < 0) or np.any(cells >= (spec.rows, spec.cols)):
+        raise ValueError(f"cells outside {spec.rows}x{spec.cols} grid")
+    return (cells - (spec.anchor.row, spec.anchor.col)) * spec.resolution
 
 
 def step(cell: CellIndex, action: int, spec: GridSpec) -> CellIndex | None:
@@ -163,16 +165,15 @@ def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, 
     """The grid clipped to the box ``anchor ± horizon``, and its window.
 
     Returns (box, (row_slice, col_slice)): ``box`` has the anchor re-indexed
-    into it and the same world frame, and ``full_map[row_slice, col_slice]``
-    cuts the box out of a full-grid map. Every cell the target can reach in
-    ``horizon`` moves lies in the box. The radius is at least 2 so the box
+    into it, so a box cell's centre is that of the grid cell it cuts out, and
+    ``full_map[row_slice, col_slice]`` cuts the box out of a full-grid map.
+    Every cell the target can reach in ``horizon`` moves lies in the box. The radius is at least 2 so the box
     meets the 3x3 minimum of a grid; a larger box holds the same cells.
     """
     rows, cols = window(spec, max(horizon, 2))
     box = GridSpec(rows=rows.stop - rows.start, cols=cols.stop - cols.start,
                    resolution=spec.resolution,
-                   anchor=CellIndex(spec.anchor.row - rows.start, spec.anchor.col - cols.start),
-                   anchor_world=spec.anchor_world)
+                   anchor=CellIndex(spec.anchor.row - rows.start, spec.anchor.col - cols.start))
     return box, (rows, cols)
 
 

@@ -29,12 +29,13 @@ grid.inflows), one copy into a contiguous (9, window) stack per step. Value
 iteration copies each cell's nine successor gains. The forward pass writes
 the flows D_t pi_t of windows[t] into a zero-bordered buffer and copies each
 cell's nine inflows, then sums them over the action axis. That sum adds a
-cell's inflows in ACTIONS order, one after another, exactly as a scatter of
-the nine flow maps in ACTIONS order into a zeroed map did, and the flows it
-reads from sources off windows[t] or off the grid are exactly 0, which adds
-nothing (x + 0.0 == x). The destination window of every step holds at least
-2x2 cells, so the one-cell pairwise trap above never applies there. The
-forecasts are therefore those of the nine-slice formulation bit for bit.
+cell's inflows in ACTIONS order, one after another, the order in which
+``reference_plan`` in tests/test_irl.py adds nine sliced flow maps into a
+zeroed map, and the flows it reads from sources off windows[t] or off the
+grid are exactly 0, which adds nothing (x + 0.0 == x). The destination
+window of every step holds at least 2x2 cells, so the one-cell pairwise trap
+above never applies there. log Z, the policy and the visitations therefore
+equal those of ``reference_plan`` bit for bit.
 """
 
 from __future__ import annotations
@@ -188,17 +189,6 @@ def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
     return [window(spec, t) for t in range(horizon + 1)]
 
 
-def _stack_block(windows: list[Window]) -> list[np.ndarray]:
-    """One empty (9, window) stack per window, all carved from one block.
-    Kept stacks allocated one by one fragment the heap: at the default grid
-    they kept ~3 MB more memory resident after the loss had returned."""
-    shapes = [(N_ACTIONS, rows.stop - rows.start, cols.stop - cols.start)
-              for rows, cols in windows]
-    sizes = [math.prod(shape) for shape in shapes]
-    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-
 def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
     """Backward soft Bellman recursion with terminal V_horizon = 0, step t on
     the window ``anchor ± t``: V_t(s) = logsumexp over in-grid successors s'
@@ -220,7 +210,8 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
     padded = padded_map(spec, -np.inf)
     gains = padded[1:-1, 1:-1]
     np.add(reward[windows[horizon]], 0.0, out=gains[windows[horizon]])  # V_horizon = 0
-    stacks = _stack_block(windows[:-1])
+    stacks = [np.empty((N_ACTIONS, rows.stop - rows.start, cols.stop - cols.start))
+              for rows, cols in windows[:-1]]
     for t in range(horizon - 1, -1, -1):
         win = windows[t]
         e = stacks[t]
@@ -290,6 +281,11 @@ class Demonstration:
         return len(self.cells)
 
 
+def _demonstration(path: list[CellIndex], horizon: int) -> Demonstration:
+    """The path truncated to horizon+1 states or padded with terminal STAYs."""
+    return Demonstration(cells=tuple((path + [path[-1]] * horizon)[: horizon + 1]))
+
+
 def build_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstration:
     """Quantize a future trajectory into an expert path of exactly horizon+1 states.
 
@@ -298,17 +294,15 @@ def build_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstr
     cells, i.e. STAY actions, and the expert path carries the speed profile.
     Steps faster than one cell are made reachable by inserting intermediate
     cells on the 8-connected line; the result is truncated to horizon+1 states
-    or padded with terminal STAYs.
+    or padded with terminal STAYs. Both builders start from the origin, the
+    target's position, which quantises to the anchor cell.
     """
     pts = np.asarray(future_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"expected >= 1 future points, got shape {pts.shape}")
     n = pts.shape[0]
     picks = np.ceil(np.arange(1, horizon + 1) * n / horizon).astype(int) - 1
-    sampled = np.vstack([np.asarray(spec.anchor_world, dtype=np.float64), pts[picks]])
-    per_step, _ = quantize_trajectory(sampled, spec)
-    if per_step[0] != spec.anchor:
-        raise ValueError("demonstration does not start at the anchor cell")
+    per_step, _ = quantize_trajectory(np.vstack([(0.0, 0.0), pts[picks]]), spec)
     path: list[CellIndex] = []
     for cell in per_step:
         if cell is None:
@@ -316,11 +310,7 @@ def build_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstr
         if path and not cells_adjacent(path[-1], cell):
             path.extend(eight_connected_line(path[-1], cell))
         path.append(cell)
-    if len(path) > horizon + 1:
-        path = path[: horizon + 1]
-    else:
-        path = path + [path[-1]] * (horizon + 1 - len(path))
-    return Demonstration(cells=tuple(path))
+    return _demonstration(path, horizon)
 
 
 def build_path_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstration:
@@ -331,15 +321,8 @@ def build_path_demonstration(future_points, spec: GridSpec, horizon: int) -> Dem
     Truncated to horizon+1 states or padded with terminal STAYs.
     """
     pts = np.asarray(future_points, dtype=np.float64)
-    all_pts = np.vstack([np.asarray(spec.anchor_world, dtype=np.float64), pts])
-    _, path = quantize_trajectory(all_pts, spec)
-    if not path or path[0] != spec.anchor:
-        raise ValueError("demonstration does not start at the anchor cell")
-    if len(path) > horizon + 1:
-        path = path[: horizon + 1]
-    else:
-        path = path + [path[-1]] * (horizon + 1 - len(path))
-    return Demonstration(cells=tuple(path))
+    _, path = quantize_trajectory(np.vstack([(0.0, 0.0), pts]), spec)
+    return _demonstration(path, horizon)
 
 
 def expert_visitation(demos, spec: GridSpec, horizon: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .grid import ACTION_OFFSETS, N_ACTIONS, GridSpec
+from .grid import ACTION_OFFSETS, N_ACTIONS, GridSpec, cell_to_world
 from .irl import Policy
 
 KMEANS_MAX_ITER = 100
@@ -48,13 +48,16 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
 
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
-    Path rewards accumulate the reward of every entered state. policy(t)
+    Path rewards accumulate the reward of every entered state; ``reward`` must
+    lie on the policy's grid (ValueError otherwise). policy(t)
     covers the policy's windows[t]; a path at step t lies within it, since
     windows[t] holds every cell reachable in t moves.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     spec, horizon = policy.spec, len(policy.tables)
+    if np.shape(reward) != (spec.rows, spec.cols):
+        raise ValueError(f"reward shape {np.shape(reward)} != policy grid {(spec.rows, spec.cols)}")
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
     cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
     cells[:, 0, 0] = spec.anchor.row
@@ -94,9 +97,7 @@ def path_to_trajectory(path_cells, spec: GridSpec, n_points: int,
     keep = np.ones(len(cells), dtype=bool)
     keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
     cells = cells[keep]
-    xy = np.empty((len(cells), 2))
-    xy[:, 0] = spec.anchor_world[0] + (cells[:, 0] - spec.anchor.row) * spec.resolution
-    xy[:, 1] = spec.anchor_world[1] + (cells[:, 1] - spec.anchor.col) * spec.resolution
+    xy = cell_to_world(cells, spec)
     if len(xy) == 1:
         return np.repeat(xy, n_points, axis=0)
     seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .grid import GridSpec, world_to_cell
+from .grid import GridSpec, cell_to_world, world_to_cell
 
 # agent state channels
 AX, AY, AVX, AVY, AHEAD, AVALID = range(6)
@@ -383,10 +383,8 @@ def rasterize_features(scene: SceneContext, spec: GridSpec) -> np.ndarray:
     if max(abs(x0), abs(y0), abs(heading)) > 1e-9:
         raise ValueError("scene must be normalized before rasterization")
 
-    xs = spec.anchor_world[0] + (np.arange(spec.rows) - spec.anchor.row) * spec.resolution
-    ys = spec.anchor_world[1] + (np.arange(spec.cols) - spec.anchor.col) * spec.resolution
-    cx, cy = np.meshgrid(xs, ys, indexing="ij")
-    p = np.column_stack([cx.ravel(), cy.ravel()])  # (n, 2)
+    centres = cell_to_world(np.stack(np.indices((spec.rows, spec.cols)), axis=-1), spec)
+    p = centres.reshape(-1, 2)  # (n, 2)
 
     segs = scene.map_lanes.reshape(-1, 6)
     a = segs[:, [LX0, LY0]]
@@ -433,8 +431,7 @@ def rasterize_features(scene: SceneContext, spec: GridSpec) -> np.ndarray:
         if cell is not None:
             features[cell.row, cell.col, F_OCCUPANCY] = 1.0
 
-    features[..., F_ANCHOR_DIST] = np.hypot(cx - spec.anchor_world[0],
-                                            cy - spec.anchor_world[1])
+    features[..., F_ANCHOR_DIST] = np.hypot(centres[..., 0], centres[..., 1])
     return features
 
 

@@ -54,19 +54,27 @@ def test_world_to_cell_examples():
 
 def test_cell_to_world_examples():
     spec = spec128()
-    assert cell_to_world(CellIndex(64, 64), spec) == (0.0, 0.0)
-    assert cell_to_world(CellIndex(65, 64), spec) == (1.0, 0.0)
+    assert np.array_equal(cell_to_world(np.array([64, 64]), spec), [0.0, 0.0])
+    assert np.array_equal(cell_to_world(np.array([65, 64]), spec), [1.0, 0.0])
     spec_half = GridSpec(rows=128, cols=128, resolution=0.5, anchor=CellIndex(64, 64))
-    assert cell_to_world(CellIndex(64, 63), spec_half) == (0.0, -0.5)
+    assert np.array_equal(cell_to_world(np.array([64, 63]), spec_half), [0.0, -0.5])
+    assert np.array_equal(cell_to_world(np.array([[[64, 64], [65, 64]]]), spec),
+                          [[[0.0, 0.0], [1.0, 0.0]]])
     with pytest.raises(ValueError):
-        cell_to_world(CellIndex(-1, 0), spec)
+        cell_to_world(np.array([-1, 0]), spec)
+    with pytest.raises(ValueError):
+        cell_to_world(np.array([[64, 64], [0, 128]]), spec)
+    with pytest.raises(ValueError):
+        cell_to_world(np.array([64.0, 64.0]), spec)
 
 
 def test_round_trip_all_cells():
     spec = GridSpec(rows=9, cols=7, resolution=0.4, anchor=CellIndex(4, 3))
+    centres = cell_to_world(np.stack(np.indices((spec.rows, spec.cols)), axis=-1), spec)
+    assert centres.shape == (spec.rows, spec.cols, 2)
     for r in range(spec.rows):
         for c in range(spec.cols):
-            assert world_to_cell(cell_to_world(CellIndex(r, c), spec), spec) == CellIndex(r, c)
+            assert world_to_cell(centres[r, c], spec) == CellIndex(r, c)
 
 
 def test_step_examples():
@@ -168,8 +176,7 @@ def test_padded_map_shape_and_border():
 
 
 def test_reachable_box_clips_at_every_side():
-    spec = GridSpec(rows=20, cols=30, resolution=0.5, anchor=CellIndex(2, 27),
-                    anchor_world=(1.0, -2.0))
+    spec = GridSpec(rows=20, cols=30, resolution=0.5, anchor=CellIndex(2, 27))
     box, (rows, cols) = reachable_box(spec, 4)
     assert (rows, cols) == (slice(0, 7), slice(23, 30))  # top and right clipped
     assert (box.rows, box.cols, box.anchor) == (7, 7, CellIndex(2, 4))
@@ -183,8 +190,7 @@ def test_reachable_box_clips_at_every_side():
 
 
 def test_reachable_box_of_long_horizon_is_the_grid():
-    spec = GridSpec(rows=9, cols=12, resolution=2.0, anchor=CellIndex(3, 7),
-                    anchor_world=(4.0, 5.0))
+    spec = GridSpec(rows=9, cols=12, resolution=2.0, anchor=CellIndex(3, 7))
     for horizon in (12, 13, 100):
         box, window = reachable_box(spec, horizon)
         assert box == spec
@@ -196,15 +202,18 @@ def test_reachable_box_keeps_world_frame_and_window_shape():
     for _ in range(50):
         rows, cols = rs.randint(3, 40), rs.randint(3, 40)
         spec = GridSpec(rows=rows, cols=cols, resolution=float(rs.uniform(0.5, 2.0)),
-                        anchor=CellIndex(rs.randint(rows), rs.randint(cols)),
-                        anchor_world=tuple(rs.uniform(-5.0, 5.0, 2)))
+                        anchor=CellIndex(rs.randint(rows), rs.randint(cols)))
         box, window = reachable_box(spec, int(rs.randint(1, 25)))
         assert np.zeros((rows, cols))[window].shape == (box.rows, box.cols)
-        assert cell_to_world(box.anchor, box) == cell_to_world(spec.anchor, spec)
+        # the grid and its box both put the anchor cell's centre at the origin
+        for grid in (spec, box):
+            anchor = np.array([grid.anchor.row, grid.anchor.col])
+            assert np.array_equal(cell_to_world(anchor, grid), [0.0, 0.0])
+            assert world_to_cell((0.0, 0.0), grid) == grid.anchor
         # every box cell is the full-grid cell the window maps it to
-        for cell in (CellIndex(0, 0), CellIndex(box.rows - 1, box.cols - 1)):
-            full = CellIndex(window[0].start + cell.row, window[1].start + cell.col)
-            assert cell_to_world(cell, box) == cell_to_world(full, spec)
+        cells = np.stack(np.indices((box.rows, box.cols)), axis=-1)
+        offset = np.array([window[0].start, window[1].start])
+        assert np.array_equal(cell_to_world(cells, box), cell_to_world(cells + offset, spec))
 
 
 def test_quantize_straight():

@@ -64,3 +64,13 @@ def test_no_module_builds_unchecked_strided_views():
         found += [f"{module}: {name}" for name in sorted(names | modules)
                   if banned & set(name.split("."))]
     assert found == []
+
+
+def test_only_grid_turns_cells_into_metres():
+    # the cell size is read where cells become metres and back (grid's
+    # world_to_cell and cell_to_world) and where the GridSpec is built (config)
+    readers = [module for module, tree in MODULES.items()
+               if module not in {"grid", "config"}
+               and any(isinstance(node, ast.Attribute) and node.attr == "resolution"
+                       for node in ast.walk(tree))]
+    assert readers == []

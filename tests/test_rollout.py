@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
 from gridcast.irl import Policy, reach_windows, soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
@@ -78,6 +78,18 @@ def test_path_rewards_accumulate_entered_cells():
     reward = np.full((spec.rows, spec.cols), -0.5)
     batch = sample_rollouts(policy, reward, 3, seed=0)
     np.testing.assert_allclose(batch.path_rewards, -0.5 * horizon)
+
+
+def test_rollouts_reject_a_reward_off_the_policy_grid():
+    # the default config's 65x65 box policy sampled with the 128x128 reward
+    spec = GridSpec(rows=128, cols=128, resolution=1.0, anchor=CellIndex(32, 64))
+    box, window = reachable_box(spec, 32)
+    policy = one_hot_policy(box, ACTIONS.index((1, 0)), 32)
+    reward = np.zeros((spec.rows, spec.cols))
+    with pytest.raises(ValueError, match=r"\(128, 128\).*\(65, 65\)"):
+        sample_rollouts(policy, reward, 4, seed=0)
+    batch = sample_rollouts(policy, reward[window], 4, seed=0)
+    assert batch.cells[0, -1, 0] == box.anchor.row + 32
 
 
 def test_gather_features_matches_direct_indexing():
