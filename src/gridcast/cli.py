@@ -60,8 +60,7 @@ def _check_jobs(args) -> None:
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _sha256(path: Path) -> str:

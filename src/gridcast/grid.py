@@ -99,7 +99,7 @@ def padded_map(spec: GridSpec, border) -> np.ndarray:
 
     The grid itself is the map's interior; the one-cell border stands for
     every off-grid successor, so its value decides what an off-grid move reads
-    (-inf for gains, False for masks).
+    (0 for the planner's weights).
     """
     return np.full((spec.rows + 2, spec.cols + 2), border)
 
@@ -133,26 +133,6 @@ def neighbourhood(padded: np.ndarray, spec: GridSpec,
                          (s_row, s_col, s_row, s_col))
 
 
-def inflows(flows: np.ndarray, spec: GridSpec, window: tuple[slice, slice]) -> np.ndarray:
-    """The read-only (3, 3, h, w) inflows of a window: what each cell receives
-    under each action.
-
-    ``flows`` is a (9, rows+2, cols+2) map of the mass each cell sends under
-    each action, the grid at its interior and zeros on its border. Entry
-    (dr+1, dc+1, r, c) is the flow of action (dr, dc) out of the cell (r-dr,
-    c-dc) of the window, the one that move lands on (r, c); a source off the
-    grid reads the zero border.
-    """
-    if flows.shape != (N_ACTIONS, spec.rows + 2, spec.cols + 2):
-        raise ValueError(f"flow map shape {flows.shape} != "
-                         f"{(N_ACTIONS, spec.rows + 2, spec.cols + 2)}")
-    rows, cols = window
-    s_action, s_row, s_col = flows.strides
-    return _strided_view(flows, (3, 3, rows.stop - rows.start, cols.stop - cols.start),
-                         (rows.start + 2) * s_row + (cols.start + 2) * s_col,
-                         (3 * s_action - s_row, s_action - s_col, s_row, s_col))
-
-
 def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:
     """The (row_slice, col_slice) of the grid clipped to the box ``anchor ± radius``:
     every cell the target can reach in ``radius`` moves, and no other."""
@@ -175,14 +155,6 @@ def reachable_box(spec: GridSpec, horizon: int) -> tuple[GridSpec, tuple[slice, 
                    resolution=spec.resolution,
                    anchor=CellIndex(spec.anchor.row - rows.start, spec.anchor.col - cols.start))
     return box, (rows, cols)
-
-
-def valid_action_mask(spec: GridSpec) -> np.ndarray:
-    """Boolean (rows, cols, 9) mask of actions whose destination stays in-bounds."""
-    padded = padded_map(spec, False)
-    padded[1:-1, 1:-1] = True
-    view = neighbourhood(padded, spec).transpose(2, 3, 0, 1)
-    return view.reshape(spec.rows, spec.cols, N_ACTIONS)
 
 
 def eight_connected_line(a: CellIndex, b: CellIndex) -> list[CellIndex]:

@@ -1,41 +1,33 @@
 """Grid-based maximum-entropy IRL.
 
 A per-cell reward map is trained so that the soft-optimal policy's expected
-state visitations match those of quantized expert demonstrations. Planning is
-finite-horizon soft value iteration. At step t each cell s exponentiates the
-gains R(s') + V_{t+1}(s') of its actions' successors s', shifted by their
-maximum m: e_t = exp(gain - m), total_t = sum_a e_t, V_t = m + log(total_t),
-and the time-indexed policy is pi_t = e_t / total_t, the local action
-probability Z_a / Z_s of Ziebart et al. (2008). Every e_t is at most 1 and
-the largest is exp(0) = 1, so 1 <= total_t <= 9: pi_t never overflows, never
-divides by zero and never reads a value map. The induced path distribution
-is P(tau | s0) proportional to exp(sum of rewards over entered states), which
-the enumeration oracle in :mod:`gridcast.oracle` verifies exactly on small
-grids.
+state visitations match those of quantized expert demonstrations. The plan
+runs in probability space, as in Algorithm 1 of Ziebart et al. (2008); moves
+are deterministic and land in a cell's 3x3 neighbourhood, so each step of
+either pass is one 3x3 box sum, on the window ``anchor ± t`` only (grid.window).
 
-train_irl fits on whatever grid it is given, from the expert's visit counts
-mu_hat on that grid. Step t of value iteration and of the forward pass runs
-on the window ``anchor ± t`` only (grid.window). This is bit for bit the
-whole-grid plan: a cell within t moves of the anchor reads only successors
-within t+1 moves, with the same operands in the same order, and the flows
-from cells off the window are exactly 0, so skipping them adds nothing. One
-trap guards that claim: the t = 0 window is one cell, and numpy sums a
-(9, 1, 1) stack pairwise instead of action after action, so that step
-spells the order out. No value map is kept: one padded gains map carries
-R + V_{t+1} from step to step, and the plan returns log Z = V_0(anchor).
+Backward pass: with beta_H = 1, step t shifts the reward on ``anchor ± (t+1)``
+by its maximum M_t there, forms u_t = exp(R - M_t) beta_{t+1} on that window,
+its box sum n_t(s) = sum_a u_t(s + a) (a move off the grid adds 0) and beta_t
+= n_t / s_t, rescaled by s_t = max n_t as Rabiner (1989) scales HMM messages.
+Then log Z = sum_t (M_t + log s_t), and pi_t(a | s) = u_t(s + a) / n_t(s) is
+the local action probability Z_a / Z_s; the enumeration oracle in
+:mod:`gridcast.oracle` checks the path distribution on small grids. Forward
+pass: from D_0 = delta(anchor), q_t = D_t / n_t and D_{t+1}(s') = u_t(s')
+sum_a q_t(s' - a), which conserves mass by construction: sum_s' D_{t+1}(s')
+= sum_s q_t(s) n_t(s) = sum_s D_t(s).
 
-Both passes gather through read-only strided views (grid.neighbourhood,
-grid.inflows), one copy into a contiguous (9, window) stack per step. Value
-iteration copies each cell's nine successor gains. The forward pass writes
-the flows D_t pi_t of windows[t] into a zero-bordered buffer and copies each
-cell's nine inflows, then sums them over the action axis. That sum adds a
-cell's inflows in ACTIONS order, one after another, the order in which
-``reference_plan`` in tests/test_irl.py adds nine sliced flow maps into a
-zeroed map, and the flows it reads from sources off windows[t] or off the
-grid are exactly 0, which adds nothing (x + 0.0 == x). The destination
-window of every step holds at least 2x2 cells, so the one-cell pairwise trap
-above never applies there. log Z, the policy and the visitations therefore
-equal those of ``reference_plan`` bit for bit.
+Underflow: the shift keeps the largest weight of each window at 1, so s_t <=
+9. A weight or u_t below the smallest normal float TINY loses at most 2 TINY,
+and a loss of x in u_t(s') moves Z, relative, by at most x times the weight of
+s', the sum over paths to s' of their weights divided by s_0 ... s_t, which is
+at most 9^(t+1) / (s_0 ... s_t). So a plan is exact to float64 rounding while
+H 9^H 2 TINY / (s_0 ... s_{H-1}) stays below eps, and the backward pass raises
+IrlDivergenceError once it passes eps, also when a whole window underflows
+(s_t < TINY), before rescaling could divide 0 by 0. No plan the pass returns
+is wrong beyond rounding. The bound is loose: it refuses some rewards that
+span hundreds of nats although they plan exactly, while the benchmark's fits
+stay 600 nats inside it.
 """
 
 from __future__ import annotations
@@ -53,7 +45,6 @@ from .grid import (
     GridSpec,
     eight_connected_line,
     cells_adjacent,
-    inflows,
     neighbourhood,
     padded_map,
     quantize_trajectory,
@@ -63,10 +54,11 @@ from . import rng
 
 
 class IrlDivergenceError(RuntimeError):
-    """Raised when training produces a non-finite loss or parameters."""
+    """Raised when training produces a non-finite loss or parameters, or when
+    a plan underflows (module docstring); ``iteration`` is the fit's, if any."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
         self.iteration = iteration
 
 
@@ -155,32 +147,73 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
 
 Window = tuple[slice, slice]  # (row_slice, col_slice) with explicit bounds (grid.window)
 
+TINY = np.finfo(np.float64).tiny
+# the log of eps / (2 TINY): the underflow bound of the module docstring
+# keeps a plan exact to float64 rounding while H 9^H / (s_0 ... s_{H-1}) is below it
+LOG_ROUNDING = math.log(np.finfo(np.float64).eps / (2 * TINY))
+UNDERFLOW = "the reward spans more than float64 holds in probability space"
+
+
+def _box_sum(padded: np.ndarray, spec: GridSpec, win: Window, weights: np.ndarray) -> np.ndarray:
+    """sum_a k_a padded(s + a) over the cells s of ``win``, for the (3, 3)
+    action weights k (grid.neighbourhood order)."""
+    moves = neighbourhood(padded, spec, win)
+    return (weights.ravel() @ moves.reshape(N_ACTIONS, -1)).reshape(moves.shape[2:])
+
 
 @dataclass(frozen=True)
 class Policy:
-    """A time-indexed policy on the grid ``spec`` over horizon len(tables):
-    policy(t) is tables[t], pi_t(a | s) on windows[t] = ``anchor ± t``, shape
-    (h, w, 9); off-grid actions have prob 0. A planned table is the transposed
-    view of an action-major (9, h, w) stack. Raises ValueError for no tables
-    or a table whose shape is not its window's."""
+    """pi_t(a | s) = k_a u_t(s + a) / n_t(s) on the grid ``spec``, for steps
+    t < horizon, on windows[t] = ``anchor ± t``. ``weights`` is k, (3, 3) with
+    entry (dr+1, dc+1) for the move (dr, dc); ``succ[t]`` is u_t on
+    windows[t+1] (a move off the grid reads 0). normaliser(t) is n_t(s) = sum_a
+    k_a u_t(s + a) on windows[t], ``norm[t]`` when the planner gives it. Raises
+    ValueError for no steps or a successor map whose shape is not its window's."""
 
     spec: GridSpec
-    tables: list[np.ndarray]
+    weights: np.ndarray
+    succ: list[np.ndarray]
+    norm: list[np.ndarray] | None = None
     windows: list[Window] = field(init=False)
 
     def __post_init__(self):
-        if not self.tables:
-            raise ValueError("a policy needs a table for at least one step")
-        windows = reach_windows(self.spec, len(self.tables))
-        for t, (table, (rows, cols)) in enumerate(zip(self.tables, windows)):
-            shape = (rows.stop - rows.start, cols.stop - cols.start, N_ACTIONS)
-            if table.shape != shape:
-                raise ValueError(f"policy table {t} has shape {table.shape}, "
-                                 f"its window needs {shape}")
-        object.__setattr__(self, "windows", windows)
+        if not self.succ:
+            raise ValueError("a policy needs at least one step")
+        object.__setattr__(self, "windows", reach_windows(self.spec, self.horizon))
+        for t, (u, (rows, cols)) in enumerate(zip(self.succ, self.windows[1:])):
+            if np.shape(u) != (rows.stop - rows.start, cols.stop - cols.start):
+                raise ValueError(f"successor map {t} has shape {np.shape(u)}, its window "
+                                 f"needs {(rows.stop - rows.start, cols.stop - cols.start)}")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.succ)
+
+    def _padded(self, t: int) -> np.ndarray:
+        padded = padded_map(self.spec, 0.0)
+        padded[1:-1, 1:-1][self.windows[t + 1]] = self.succ[t]
+        return padded
+
+    def normaliser(self, t: int) -> np.ndarray:
+        if self.norm is not None:
+            return self.norm[t]
+        return _box_sum(self._padded(t), self.spec, self.windows[t], self.weights)
+
+    def probs(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """pi_t(. | s) at the grid cells s = (rows, cols) of windows[t], shape
+        rows.shape + (9,); a cell with n_t = 0, which no mass reaches, gets 0s."""
+        moves = neighbourhood(self._padded(t), self.spec)[:, :, rows, cols].reshape(N_ACTIONS, -1)
+        moves *= self.weights.reshape(N_ACTIONS, 1)
+        win_rows, win_cols = self.windows[t]
+        n = self.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
+        np.divide(moves, n, out=moves, where=n > 0.0)  # n = 0 only where every move is 0
+        return moves.T.reshape(np.shape(rows) + (N_ACTIONS,))
 
     def __call__(self, t: int) -> np.ndarray:
-        return self.tables[t]
+        """The read-only (h, w, 9) table of pi_t on windows[t], built on each call."""
+        table = self.probs(t, *np.mgrid[self.windows[t]])
+        table.flags.writeable = False
+        return table
 
 
 def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
@@ -190,74 +223,59 @@ def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
 
 
 def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
-    """Backward soft Bellman recursion with terminal V_horizon = 0, step t on
-    the window ``anchor ± t``: V_t(s) = logsumexp over in-grid successors s'
-    of R(s') + V_{t+1}(s'). Returns (log_partition, policy): log Z =
-    V_0(anchor) and the soft-optimal Policy, whose table at step t is the
-    normalised exponentials pi_t = e_t / total_t of V_t's logsumexp
-    (off-grid actions get exp(-inf) = 0). The tables are read-only, so
-    policy(t) returns the same bits however often it is called.
-    """
+    """The backward pass of the module docstring. Returns (log_partition,
+    policy): log Z and the soft-optimal Policy, k = 1 and u_t = exp(R - M_t)
+    beta_{t+1}. Raises IrlDivergenceError once the underflow bound of the
+    module docstring passes float64 rounding."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     reward = np.asarray(reward, dtype=np.float64)
     if reward.shape != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
     windows = reach_windows(spec, horizon)
-    # gains R(s') + V_{t+1}(s'), -inf off the grid: step t reads them on
-    # windows[t+1], which holds every in-grid successor of windows[t], and
-    # then writes R + V_t on windows[t] for step t - 1
-    padded = padded_map(spec, -np.inf)
-    gains = padded[1:-1, 1:-1]
-    np.add(reward[windows[horizon]], 0.0, out=gains[windows[horizon]])  # V_horizon = 0
-    stacks = [np.empty((N_ACTIONS, rows.stop - rows.start, cols.stop - cols.start))
-              for rows, cols in windows[:-1]]
+    padded, ones = padded_map(spec, 0.0), np.ones((3, 3))
+    succ, norm = [None] * horizon, [None] * horizon
+    beta, log_partition, gain = 1.0, 0.0, math.log(horizon)
     for t in range(horizon - 1, -1, -1):
-        win = windows[t]
-        e = stacks[t]
-        np.copyto(e.reshape(3, 3, *e.shape[1:]), neighbourhood(padded, spec, win))
-        # logsumexp over actions; STAY is always valid so the max is finite
-        m = e.max(axis=0)
-        e -= m
-        np.exp(e, out=e)
-        # numpy adds a stack's actions one after another, except in a one-cell
-        # stack (the t = 0 window), which it sums pairwise and so rounds
-        # differently; there the builtin sum keeps the order
-        total = sum(e) if e[0].size == 1 else e.sum(axis=0)
-        e /= total
-        e.flags.writeable = False
-        v = np.add(m, np.log(total, out=total), out=m)  # V_t on win
-        np.add(reward[win], v, out=gains[win])
-    # the t = 0 window is the anchor alone
-    return float(v[0, 0]), Policy(spec, [stack.transpose(1, 2, 0) for stack in stacks])
+        r = reward[windows[t + 1]]
+        top = r.max()
+        u = np.exp(r - top)
+        u *= beta
+        padded[1:-1, 1:-1][windows[t + 1]] = u
+        n = _box_sum(padded, spec, windows[t], ones)
+        scale = n.max()
+        gain += math.log(N_ACTIONS / scale) if scale >= TINY else math.inf
+        if not gain <= LOG_ROUNDING:
+            raise IrlDivergenceError(f"the plan underflows at step {t}: {UNDERFLOW}")
+        log_partition += float(top) + math.log(scale)
+        beta = n / scale
+        succ[t], norm[t] = u, n
+    # beta_0 is the anchor's n_0 / s_0 = 1
+    return log_partition, Policy(spec, ones, succ, norm)
 
 
-def expected_visitation(policy: Policy) -> np.ndarray:
-    """Per-step state distributions D on the policy's grid, shape (horizon+1,
-    rows, cols), from D_0 = delta(anchor), D_{t+1} = sum_s,a D_t pi_t routed.
-
-    Step t reads D_t and policy(t) on the policy's windows[t] only and writes
-    D_{t+1} on windows[t+1]. That is exact, since windows[t] holds every cell
-    the anchor reaches in t moves: D_t is 0 elsewhere, so the flows it skips
-    are exactly 0. Each step gathers: it writes the flows D_t pi_t, then sums
-    the nine inflows of every cell of windows[t+1] (grid.inflows).
+def expected_visitation(policy: Policy, summed: bool = False) -> np.ndarray:
+    """The forward pass: per-step state distributions D on the policy's grid,
+    shape (horizon+1, rows, cols), from D_0 = delta(anchor) and D_{t+1}(s') =
+    u_t(s') sum_a k_a q_t(s' - a) with q_t = D_t / n_t, step t on windows[t].
+    With ``summed``, only their sum over t >= 1, the expected visit counts
+    E[mu] of shape (rows, cols).
     """
-    spec, horizon = policy.spec, len(policy.tables)
-    per_step = np.zeros((horizon + 1, spec.rows, spec.cols))
-    per_step[0, spec.anchor.row, spec.anchor.col] = 1.0
-    # flows[a] at s is D_t(s) pi_t(a | s) on the grid (the interior) and 0 on
-    # the border; step t writes windows[t], which holds windows[t-1]
-    flows = np.zeros((N_ACTIONS, spec.rows + 2, spec.cols + 2))
-    interior = flows[:, 1:-1, 1:-1]
+    spec, horizon = policy.spec, policy.horizon
+    visits = np.zeros((spec.rows, spec.cols) if summed else (horizon + 1, spec.rows, spec.cols))
+    if not summed:
+        visits[0, spec.anchor.row, spec.anchor.col] = 1.0
+    padded = padded_map(spec, 0.0)
+    inflow = policy.weights[::-1, ::-1]  # sum_a k_a q(s' - a) = sum_b k_{-b} q(s' + b)
+    d = np.ones((1, 1))
     for t in range(horizon):
         win, reach = policy.windows[t], policy.windows[t + 1]
-        np.multiply(per_step[t][win], policy(t).transpose(2, 0, 1),
-                    out=interior[:, win[0], win[1]])
-        landed = per_step[t + 1][reach]
-        received = np.empty((N_ACTIONS,) + landed.shape)
-        np.copyto(received.reshape(3, 3, *landed.shape), inflows(flows, spec, reach))
-        received.sum(axis=0, out=landed)
-    return per_step
+        q = np.zeros_like(d)  # a cell with n_t = 0 holds no mass: q = 0, not 0/0
+        np.divide(d, policy.normaliser(t), out=q, where=d > 0.0)
+        padded[1:-1, 1:-1][win] = q
+        d = policy.succ[t] * _box_sum(padded, spec, reach, inflow)
+        (visits if summed else visits[t + 1])[reach] += d
+    return visits
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +366,17 @@ def expert_visitation(demos, spec: GridSpec, horizon: int) -> np.ndarray:
 def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, horizon: int):
     """MaxEnt negative log-likelihood and its exact gradient w.r.t. the reward.
 
-    nll = V_0(anchor) - <R, mu_hat> for the expert's visit counts mu_hat;
+    nll = log Z - <R, mu_hat> for the expert's visit counts mu_hat;
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
     (descend it to raise likelihood).
     """
     log_partition, policy = soft_value_iteration(reward, spec, horizon)
-    visits = expected_visitation(policy)
-    nll = log_partition - float(np.vdot(reward, expert))
-    return nll, visits[1:].sum(axis=0) - expert
+    grad = expected_visitation(policy, summed=True)
+    grad -= expert
+    # <R, mu_hat> over the cells mu_hat visits: the same products in the same
+    # order on any grid that holds them, so a box and its grid agree bitwise
+    seen = np.flatnonzero(expert)
+    return log_partition - float(reward.flat[seen] @ expert.flat[seen]), grad
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +434,10 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
     for it in range(1, config.max_iters + 1):
         params = params.with_vector(vec)
         reward = reward_forward(features, params)
-        nll, grad_r = irl_loss_and_grad(reward, expert, spec, horizon)
+        try:
+            nll, grad_r = irl_loss_and_grad(reward, expert, spec, horizon)
+        except IrlDivergenceError as exc:
+            raise IrlDivergenceError(str(exc), it) from None
         if not math.isfinite(nll):
             raise IrlDivergenceError("nll is non-finite", it)
         grad_vec = reward_backward(features, params, grad_r).as_vector()

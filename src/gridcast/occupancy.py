@@ -46,7 +46,7 @@ def predict_occupancy(policy: Policy, n_steps: int) -> np.ndarray:
     slices are linearly interpolated between the bracketing planning steps, so
     each timestamp keeps unit total mass.
     """
-    spec, horizon = policy.spec, len(policy.tables)
+    spec, horizon = policy.spec, policy.horizon
     visit = expected_visitation(policy)
     out = np.zeros((spec.rows, spec.cols, n_steps))
     for j in range(1, n_steps + 1):

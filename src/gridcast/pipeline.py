@@ -29,7 +29,7 @@ import numpy as np
 
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
-from .grid import ACTIONS, N_ACTIONS, GridSpec, reachable_box, valid_action_mask
+from .grid import ACTIONS, N_ACTIONS, GridSpec, reachable_box
 from .irl import Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
@@ -95,9 +95,9 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
 def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
-    Action weights follow exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
-    neutral weight. Masked off-grid actions are renormalized away. Each step's
-    table is its window's view of one read-only table over the whole grid.
+    Action weights k_a = exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
+    neutral weight. The successor weight is 1 on the grid, so off-grid actions
+    are renormalized away.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
@@ -105,11 +105,9 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
             logits[a] = 0.0
         else:
             logits[a] = STRAIGHT_KAPPA * dr / math.hypot(dr, dc)
-    valid = valid_action_mask(spec)
-    weights = np.where(valid, np.exp(logits)[None, None, :], 0.0)
-    probs = weights / weights.sum(axis=-1, keepdims=True)
-    probs.flags.writeable = False
-    return Policy(spec, [probs[win] for win in irl.reach_windows(spec, horizon)[:-1]])
+    on_grid = np.ones((spec.rows, spec.cols))
+    return Policy(spec, np.exp(logits).reshape(3, 3),
+                  [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,

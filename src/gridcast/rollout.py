@@ -49,13 +49,13 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
     Path rewards accumulate the reward of every entered state; ``reward`` must
-    lie on the policy's grid (ValueError otherwise). policy(t)
-    covers the policy's windows[t]; a path at step t lies within it, since
+    lie on the policy's grid (ValueError otherwise). Step t reads pi_t at the
+    paths' cells (Policy.probs), which lie in the policy's windows[t], since
     windows[t] holds every cell reachable in t moves.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    spec, horizon = policy.spec, len(policy.tables)
+    spec, horizon = policy.spec, policy.horizon
     if np.shape(reward) != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {np.shape(reward)} != policy grid {(spec.rows, spec.cols)}")
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
@@ -65,9 +65,7 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
     rewards = np.zeros(count)
     r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
     for t in range(horizon):
-        rows, cols = policy.windows[t]
-        p = policy(t)[r - rows.start, c - cols.start]     # (count, 9)
-        cum = np.cumsum(p, axis=1)
+        cum = np.cumsum(policy.probs(t, r, c), axis=1)
         cum /= cum[:, -1:]
         u = rng.uniform(seed, streams, t)
         action = np.minimum((u[:, None] >= cum).sum(axis=1), N_ACTIONS - 1)
@@ -242,5 +240,4 @@ def write_forecast(path, forecast: Forecast, include_proposals: bool = False,
     if extra:
         payload.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -463,8 +463,7 @@ def scene_to_dict(scene: SceneContext) -> dict:
 
 def save_scene(path, scene: SceneContext) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(scene), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
 
 
 # every key scene_to_dict writes; scene_from_dict rejects any other

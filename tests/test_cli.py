@@ -276,6 +276,29 @@ def test_eval_missing_forecast_nonzero_exit(tmp_path, capsys):
     assert "stop_0000" in err["message"]
 
 
+def test_predict_reports_an_underflowing_plan_as_a_structured_error(tmp_path, scene_file,
+                                                                     capsys):
+    # a first Adam step of ~1000 per parameter spreads the next reward over
+    # thousands of nats, past what the plan holds in probability space
+    cfg = tmp_path / "wild.cfg"
+    cfg.write_text(SMALL_CFG.strip().replace("lr=0.1", "lr=1000.0") + "\n", encoding="utf-8")
+    assert cli.main(["predict", scene_file, "--out", str(tmp_path / "fc"),
+                     "--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "IrlDivergenceError"
+    assert re.fullmatch(r"the plan underflows at step \d+: .* \(iteration 2\)", err["message"])
+
+
+def test_predict_plans_rewards_spanning_thousands_of_nats(tmp_path, scene_file):
+    # at lr=10 the fit's rewards span up to ~9,400 nats over the box; each
+    # window's own shift keeps them in range, as log-space planning did
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(SMALL_CFG.strip().replace("lr=0.1", "lr=10.0") + "\n", encoding="utf-8")
+    assert cli.main(["predict", scene_file, "--out", str(tmp_path / "fc"),
+                     "--config", str(cfg)]) == 0
+    assert (tmp_path / "fc" / "straight_0000.forecast.json").exists()
+
+
 @pytest.mark.parametrize("scenes", ["missing", "empty"])
 def test_eval_without_scenes_fails_before_creating_out(tmp_path, capsys, scenes):
     (tmp_path / "empty").mkdir()

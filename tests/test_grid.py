@@ -8,7 +8,6 @@ from gridcast.grid import (
     CellIndex,
     GridSpec,
     cell_to_world,
-    inflows,
     neighbourhood,
     padded_map,
     cells_adjacent,
@@ -16,10 +15,17 @@ from gridcast.grid import (
     reachable_box,
     round_half_away,
     step,
-    valid_action_mask,
     window,
     world_to_cell,
 )
+
+
+def on_grid_moves(spec):
+    """Boolean (rows, cols, 9): True where the move stays on the grid."""
+    padded = padded_map(spec, False)
+    padded[1:-1, 1:-1] = True
+    return neighbourhood(padded, spec).transpose(2, 3, 0, 1).reshape(spec.rows, spec.cols,
+                                                                    N_ACTIONS)
 
 
 def spec128():
@@ -86,7 +92,7 @@ def test_step_examples():
 
 def test_step_total_over_actions():
     spec = GridSpec(rows=4, cols=4, resolution=1.0, anchor=CellIndex(0, 0))
-    mask = valid_action_mask(spec)
+    mask = on_grid_moves(spec)
     for r in range(4):
         for c in range(4):
             for a in range(9):
@@ -127,26 +133,6 @@ def test_neighbourhood_reads_each_actions_successor():
         neighbourhood(np.zeros((6, 8)), spec)
     with pytest.raises(ValueError):  # a non-contiguous map exposes no single buffer
         neighbourhood(np.zeros((6, 14))[:, ::2], spec)
-
-
-def test_inflows_read_the_flow_that_lands_on_each_cell():
-    rs = np.random.RandomState(5)
-    spec = GridSpec(rows=4, cols=5, resolution=1.0, anchor=CellIndex(1, 2))
-    flows = np.zeros((N_ACTIONS, 6, 7))
-    flows[:, 1:-1, 1:-1] = rs.uniform(size=(N_ACTIONS, 4, 5))
-    for win in ((slice(0, 4), slice(0, 5)), window(spec, 1), (slice(2, 4), slice(0, 2))):
-        received = inflows(flows, spec, win).reshape(N_ACTIONS, *flows[0, 1:-1, 1:-1][win].shape)
-        for r in range(win[0].start, win[0].stop):
-            for c in range(win[1].start, win[1].stop):
-                for a, (dr, dc) in enumerate(ACTIONS):
-                    source = (r - dr, c - dc)
-                    expected = (flows[a, 1 + source[0], 1 + source[1]]
-                                if spec.contains(*source) else 0.0)
-                    assert received[a, r - win[0].start, c - win[1].start] == expected
-    with pytest.raises(ValueError, match="read-only"):
-        inflows(flows, spec, window(spec, 1))[0, 0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        inflows(np.zeros((N_ACTIONS, 4, 5)), spec, window(spec, 1))
 
 
 def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():

@@ -6,7 +6,7 @@ import pytest
 
 from gridcast import irl
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, valid_action_mask
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
@@ -20,6 +20,7 @@ from gridcast.irl import (
     train_irl,
 )
 from gridcast.oracle import enumerate_paths
+from test_grid import on_grid_moves
 
 
 def small_spec(rows=5, cols=5, anchor=(2, 2)):
@@ -220,7 +221,7 @@ def test_policy_simplex_and_mass_conservation():
         horizon = rs.randint(1, 6)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         policy = soft_value_iteration(reward, spec, horizon)[1]
-        valid = valid_action_mask(spec)
+        valid = on_grid_moves(spec)
         for t in range(horizon):
             np.testing.assert_allclose(policy(t).sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(policy(t)[~valid[policy.windows[t]]] == 0.0)
@@ -233,23 +234,26 @@ def test_policy_simplex_and_mass_conservation():
 # ---------------------------------------------------------------------------
 
 def _one_hot_policy(spec, action, horizon):
-    table = np.zeros((spec.rows, spec.cols, 9))
-    table[:, :, action] = 1.0
-    return irl.Policy(spec, [table[win] for win in irl.reach_windows(spec, horizon)[:-1]])
+    """Every step takes ``action``, the only move with a nonzero weight."""
+    weights = np.zeros(9)
+    weights[action] = 1.0
+    on_grid = np.ones((spec.rows, spec.cols))
+    return irl.Policy(spec, weights.reshape(3, 3),
+                      [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
 
 
 def test_policy_rejects_a_table_off_its_window():
-    # a whole-grid table where a window's belongs would read the wrong cells
+    # a whole-grid map where a window's belongs would read the wrong cells
     spec = small_spec(rows=9, cols=9, anchor=(4, 4))
-    table = np.full((9, 9, 9), 1.0 / 9.0)
-    with pytest.raises(ValueError, match=r"table 1 has shape \(9, 9, 9\), "
-                                         r"its window needs \(3, 3, 9\)"):
-        irl.Policy(spec, [table[4:5, 4:5], table])
+    on_grid, weights = np.ones((9, 9)), np.ones((3, 3))
+    with pytest.raises(ValueError, match=r"successor map 1 has shape \(9, 9\), "
+                                         r"its window needs \(5, 5\)"):
+        irl.Policy(spec, weights, [on_grid[3:6, 3:6], on_grid])
 
 
 def test_policy_rejects_no_tables():
     with pytest.raises(ValueError, match="at least one step"):
-        irl.Policy(small_spec(), [])
+        irl.Policy(small_spec(), np.ones((3, 3)), [])
 
 
 def test_deterministic_policy_unit_spikes():
@@ -433,14 +437,15 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         spec = small_spec(rows, cols, anchor)
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
-        values, _, visits = reference_plan(reward, spec, horizon, grid_windows(spec, horizon))
-        full_nll = (float(values[0, spec.anchor.row, spec.anchor.col])
-                    - float(np.vdot(reward, expert)))
-        full_grad = visits[1:].sum(axis=0) - expert
-        nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+        box, win = reachable_box(spec, horizon)
+        full_nll, full_grad = irl_loss_and_grad(reward, expert, spec, horizon)
+        nll, grad = irl_loss_and_grad(reward[win], expert[win], box, horizon)
         assert nll == full_nll
-        assert np.array_equal(grad, full_grad)
-        assert np.array_equal(np.signbit(grad), np.signbit(full_grad))  # no -0.0
+        assert np.array_equal(grad, full_grad[win])
+        assert np.array_equal(np.signbit(grad), np.signbit(full_grad[win]))  # no -0.0
+        off_box = np.ones((rows, cols), dtype=bool)
+        off_box[win] = False
+        assert not np.any(full_grad[off_box])
 
 
 def _reference_views(padded, win):
@@ -456,10 +461,10 @@ def grid_windows(spec, horizon):
 
 
 def reference_plan(reward, spec, horizon, windows):
-    """Value iteration and the forward pass on the given windows as nine
-    stacked slices and nine scatters, keeping every value map: the
-    formulation the strided gathers and the reach windows replaced, kept to
-    pin them. Returns (values, tables, visits); tables[t] covers windows[t]."""
+    """Log-space value iteration and the forward pass on the given windows as
+    nine stacked slices and nine scatters, keeping every value map: the
+    formulation the probability-space passes replaced, kept as their
+    reference. Returns (values, tables, visits); tables[t] covers windows[t]."""
     padded = np.full((spec.rows + 2, spec.cols + 2), -np.inf)
     values = np.zeros((horizon + 1, spec.rows, spec.cols))
     tables = [None] * horizon
@@ -503,32 +508,89 @@ def cut(table, outer, inner):
 @pytest.mark.parametrize("whole_grid", [True, False], ids=["grid-windows", "reach-windows"])
 def test_strided_planner_equals_the_sliced_reference_bitwise(rows, cols, anchor, horizon,
                                                                whole_grid):
+    # the name is historical: the probability-space passes match the log-space
+    # reference, which is the same bits on either set of windows, to rounding
     spec = small_spec(rows, cols, anchor)
     reward = np.random.RandomState(rows * cols + horizon).uniform(-3.0, 0.0, (rows, cols))
     windows = grid_windows(spec, horizon) if whole_grid else irl.reach_windows(spec, horizon)
+    assert_plan_matches_reference(reward, spec, horizon, windows)
+
+
+def assert_plan_matches_reference(reward, spec, horizon, windows, by_mass=False):
+    """log Z within 1e-12 relative, tables and visits within 1e-12 absolute;
+    ``by_mass`` compares each table row times the mass D_t of its cell."""
     ref_values, ref_tables, ref_visits = reference_plan(reward, spec, horizon, windows)
     log_partition, policy = soft_value_iteration(reward, spec, horizon)
-    assert log_partition == ref_values[0, spec.anchor.row, spec.anchor.col]
+    visits = expected_visitation(policy)  # the forward pass certifies the plan
+    ref_log_z = ref_values[0, spec.anchor.row, spec.anchor.col]
+    assert abs(log_partition - ref_log_z) <= 1e-12 * abs(ref_log_z)
     for t in range(horizon):
-        assert np.array_equal(policy(t), cut(ref_tables[t], windows[t], policy.windows[t]))
-    assert np.array_equal(expected_visitation(policy), ref_visits)
+        table, ref = policy(t), cut(ref_tables[t], windows[t], policy.windows[t])
+        if by_mass:
+            mass = ref_visits[t][policy.windows[t]][..., None]
+            table, ref = mass * table, mass * ref
+        np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(visits, ref_visits, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(expected_visitation(policy, summed=True),
+                               ref_visits[1:].sum(axis=0), rtol=0.0, atol=1e-12)
 
 
 def test_planner_keeps_no_value_maps():
-    # the default config's 65x65 box: the policy stacks hold
-    # 9 * 8 * sum_t (2t + 1)^2 = 3,144,960 bytes, and (33, 65, 65) value maps
-    # would add 1,115,400 more
+    # the default config's 65x65 box: (33, 65, 65) per-step maps alone would
+    # take 1,115,400 bytes, and (9, window) stacks 3,144,960
     spec = small_spec(65, 65, (32, 32))
-    reward = np.random.RandomState(27).uniform(-3.0, 0.0, (65, 65))
+    rs = np.random.RandomState(27)
+    reward = rs.uniform(-3.0, 0.0, (65, 65))
+    expert = random_walk_expert(spec, 32, rs)
     tracemalloc.start()
     try:
-        policy = soft_value_iteration(reward, spec, 32)[1]
+        irl_loss_and_grad(reward, expert, spec, 32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stacks = sum(table.nbytes for table in policy.tables)
-    assert stacks == 3_144_960
-    assert peak <= stacks + 512 * 1024
+    assert peak <= 1_500_000
+
+
+def test_a_reward_past_the_float64_range_raises_instead_of_dividing_zero_by_zero():
+    # 33 two-step paths from the anchor (reward 0) weigh 1: staying twice, or
+    # stepping onto the ring (-1000) and then the outer ring (+1000). So
+    # log Z = log 33, but every u_0 = exp(R - M_0) beta_1 on the window
+    # anchor ± 1 underflows, the ring's through exp and the anchor's through beta_1
+    spec = small_spec(5, 5, (2, 2))
+    reward = np.full((5, 5), 1000.0)
+    reward[1:4, 1:4] = -1000.0
+    reward[2, 2] = 0.0
+    with pytest.raises(irl.IrlDivergenceError, match="underflows at step 0"):
+        soft_value_iteration(reward, spec, 2)
+    # a uniform reward over [-2000, 0] on the default config's box
+    spec = small_spec(65, 65, (32, 32))
+    rs = np.random.RandomState(0)
+    reward = rs.uniform(-2000.0, 0.0, (65, 65))
+    expert = random_walk_expert(spec, 32, rs)
+    with pytest.raises(irl.IrlDivergenceError, match="underflows at step"):
+        irl_loss_and_grad(reward, expert, spec, 32)
+
+
+@pytest.mark.parametrize("low", [-500.0, -800.0, -1200.0, -2000.0])
+def test_wide_rewards_plan_to_rounding_or_raise(low):
+    # never a silently wrong plan: each wide uniform reward on the default
+    # config's box either matches the log-space reference or raises. Over
+    # [-500, 0] none raises. The bound is loose, so over [-800, 0] seeds 1,
+    # 2, 5 and 6 raise although they would plan exactly. Over [-2000, 0]
+    # seed 11's forward weights underflow with its plan's, so a bound on
+    # those weights alone passes its wrong plan.
+    # A cell all of whose successors underflow has n_t = 0 and a row of 0s,
+    # and no mass reaches it, so its row counts times its mass
+    spec = small_spec(65, 65, (32, 32))
+    raised = []
+    for seed in range(12):
+        reward = np.random.RandomState(seed).uniform(low, 0.0, (65, 65))
+        try:
+            assert_plan_matches_reference(reward, spec, 32, irl.reach_windows(spec, 32),
+                                          by_mass=True)
+        except irl.IrlDivergenceError:
+            raised.append(seed)
+    assert (raised == []) if low == -500.0 else (0 < len(raised) < 12)
 
 
 def test_box_grad_matches_finite_differences_and_is_zero_off_box():

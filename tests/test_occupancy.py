@@ -71,9 +71,12 @@ def test_gt_idempotent_and_agent_order_independent():
 
 
 def one_hot_policy(spec, action, horizon):
-    table = np.zeros((spec.rows, spec.cols, 9))
-    table[:, :, action] = 1.0
-    return Policy(spec, [table[win] for win in reach_windows(spec, horizon)[:-1]])
+    """Every step takes ``action``, the only move with a nonzero weight."""
+    weights = np.zeros(9)
+    weights[action] = 1.0
+    on_grid = np.ones((spec.rows, spec.cols))
+    return Policy(spec, weights.reshape(3, 3),
+                  [on_grid[win] for win in reach_windows(spec, horizon)[1:]])
 
 
 def test_deterministic_policy_spike_slices():

@@ -74,3 +74,15 @@ def test_only_grid_turns_cells_into_metres():
                and any(isinstance(node, ast.Attribute) and node.attr == "resolution"
                        for node in ast.walk(tree))]
     assert readers == []
+
+
+def test_no_module_calls_json_dump():
+    # json.dump writes the encoder's output to the file chunk by chunk, through
+    # the pure-Python encoder; json.dumps builds the same text in one call (with
+    # the C encoder when there is no indent), written at once
+    callers = [module for module, tree in MODULES.items()
+               if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "dump"
+                      and getattr(node.func.value, "id", None) == "json"
+                      for node in ast.walk(tree))]
+    assert callers == []

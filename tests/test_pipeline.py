@@ -59,27 +59,47 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     spec, box, horizon = result.spec, result.policy.spec, cfg.horizon
     assert (box.rows, box.cols) == result.reward.shape
     assert result.policy.windows == irl.reach_windows(box, horizon)
-    # the same box reward planned without windows: every step on the whole box
-    _, ref_tables, ref_visits = reference_plan(result.reward, box, horizon,
-                                               grid_windows(box, horizon))
-    windows = result.policy.windows[:-1]
-    whole = irl.Policy(box, [table[win] for table, win in zip(ref_tables, windows)])
-    assert np.array_equal(irl.expected_visitation(result.policy), ref_visits)
+    # the same box reward planned in log space, every step on the whole box,
+    # as a policy: u_t = exp(R + V_{t+1}), shifted by its maximum, on windows[t+1]
+    ref_values, ref_tables, ref_visits = reference_plan(result.reward, box, horizon,
+                                                        grid_windows(box, horizon))
+    succ = []
+    for value, win in zip(ref_values[1:], result.policy.windows[1:]):
+        log_u = (result.reward + value)[win]
+        succ.append(np.exp(log_u - log_u.max()))
+    whole = irl.Policy(box, np.ones((3, 3)), succ)
+    np.testing.assert_allclose(irl.expected_visitation(result.policy), ref_visits,
+                               rtol=0.0, atol=1e-12)
     seed = rng.derive_seed(cfg.seed, result.stream_key)
     windowed = rollout.sample_rollouts(result.policy, result.reward, cfg.rollouts, seed)
     plain = rollout.sample_rollouts(whole, result.reward, cfg.rollouts, seed)
     np.testing.assert_array_equal(windowed.cells, plain.cells)
-    assert windowed.path_rewards.tobytes() == plain.path_rewards.tobytes()
+    np.testing.assert_allclose(windowed.path_rewards, plain.path_rewards, rtol=1e-12)
 
     expected = np.zeros((spec.rows, spec.cols, cfg.t_future))
     expected[result.window] = occupancy.predict_occupancy(whole, cfg.t_future)
-    assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()
-    # the rollouts and occupancy above each read policy(t); the tables are
-    # read-only, so a further call returns the same bits
-    for t, win in enumerate(windows):
+    np.testing.assert_allclose(pipeline.predicted_occupancy(result, cfg), expected,
+                               rtol=0.0, atol=1e-12)
+    # the rollouts read policy.probs at their cells; policy(t) builds the
+    # whole table from the same maps on each call, so a further call
+    # returns the same bits
+    for t, win in enumerate(result.policy.windows[:-1]):
         first = result.policy(t)
         assert first.tobytes() == result.policy(t).tobytes()
-        assert first.tobytes() == np.ascontiguousarray(ref_tables[t][win]).tobytes()
+        np.testing.assert_allclose(first, ref_tables[t][win], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(whole(t), ref_tables[t][win], rtol=0.0, atol=1e-12)
+
+
+def test_a_final_plan_that_underflows_raises(monkeypatch):
+    # train_irl returns the parameters after its last Adam step, which no
+    # loss evaluation planned; the final plan is certified all the same
+    def wild(features, expert, spec, cfg):
+        params = irl.RewardMapParams.linear(features.shape[-1])
+        return params.with_vector(np.full(features.shape[-1], 1e4)), irl.TrainDiagnostics()
+
+    monkeypatch.setattr(irl, "train_irl", wild)
+    with pytest.raises(irl.IrlDivergenceError, match="underflows at step"):
+        pipeline.predict_scene(generate_scene("curve", seed=8), SMALL, reasoning=True)
 
 
 @pytest.mark.parametrize("planned", [True, False])

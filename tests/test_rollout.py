@@ -12,7 +12,9 @@ from gridcast.rollout import (
     refine_offsets,
     sample_rollouts,
     score_modes,
+    write_forecast,
 )
+from test_scene import streamed_json
 
 
 def spec_of(rows=21, cols=21, anchor=(10, 10)):
@@ -20,9 +22,12 @@ def spec_of(rows=21, cols=21, anchor=(10, 10)):
 
 
 def one_hot_policy(spec, action, horizon):
-    table = np.zeros((spec.rows, spec.cols, 9))
-    table[:, :, action] = 1.0
-    return Policy(spec, [table[win] for win in reach_windows(spec, horizon)[:-1]])
+    """Every step takes ``action``, the only move with a nonzero weight."""
+    weights = np.zeros(9)
+    weights[action] = 1.0
+    on_grid = np.ones((spec.rows, spec.cols))
+    return Policy(spec, weights.reshape(3, 3),
+                  [on_grid[win] for win in reach_windows(spec, horizon)[1:]])
 
 
 def uniform_reward_policy(spec, horizon):
@@ -299,3 +304,16 @@ def test_forecast_payload_shape():
     assert payload["modes"][0]["prob"] == 0.7
     assert "proposals" not in payload
     assert "proposals" in forecast_to_payload(f, include_proposals=True)
+
+
+def test_written_forecast_bytes_are_the_streamed_encoding(tmp_path):
+    rs = np.random.RandomState(6)
+    trajectories = rs.normal(size=(3, 5, 2))
+    f = Forecast(trajectories=trajectories, anchors=trajectories - 0.25,
+                 offsets=np.full((3, 5, 2), 0.25), probs=np.array([0.5, 0.3, 0.2]),
+                 proposals=rs.normal(size=(4, 5, 2)))
+    extra = {"reasoning": True, "scene": "curve_0001.json", "demo_horizon_factor": 2.0,
+             "seed": 7}
+    path = tmp_path / "f.forecast.json"
+    write_forecast(path, f, include_proposals=True, extra=extra)
+    assert path.read_bytes() == streamed_json({**forecast_to_payload(f, True), **extra})

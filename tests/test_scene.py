@@ -287,6 +287,21 @@ def test_box_raster_is_the_full_raster_cut_to_the_box_bitwise(rows, cols, res, a
 # serialization
 # ---------------------------------------------------------------------------
 
+def streamed_json(obj) -> bytes:
+    """What json.dump(obj, fh, sort_keys=True) streams, then a newline."""
+    return ("".join(json.JSONEncoder(sort_keys=True).iterencode(obj)) + "\n").encode()
+
+
+def test_saved_scene_bytes_are_the_streamed_encoding(tmp_path):
+    # pipeline.scene_stream_key hashes a scene file's bytes, so a change of
+    # encoding would reseed every rollout
+    for kind in SCENE_KINDS:
+        scene = generate_scene(kind, seed=13)
+        path = tmp_path / f"{kind}.json"
+        save_scene(path, scene)
+        assert path.read_bytes() == streamed_json(scene_to_dict(scene))
+
+
 def test_save_load_roundtrip(tmp_path):
     scene = generate_scene("curve", seed=12)
     path = tmp_path / "scene.json"
