@@ -102,6 +102,11 @@ def cmd_gen(args) -> int:
 # predict
 # ---------------------------------------------------------------------------
 
+def _variant(cfg: RunConfig, reasoning: bool) -> str:
+    """The name a run is logged and aggregated under."""
+    return f"reasoning_h{cfg.demo_horizon_factor}" if reasoning else VARIANT_BASELINE
+
+
 def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
     """Forecast one scene file: (result, its run record). Logs one info line
     with what the fit did and the wall time, which no output file holds."""
@@ -111,10 +116,9 @@ def _predict_file(scene_path: Path, cfg: RunConfig, reasoning: bool):
     key = pipeline.scene_stream_key(payload)
     result = pipeline.predict_scene(sc, cfg, reasoning=reasoning, stream_key=key)
     rec = pipeline.run_record(result)
-    variant = f"reasoning_h{cfg.demo_horizon_factor}" if reasoning else VARIANT_BASELINE
     log.info("scene=%s variant=%s irl_iterations=%s irl_converged=%s nll_first=%r "
-             "nll_last=%r wall_s=%.3f", scene_path.name, variant, rec["irl_iterations"],
-             rec["irl_converged"], rec["nll_first"], rec["nll_last"],
+             "nll_last=%r wall_s=%.3f", scene_path.name, _variant(cfg, reasoning),
+             rec["irl_iterations"], rec["irl_converged"], rec["nll_first"], rec["nll_last"],
              time.perf_counter() - start)
     return result, rec
 
@@ -162,37 +166,6 @@ def _scene_files(scene_dir: Path) -> list:
     return files
 
 
-def _read_forecast(path: Path, n_modes: int | None, n_points: int):
-    """(trajectories, probs) of a forecast file, rejecting malformed modes.
-
-    ``n_modes`` is the mode count every file must share (None for the first
-    file); ``n_points`` is the length of the scene's ground-truth future.
-    """
-    payload = _read_json(path)
-    modes = payload.get("modes") if isinstance(payload, dict) else None
-    if not (isinstance(modes, list) and all(isinstance(m, dict) for m in modes)):
-        raise ValueError(f"{path.name}: a forecast must be an object with a list of modes")
-    try:
-        trajs = np.asarray([m["points"] for m in modes])
-        probs = np.asarray([m["prob"] for m in modes])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path.name}: malformed modes: {exc!r}") from exc
-    # numpy would read "1.0" as a number; JSON numbers only
-    if trajs.dtype.kind not in "iuf" or probs.dtype.kind not in "iuf":
-        raise ValueError(f"{path.name}: mode points and probabilities must be JSON numbers")
-    trajs, probs = trajs.astype(np.float64), probs.astype(np.float64)
-    if n_modes is not None and len(probs) != n_modes:
-        raise ValueError(f"{path.name}: {len(probs)} modes, the first forecast has {n_modes}")
-    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
-            and abs(probs.sum() - 1.0) <= 1e-9):
-        raise ValueError(f"{path.name}: mode probabilities {probs.tolist()} are not a "
-                         "finite non-negative distribution summing to 1")
-    if trajs.shape[1:] != (n_points, 2) or not np.all(np.isfinite(trajs)):
-        raise ValueError(f"{path.name}: forecast points of shape {trajs.shape[1:]} are not "
-                         f"{n_points} finite (x, y) points, the scene's future length")
-    return trajs, probs
-
-
 def cmd_eval(args) -> int:
     scene_files = _scene_files(Path(args.scenes))
     forecast_dir = Path(args.forecasts)
@@ -205,7 +178,8 @@ def cmd_eval(args) -> int:
             skipped.append(scene_path.name)
             continue
         sc = scene_mod.normalize_to_target(scene_mod.load_scene(scene_path))
-        trajs, probs = _read_forecast(fpath, n_modes, sc.gt_future.shape[0])
+        trajs, probs = rollout.forecast_from_payload(_read_json(fpath), fpath.name,
+                                                     sc.gt_future.shape[0], n_modes)
         n_modes = len(probs)
         per_scene[scene_path.stem] = metrics.score_forecast(trajs, probs, sc.gt_future)
     if per_scene:
@@ -234,13 +208,12 @@ def _ablate_one(task):
     cfg = RunConfig(**cfg_dict)
     out = {}
     scene_path = Path(scene_path)
+    runs = [(cfg, False)] + [(replace(cfg, demo_horizon_factor=factor), True)
+                             for factor in DEMO_HORIZON_FACTORS]
     try:
-        result, _ = _predict_file(scene_path, cfg, reasoning=False)
-        out[VARIANT_BASELINE] = vars(pipeline.score_prediction(result))
-        for factor in DEMO_HORIZON_FACTORS:
-            variant_cfg = replace(cfg, demo_horizon_factor=factor)
-            result, _ = _predict_file(scene_path, variant_cfg, reasoning=True)
-            out[f"reasoning_h{factor}"] = vars(pipeline.score_prediction(result))
+        for variant_cfg, reasoning in runs:
+            result, _ = _predict_file(scene_path, variant_cfg, reasoning)
+            out[_variant(variant_cfg, reasoning)] = vars(pipeline.score_prediction(result))
     except Exception as exc:  # one bad scene must not sink the batch
         log.debug("scene %s failed", scene_path.name, exc_info=True)
         return scene_path.stem, None, {"error": type(exc).__name__, "message": str(exc)}
@@ -264,18 +237,16 @@ def cmd_ablate(args) -> int:
     failures = {stem: error for stem, _, error in results if error is not None}
 
     if done:  # aggregate whatever completed, even when some scenes failed
-        variants = [VARIANT_BASELINE] + [f"reasoning_h{f}" for f in DEMO_HORIZON_FACTORS]
-        reports = {}
-        for variant in variants:
-            ms = [metrics.SceneMetrics(**scene_out[variant]) for scene_out in done]
-            reports[variant] = metrics.aggregate(ms, k=cfg.modes)
+        # the baseline, then each reasoning variant, as _ablate_one ran them
+        reports = {variant: metrics.aggregate([metrics.SceneMetrics(**scene_out[variant])
+                                               for scene_out in done], k=cfg.modes)
+                   for variant in done[0]}
         _write_json(out_dir / "ablation.json",
                     {name: asdict(r) for name, r in reports.items()})
         table = metrics.format_report_table(reports)
         base = reports[VARIANT_BASELINE]
         lines = [table, "deltas vs no_reasoning (negative is better):"]
-        for variant in variants[1:]:
-            r = reports[variant]
+        for variant, r in list(reports.items())[1:]:
             lines.append(
                 f"{variant}: brier-minFDE {r.brier_min_fde - base.brier_min_fde:+.4f}"
                 f"  Brier {r.brier - base.brier:+.4f}")
@@ -304,18 +275,16 @@ def cmd_render(args) -> int:
         render.occupancy_frames(out_dir, ogm, prefix=path.stem)
         return 0
     payload = _read_json(path)
+    cfg = _load_effective_config(args)
     if not isinstance(payload, dict) or "modes" in payload:  # forecast file: overlay only
-        cfg = _load_effective_config(args)
-        trajs, _ = _read_forecast(path, None, cfg.t_future)
+        trajs, _ = rollout.forecast_from_payload(payload, path.name, cfg.t_future)
         gt = np.zeros((0, 2))
         if args.scene:
-            sc = scene_mod.normalize_to_target(scene_mod.load_scene(args.scene))
-            gt = sc.gt_future
+            gt = scene_mod.normalize_to_target(scene_mod.load_scene(args.scene)).gt_future
         img = render.trajectory_overlay(cfg.grid_spec(), gt, trajs)
         render.write_ppm(out_dir / (path.stem + ".overlay.ppm"), img)
         return 0
     # scene file: run the pipeline and emit the full figure set
-    cfg = _load_effective_config(args)
     result, _ = _predict_file(path, cfg, reasoning=not args.no_reasoning)
     reward = pipeline.grid_reward(result)
     render.field_to_pgm(out_dir / "reward.pgm", reward)

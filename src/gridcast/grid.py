@@ -169,28 +169,32 @@ def eight_connected_line(a: CellIndex, b: CellIndex) -> list[CellIndex]:
     return out
 
 
+def connect_cells(cells) -> list[CellIndex]:
+    """The package's one path repair: the cells in order, each joined to the one
+    before it by their 8-connected line, so a repeat stays a STAY."""
+    path: list[CellIndex] = []
+    for cell in cells:
+        if path:
+            path.extend(eight_connected_line(path[-1], cell))
+        path.append(cell)
+    return path
+
+
 def quantize_trajectory(points, spec: GridSpec):
     """Quantize a T x 2 trajectory onto the grid.
 
     Returns (per_step, path): ``per_step`` has one entry per timestamp
     (CellIndex or None when off-grid, repeats kept); ``path`` drops off-grid
-    entries and consecutive duplicates, then inserts 8-connected intermediate
-    cells so the result is a valid state sequence for the MDP.
+    entries and consecutive duplicates, then connects the rest (connect_cells)
+    so the result is a valid state sequence for the MDP.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
         raise ValueError(f"expected a T x 2 trajectory with T >= 1, got shape {pts.shape}")
     per_step = [world_to_cell(p, spec) for p in pts]
-    path: list[CellIndex] = []
-    for cell in per_step:
-        if cell is None:
-            continue
-        if path and cell == path[-1]:
-            continue
-        if path:
-            path.extend(eight_connected_line(path[-1], cell))
-        path.append(cell)
-    return per_step, path
+    on_grid = [cell for cell in per_step if cell is not None]
+    return per_step, connect_cells(cell for i, cell in enumerate(on_grid)
+                                   if i == 0 or cell != on_grid[i - 1])
 
 
 def cells_adjacent(a: CellIndex, b: CellIndex) -> bool:

@@ -32,6 +32,7 @@ stay 600 nats inside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -43,8 +44,8 @@ from .grid import (
     N_ACTIONS,
     CellIndex,
     GridSpec,
-    eight_connected_line,
     cells_adjacent,
+    connect_cells,
     neighbourhood,
     padded_map,
     quantize_trajectory,
@@ -310,10 +311,10 @@ def build_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstr
     The future is resampled time-uniformly onto the planning cadence (one
     supervision point per planning step), so slow segments become repeated
     cells, i.e. STAY actions, and the expert path carries the speed profile.
-    Steps faster than one cell are made reachable by inserting intermediate
-    cells on the 8-connected line; the result is truncated to horizon+1 states
-    or padded with terminal STAYs. Both builders start from the origin, the
-    target's position, which quantises to the anchor cell.
+    Steps faster than one cell are made reachable by grid.connect_cells; the
+    result is truncated to horizon+1 states or padded with terminal STAYs.
+    Both builders start from the origin, the target's position, which
+    quantises to the anchor cell.
     """
     pts = np.asarray(future_points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -321,14 +322,9 @@ def build_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstr
     n = pts.shape[0]
     picks = np.ceil(np.arange(1, horizon + 1) * n / horizon).astype(int) - 1
     per_step, _ = quantize_trajectory(np.vstack([(0.0, 0.0), pts[picks]]), spec)
-    path: list[CellIndex] = []
-    for cell in per_step:
-        if cell is None:
-            break  # supervision truncates at the grid boundary
-        if path and not cells_adjacent(path[-1], cell):
-            path.extend(eight_connected_line(path[-1], cell))
-        path.append(cell)
-    return _demonstration(path, horizon)
+    # supervision truncates at the grid boundary
+    on_grid = itertools.takewhile(lambda cell: cell is not None, per_step)
+    return _demonstration(connect_cells(on_grid), horizon)
 
 
 def build_path_demonstration(future_points, spec: GridSpec, horizon: int) -> Demonstration:

@@ -15,32 +15,39 @@ import numpy as np
 MISS_THRESHOLD = 2.0
 
 
-def _check_modes(trajectories: np.ndarray) -> np.ndarray:
+def _checked(trajectories: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K x T x 2 modes and the T x 2 ground truth they are scored against."""
     trajectories = np.asarray(trajectories, dtype=np.float64)
-    if trajectories.ndim != 3 or trajectories.shape[0] < 1:
+    if trajectories.ndim != 3 or trajectories.shape[0] < 1 or trajectories.shape[2] != 2:
         raise ValueError(f"expected K x T x 2 with K >= 1, got shape {trajectories.shape}")
-    return trajectories
+    gt = np.asarray(gt, dtype=np.float64)
+    if gt.shape != trajectories.shape[1:]:
+        raise ValueError(f"ground truth of shape {gt.shape} does not match the forecast's "
+                         f"{trajectories.shape[1]} points, shape {trajectories.shape[1:]}")
+    return trajectories, gt
+
+
+def _endpoint_errors(trajectories: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Each mode's endpoint L2 distance to the ground truth's, shape (K,)."""
+    trajectories, gt = _checked(trajectories, gt)
+    return np.linalg.norm(trajectories[:, -1, :] - gt[-1], axis=1)
 
 
 def min_ade(trajectories: np.ndarray, gt: np.ndarray) -> float:
     """Smallest mean pointwise L2 distance over modes."""
-    trajectories = _check_modes(trajectories)
-    d = np.linalg.norm(trajectories - np.asarray(gt)[None], axis=2).mean(axis=1)
+    trajectories, gt = _checked(trajectories, gt)
+    d = np.linalg.norm(trajectories - gt[None], axis=2).mean(axis=1)
     return float(d.min())
 
 
 def min_fde(trajectories: np.ndarray, gt: np.ndarray) -> float:
     """Endpoint L2 distance of the closest-endpoint mode."""
-    trajectories = _check_modes(trajectories)
-    d = np.linalg.norm(trajectories[:, -1, :] - np.asarray(gt)[-1], axis=1)
-    return float(d.min())
+    return float(_endpoint_errors(trajectories, gt).min())
 
 
 def best_mode(trajectories: np.ndarray, gt: np.ndarray) -> int:
     """Index of the closest-endpoint mode; ties go to the lowest index."""
-    trajectories = _check_modes(trajectories)
-    d = np.linalg.norm(trajectories[:, -1, :] - np.asarray(gt)[-1], axis=1)
-    return int(d.argmin())
+    return int(_endpoint_errors(trajectories, gt).argmin())
 
 
 def miss_rate(final_errors) -> float:
@@ -84,8 +91,9 @@ class MetricReport:
 
 def score_forecast(trajectories: np.ndarray, probs: np.ndarray, gt: np.ndarray) -> SceneMetrics:
     """Per-scene metrics for a K-mode forecast against one GT future."""
-    fde = min_fde(trajectories, gt)
-    p_best = float(np.asarray(probs)[best_mode(trajectories, gt)])
+    errors = _endpoint_errors(trajectories, gt)
+    fde = float(errors.min())
+    p_best = float(np.asarray(probs)[errors.argmin()])
     return SceneMetrics(
         min_ade=min_ade(trajectories, gt),
         min_fde=fde,

@@ -34,9 +34,6 @@ from .irl import Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
 
-# fixed per-channel scaling applied before reward learning; meter-scale
-# channels are brought to unit order so the map's optimization is well
-# conditioned (values are constants, never data-dependent)
 FEATURE_SCALE = np.array([1.0, 1.0 / 8.0, 1.0, 1.0, 1.0 / 50.0, 1.0 / 50.0])
 
 
@@ -66,15 +63,17 @@ def scene_stream_key(payload: bytes) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
-def select_demo_points(scene: scene_mod.SceneContext, cfg: RunConfig) -> np.ndarray:
-    """Supervision horizon: first factor * T_f points of the (extended) future."""
-    n = int(round(cfg.demo_horizon_factor * cfg.t_future))
+def select_demo_points(scene: scene_mod.SceneContext, t_future: int,
+                       factor: float = 1.0) -> np.ndarray:
+    """The first factor * t_future points of the future, or of the extended
+    future when the future is shorter; ValueError when neither holds them."""
+    n = int(round(factor * t_future))
     if n <= scene.gt_future.shape[0]:
         return scene.gt_future[:n]
-    if scene.extended_future is None or scene.extended_future.shape[0] < n:
-        raise ValueError(
-            f"demo_horizon_factor {cfg.demo_horizon_factor} needs {n} future points; "
-            f"extended future has {0 if scene.extended_future is None else scene.extended_future.shape[0]}")
+    n_ext = 0 if scene.extended_future is None else scene.extended_future.shape[0]
+    if n_ext < n:
+        raise ValueError(f"demo horizon factor {factor} needs {n} future points; gt_future "
+                         f"has {scene.gt_future.shape[0]} and extended_future {n_ext}")
     return scene.extended_future[:n]
 
 
@@ -85,11 +84,18 @@ def build_demos(scene: scene_mod.SceneContext, cfg: RunConfig, spec: GridSpec) -
     a demo_horizon_factor above 1 adds the longer route as a spatial path
     demonstration, disambiguating intent beyond the scored window.
     """
-    demos = [irl.build_demonstration(scene.gt_future[: cfg.t_future], spec, cfg.horizon)]
+    demos = [irl.build_demonstration(select_demo_points(scene, cfg.t_future), spec, cfg.horizon)]
     if cfg.demo_horizon_factor > 1.0:
-        demos.append(irl.build_path_demonstration(
-            select_demo_points(scene, cfg), spec, cfg.horizon))
+        points = select_demo_points(scene, cfg.t_future, cfg.demo_horizon_factor)
+        demos.append(irl.build_path_demonstration(points, spec, cfg.horizon))
     return demos
+
+
+def scaled_features(scene: scene_mod.SceneContext, spec: GridSpec) -> np.ndarray:
+    """The raster the reward map reads: rasterize_features times FEATURE_SCALE, fixed
+    per-channel scales that bring metre-scale channels to unit order, so the fit is
+    well conditioned (constants, never data-dependent)."""
+    return scene_mod.rasterize_features(scene, spec) * FEATURE_SCALE
 
 
 def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
@@ -120,7 +126,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
     diagnostics = params = None
     box, window = reachable_box(spec, cfg.horizon)
     if reasoning:
-        features = scene_mod.rasterize_features(norm, box) * FEATURE_SCALE
+        features = scaled_features(norm, box)
         # built on the full grid, where a quantised point beyond the box only
         # truncates the demo at horizon+1 states; every visit lies in the box
         expert = irl.expert_visitation(build_demos(norm, cfg, spec), spec,
@@ -191,8 +197,7 @@ def grid_reward(result: PredictionResult) -> np.ndarray:
     to a full-grid raster (the forecast itself reads only the box)."""
     if result.params is None:
         return np.zeros((result.spec.rows, result.spec.cols))
-    features = scene_mod.rasterize_features(result.scene, result.spec) * FEATURE_SCALE
-    return irl.reward_forward(features, result.params)
+    return irl.reward_forward(scaled_features(result.scene, result.spec), result.params)
 
 
 def score_prediction(result: PredictionResult) -> metrics.SceneMetrics:

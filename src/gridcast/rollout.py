@@ -234,6 +234,35 @@ def forecast_to_payload(forecast: Forecast, include_proposals: bool = False) -> 
     return payload
 
 
+def forecast_from_payload(payload, source: str, n_points: int,
+                          n_modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(trajectories, probs) of a forecast payload whose modes hold ``n_points``
+    points each (and number ``n_modes``, when given); a malformed payload raises
+    a ValueError that starts with ``source``."""
+    modes = payload.get("modes") if isinstance(payload, dict) else None
+    if not (isinstance(modes, list) and all(isinstance(m, dict) for m in modes)):
+        raise ValueError(f"{source}: a forecast must be an object with a list of modes")
+    try:
+        trajs = np.asarray([m["points"] for m in modes])
+        probs = np.asarray([m["prob"] for m in modes])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: malformed modes: {exc!r}") from exc
+    # numpy would read "1.0" as a number; JSON numbers only
+    if trajs.dtype.kind not in "iuf" or probs.dtype.kind not in "iuf":
+        raise ValueError(f"{source}: mode points and probabilities must be JSON numbers")
+    trajs, probs = trajs.astype(np.float64), probs.astype(np.float64)
+    if n_modes is not None and len(probs) != n_modes:
+        raise ValueError(f"{source}: {len(probs)} modes, the first forecast has {n_modes}")
+    if not (np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+            and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"{source}: mode probabilities {probs.tolist()} are not a "
+                         "finite non-negative distribution summing to 1")
+    if trajs.shape[1:] != (n_points, 2) or not np.all(np.isfinite(trajs)):
+        raise ValueError(f"{source}: forecast points of shape {trajs.shape[1:]} are not "
+                         f"{n_points} finite (x, y) points, the scene's future length")
+    return trajs, probs
+
+
 def write_forecast(path, forecast: Forecast, include_proposals: bool = False,
                    extra: dict | None = None) -> None:
     payload = forecast_to_payload(forecast, include_proposals)

@@ -86,31 +86,6 @@ def apply_rigid(points: np.ndarray, transform) -> np.ndarray:
     return out
 
 
-def _rigidly_moved(scene: SceneContext, point_map, angle: float, to_world) -> SceneContext:
-    """The scene with every point sent through ``point_map`` and every velocity
-    and heading turned by ``angle``; ``point_map`` must rotate by that angle."""
-    c, s = math.cos(angle), math.sin(angle)
-    agents = scene.agents.copy()
-    agents[..., [AX, AY]] = point_map(scene.agents[..., [AX, AY]])
-    vx, vy = scene.agents[..., AVX], scene.agents[..., AVY]
-    agents[..., AVX] = c * vx - s * vy
-    agents[..., AVY] = s * vx + c * vy
-    agents[..., AHEAD] = _wrap_angle(scene.agents[..., AHEAD] + angle)
-    lanes = scene.map_lanes.copy()
-    lanes[..., [LX0, LY0]] = point_map(scene.map_lanes[..., [LX0, LY0]])
-    lanes[..., [LX1, LY1]] = point_map(scene.map_lanes[..., [LX1, LY1]])
-    lanes[..., LHEAD] = _wrap_angle(scene.map_lanes[..., LHEAD] + angle)
-    return replace(
-        scene,
-        agents=agents,
-        map_lanes=lanes,
-        gt_future=point_map(scene.gt_future),
-        extended_future=None if scene.extended_future is None else point_map(scene.extended_future),
-        agent_futures=None if scene.agent_futures is None else point_map(scene.agent_futures),
-        to_world=to_world,
-    )
-
-
 def normalize_to_target(scene: SceneContext) -> SceneContext:
     """Rigidly map the scene so the target's current pose is origin, heading +x.
 
@@ -121,7 +96,7 @@ def normalize_to_target(scene: SceneContext) -> SceneContext:
     inverse = (x0, y0, heading)  # normalized -> incoming frame
     if max(abs(x0), abs(y0), abs(heading)) < 1e-12:
         return replace(scene, to_world=scene.to_world or (0.0, 0.0, 0.0))
-    # forward transform: p' = R(-heading) (p - p0)
+    # forward transform: p' = R(-heading) (p - p0); velocities and headings turn by -heading
     c, s = math.cos(-heading), math.sin(-heading)
 
     def tf_points(pts):
@@ -130,13 +105,25 @@ def normalize_to_target(scene: SceneContext) -> SceneContext:
         out[..., 1] = s * (pts[..., 0] - x0) + c * (pts[..., 1] - y0)
         return out
 
-    to_world = inverse if scene.to_world is None else _compose(scene.to_world, inverse)
-    return _rigidly_moved(scene, tf_points, -heading, to_world)
-
-
-def transformed(scene: SceneContext, dx: float, dy: float, angle: float) -> SceneContext:
-    """Rigidly move a scene into another frame (testing/visualization helper)."""
-    return _rigidly_moved(scene, lambda pts: apply_rigid(pts, (dx, dy, angle)), angle, None)
+    agents = scene.agents.copy()
+    agents[..., [AX, AY]] = tf_points(scene.agents[..., [AX, AY]])
+    vx, vy = scene.agents[..., AVX], scene.agents[..., AVY]
+    agents[..., AVX] = c * vx - s * vy
+    agents[..., AVY] = s * vx + c * vy
+    agents[..., AHEAD] = _wrap_angle(scene.agents[..., AHEAD] - heading)
+    lanes = scene.map_lanes.copy()
+    lanes[..., [LX0, LY0]] = tf_points(scene.map_lanes[..., [LX0, LY0]])
+    lanes[..., [LX1, LY1]] = tf_points(scene.map_lanes[..., [LX1, LY1]])
+    lanes[..., LHEAD] = _wrap_angle(scene.map_lanes[..., LHEAD] - heading)
+    return replace(
+        scene,
+        agents=agents,
+        map_lanes=lanes,
+        gt_future=tf_points(scene.gt_future),
+        extended_future=None if scene.extended_future is None else tf_points(scene.extended_future),
+        agent_futures=None if scene.agent_futures is None else tf_points(scene.agent_futures),
+        to_world=inverse if scene.to_world is None else _compose(scene.to_world, inverse),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +512,10 @@ def scene_from_dict(payload: dict, source: str = "<dict>") -> SceneContext:
     agent_futures = payload.get("agent_futures")
     if agent_futures is not None:
         agent_futures = _finite_array(agent_futures, "agent_futures", source)
-        if agent_futures.ndim != 3 or agent_futures.shape[2] != 2:
-            raise SceneFormatError(
-                f"{source}: agent_futures must be N_a x T_f x 2, got {agent_futures.shape}")
+        expected = (agents.shape[0], gt_future.shape[0], 2)
+        if agent_futures.shape != expected:
+            raise SceneFormatError(f"{source}: agent_futures must be N_a x T_f x 2 = "
+                                   f"{expected}, got {agent_futures.shape}")
     to_world = payload.get("to_world")
     if to_world is not None:
         to_world = _finite_array(to_world, "to_world", source)

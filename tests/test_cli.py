@@ -12,7 +12,7 @@ import pytest
 from gridcast import cli, pipeline
 from gridcast.config import RunConfig, load_config
 from gridcast.scene import (SCENE_KINDS, generate_scene, load_scene, normalize_to_target,
-                            save_scene)
+                            save_scene, scene_to_dict)
 
 SMALL_CFG = """
 rows=32
@@ -378,6 +378,31 @@ def test_ablate_reports_completed_scenes_and_failures(tmp_path, cfg_file, capsys
     assert list(failures) == ["stop_2"]
     assert failures["stop_2"]["error"] == "SceneFormatError"
     assert "dt" in failures["stop_2"]["message"]
+
+
+def test_a_scene_future_shorter_than_the_forecast_fails_predict_and_ablate(tmp_path, cfg_file,
+                                                                           capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    save_scene(scenes / "straight_0.json", generate_scene("straight", seed=0))
+    payload = scene_to_dict(generate_scene("curve", seed=3))
+    payload["gt_future"] = payload["gt_future"][:1]
+    del payload["extended_future"], payload["agent_futures"]
+    short = scenes / "curve_1.json"
+    short.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["predict", str(short), "--out", str(tmp_path / "fc"),
+                     "--config", cfg_file]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "needs 30 future points; gt_future has 1 " in err["message"]
+    out = tmp_path / "ablation"
+    assert cli.main(["ablate", "--scenes", str(scenes), "--out", str(out),
+                     "--config", cfg_file]) == 1
+    report = json.loads((out / "ablation.json").read_text())
+    assert all(variant["n_scenes"] == 1 for variant in report.values())
+    failures = json.loads((out / "ablation_failures.json").read_text())
+    assert list(failures) == ["curve_1"]
+    assert "(1, 2) does not match the forecast's 30 points" in failures["curve_1"]["message"]
 
 
 def test_render_scene_artifacts(tmp_path, cfg_file, scene_file):

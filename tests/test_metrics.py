@@ -109,3 +109,15 @@ def test_report_table_alignment():
     assert len(lines) == 2
     assert lines[0].split()[0] == "method"
     assert lines[1].split()[0] == "full"
+
+
+@pytest.mark.parametrize("n_gt", [1, 10, 31])
+def test_ground_truth_of_another_length_is_rejected(n_gt):
+    trajs = straight_gt()[None]
+    gt = straight_gt(n_gt)
+    message = rf"\({n_gt}, 2\) does not match the forecast's 30 points"
+    for score in (min_ade, min_fde, best_mode):
+        with pytest.raises(ValueError, match=message):
+            score(trajs, gt)
+    with pytest.raises(ValueError, match=message):
+        score_forecast(trajs, np.array([1.0]), gt)

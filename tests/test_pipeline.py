@@ -190,16 +190,25 @@ def test_no_reasoning_occupancy():
 
 def test_select_demo_points_factors():
     scene = generate_scene("straight", seed=0)
-    from dataclasses import replace
-
-    assert pipeline.select_demo_points(scene, SMALL).shape[0] == 30
-    cfg15 = replace(SMALL, demo_horizon_factor=1.5)
-    assert pipeline.select_demo_points(scene, cfg15).shape[0] == 45
-    cfg20 = replace(SMALL, demo_horizon_factor=2.0)
-    assert pipeline.select_demo_points(scene, cfg20).shape[0] == 60
+    assert pipeline.select_demo_points(scene, SMALL.t_future).shape[0] == 30
+    assert pipeline.select_demo_points(scene, SMALL.t_future, 1.5).shape[0] == 45
+    assert pipeline.select_demo_points(scene, SMALL.t_future, 2.0).shape[0] == 60
     bare = replace(scene, extended_future=None)
     with pytest.raises(ValueError):
-        pipeline.select_demo_points(bare, cfg20)
+        pipeline.select_demo_points(bare, SMALL.t_future, 2.0)
+
+
+@pytest.mark.parametrize("n_future", [1, 10])
+def test_a_future_shorter_than_the_forecast_is_rejected(n_future):
+    # both demos take their points from select_demo_points, and the score
+    # compares the forecast only with a ground truth of its own length
+    scene = generate_scene("curve", seed=3)
+    short = replace(scene, gt_future=scene.gt_future[:n_future], extended_future=None)
+    with pytest.raises(ValueError, match=f"needs 30 future points; gt_future has {n_future} "):
+        pipeline.predict_scene(short, SMALL, reasoning=True, stream_key=3)
+    result = pipeline.predict_scene(short, SMALL, reasoning=False, stream_key=3)
+    with pytest.raises(ValueError, match=rf"\({n_future}, 2\) does not match the forecast's 30 "):
+        pipeline.score_prediction(result)
 
 
 def test_reasoning_beats_vanilla_on_turn():

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridcast.grid import CellIndex, GridSpec, reachable_box
 from gridcast.scene import (
+    AHEAD,
     AVALID,
+    AVX,
+    AVY,
     AX,
     AY,
     F_ANCHOR_DIST,
@@ -17,8 +21,14 @@ from gridcast.scene import (
     F_ON_ROAD,
     F_PROGRESS,
     LANE_OFFSET,
+    LHEAD,
+    LX0,
+    LX1,
+    LY0,
+    LY1,
     SCENE_KINDS,
     SceneFormatError,
+    apply_rigid,
     generate_scene,
     load_scene,
     normalize_to_target,
@@ -27,8 +37,36 @@ from gridcast.scene import (
     scene_from_dict,
     scene_to_dict,
     target_pose,
-    transformed,
 )
+
+
+def transformed(scene, dx: float, dy: float, angle: float):
+    """The scene rigidly moved into another frame, p -> R(angle) p + (dx, dy):
+    every point, velocity and heading; to_world is dropped."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turned(heading):
+        return (heading + angle + math.pi) % (2.0 * math.pi) - math.pi
+
+    def move(pts):
+        return apply_rigid(pts, (dx, dy, angle))
+
+    agents = scene.agents.copy()
+    agents[..., [AX, AY]] = move(scene.agents[..., [AX, AY]])
+    vx, vy = scene.agents[..., AVX], scene.agents[..., AVY]
+    agents[..., AVX] = c * vx - s * vy
+    agents[..., AVY] = s * vx + c * vy
+    agents[..., AHEAD] = turned(scene.agents[..., AHEAD])
+    lanes = scene.map_lanes.copy()
+    for x, y in ((LX0, LY0), (LX1, LY1)):
+        lanes[..., [x, y]] = move(scene.map_lanes[..., [x, y]])
+    lanes[..., LHEAD] = turned(scene.map_lanes[..., LHEAD])
+    return replace(scene, agents=agents, map_lanes=lanes, gt_future=move(scene.gt_future),
+                   extended_future=None if scene.extended_future is None
+                   else move(scene.extended_future),
+                   agent_futures=None if scene.agent_futures is None
+                   else move(scene.agent_futures),
+                   to_world=None)
 
 
 def default_spec():
@@ -123,8 +161,6 @@ def test_normalize_rotated_target():
     assert (nx, ny, nheading) == (0.0, 0.0, 0.0)
     # a point one meter along old +y maps to one meter along +x
     probe = np.array([[10.0, 6.0]])
-    from gridcast.scene import apply_rigid
-
     restored = apply_rigid(probe - [10.0, 5.0], (0.0, 0.0, -math.pi / 2.0))
     np.testing.assert_allclose(restored, [[1.0, 0.0]], atol=1e-12)
     np.testing.assert_allclose(norm.gt_future, scene.gt_future, atol=1e-9)
@@ -143,8 +179,6 @@ def test_normalize_idempotent_and_invertible():
         np.testing.assert_array_equal(once.gt_future, twice.gt_future)
         assert once.to_world == twice.to_world
         # composing with the stored inverse recovers the moved-frame coords
-        from gridcast.scene import apply_rigid
-
         np.testing.assert_allclose(apply_rigid(once.gt_future, once.to_world),
                                    moved.gt_future, atol=1e-9)
 
@@ -153,8 +187,6 @@ def test_normalize_requires_valid_target():
     scene = generate_scene("straight", seed=0)
     agents = scene.agents.copy()
     agents[scene.target_index, :, AVALID] = 0.0
-    from dataclasses import replace
-
     with pytest.raises(ValueError):
         normalize_to_target(replace(scene, agents=agents))
 
@@ -344,6 +376,19 @@ def test_load_rejects_a_payload_that_is_not_an_object(tmp_path, text):
         load_scene(path)
     with pytest.raises(SceneFormatError, match="must be a JSON object"):
         scene_from_dict(json.loads(text))
+
+
+def test_load_rejects_agent_futures_that_do_not_match_the_scene(tmp_path):
+    base = scene_to_dict(generate_scene("intersection_left", seed=5))
+    futures = np.asarray(base["agent_futures"])
+    assert futures.shape == (3, 30, 2)
+    path = tmp_path / "bad.json"
+    for bad in (futures[:1], futures[:, :5]):  # one agent of three; 5 steps of 30
+        path.write_text(json.dumps({**base, "agent_futures": bad.tolist()}), encoding="utf-8")
+        with pytest.raises(SceneFormatError) as info:
+            load_scene(path)
+        assert str(info.value) == (f"{path}: agent_futures must be N_a x T_f x 2 = "
+                                   f"(3, 30, 2), got {bad.shape}")
 
 
 def test_load_parse_error_has_line_context(tmp_path):
