@@ -282,7 +282,7 @@ def cmd_render(args) -> int:
         if args.scene:
             gt = scene_mod.normalize_to_target(scene_mod.load_scene(args.scene)).gt_future
         img = render.trajectory_overlay(cfg.grid_spec(), gt, trajs)
-        render.write_ppm(out_dir / (path.stem + ".overlay.ppm"), img)
+        render.write_netpbm(out_dir / (path.stem + ".overlay.ppm"), img)
         return 0
     # scene file: run the pipeline and emit the full figure set
     result, _ = _predict_file(path, cfg, reasoning=not args.no_reasoning)
@@ -294,7 +294,7 @@ def cmd_render(args) -> int:
     occupancy.write_ogm_binary(out_dir / "occupancy.stogm", ogm)
     img = render.trajectory_overlay(result.spec, result.scene.gt_future,
                                     result.forecast.trajectories, background=reward)
-    render.write_ppm(out_dir / "overlay.ppm", img)
+    render.write_netpbm(out_dir / "overlay.ppm", img)
     _echo_config(out_dir, cfg)
     return 0
 

@@ -114,14 +114,37 @@ class RewardMapParams:
         return replace(self, w1=w1, b1=b1, w2=w2)
 
 
+# values of one block of the two-layer map's hidden layer: a block of grid
+# rows (one at least) stays under 128 KiB, glibc's default mmap threshold, so
+# a fit takes these temporaries from the heap and maps no fresh pages for them
+# on each step (a (cells, hidden) layer of the default box is 540 KB)
+HIDDEN_BLOCK_VALUES = 15 * 1024
+
+
+def _hidden_blocks(features: np.ndarray, params: RewardMapParams):
+    """Yield (rows, features[rows], z) over blocks of grid rows, z = the
+    hidden layer's pre-activation features[rows] @ w1.T + b1 there. Each grid
+    row is its own matrix product, so z is the same bits for any block size."""
+    w1t = np.ascontiguousarray(params.w1.T)  # same bits as the transposed view, and faster
+    step = max(1, HIDDEN_BLOCK_VALUES // (features.shape[1] * params.w1.shape[0]))
+    for start in range(0, features.shape[0], step):
+        rows = slice(start, start + step)
+        block = features[rows]
+        z = block @ w1t
+        z += params.b1
+        yield rows, block, z
+
+
 def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
     """Per-cell reward, the network output as it is."""
     if not np.all(np.isfinite(features)):
         raise ValueError("feature stack contains non-finite values")
     if params.mode == "linear":
         return features @ params.w
-    z = features @ params.w1.T + params.b1
-    return np.maximum(z, 0.0) @ params.w2
+    reward = np.empty(features.shape[:2])
+    for rows, _, z in _hidden_blocks(features, params):
+        reward[rows] = np.maximum(z, 0.0, out=z) @ params.w2
+    return reward
 
 
 def reward_backward(features: np.ndarray, params: RewardMapParams,
@@ -133,12 +156,13 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
     if params.mode == "linear":
         grad_w = np.tensordot(g, features, axes=([0, 1], [0, 1]))
         return RewardMapParams(mode="linear", w=grad_w)
-    z = features @ params.w1.T + params.b1
-    act = np.maximum(z, 0.0)
-    grad_w2 = np.tensordot(g, act, axes=([0, 1], [0, 1]))
-    grad_z = g[..., None] * params.w2 * (z > 0.0)
-    grad_b1 = grad_z.sum(axis=(0, 1))
-    grad_w1 = np.tensordot(grad_z, features, axes=([0, 1], [0, 1]))
+    grad_w1, grad_b1, grad_w2 = (np.zeros_like(w) for w in (params.w1, params.b1, params.w2))
+    for rows, f, z in _hidden_blocks(features, params):
+        grad_z = g[rows, :, None] * params.w2
+        grad_z *= z > 0.0
+        grad_w2 += np.tensordot(g[rows], np.maximum(z, 0.0, out=z), axes=([0, 1], [0, 1]))
+        grad_b1 += grad_z.sum(axis=(0, 1))
+        grad_w1 += grad_z.reshape(-1, grad_z.shape[-1]).T @ f.reshape(-1, f.shape[-1])
     return RewardMapParams(mode="two_layer", w1=grad_w1, b1=grad_b1, w2=grad_w2)
 
 

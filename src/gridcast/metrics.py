@@ -50,12 +50,18 @@ def best_mode(trajectories: np.ndarray, gt: np.ndarray) -> int:
     return int(_endpoint_errors(trajectories, gt).argmin())
 
 
+def is_miss(final_error):
+    """The miss rule: a best endpoint error strictly above MISS_THRESHOLD
+    (elementwise for an array of errors)."""
+    return np.asarray(final_error, dtype=np.float64) > MISS_THRESHOLD
+
+
 def miss_rate(final_errors) -> float:
-    """Fraction of scenes whose best endpoint error strictly exceeds MISS_THRESHOLD."""
+    """Fraction of scenes whose best endpoint error is a miss."""
     errors = np.asarray(list(final_errors), dtype=np.float64)
     if errors.size == 0:
         raise ValueError("at least one scene required")
-    return float((errors > MISS_THRESHOLD).mean())
+    return float(is_miss(errors).mean())
 
 
 def brier(p_best: float) -> float:
@@ -97,7 +103,7 @@ def score_forecast(trajectories: np.ndarray, probs: np.ndarray, gt: np.ndarray) 
     return SceneMetrics(
         min_ade=min_ade(trajectories, gt),
         min_fde=fde,
-        missed=fde > MISS_THRESHOLD,
+        missed=bool(is_miss(fde)),
         best_prob=p_best,
         brier=brier(p_best),
         brier_min_fde=brier_min_fde(fde, p_best),
@@ -114,7 +120,7 @@ def aggregate(scene_metrics, k: int) -> MetricReport:
         k=k,
         min_ade=float(np.mean([m.min_ade for m in ms])),
         min_fde=float(np.mean([m.min_fde for m in ms])),
-        miss_rate=float(np.mean([m.missed for m in ms])),
+        miss_rate=miss_rate(m.min_fde for m in ms),
         brier=float(np.mean([m.brier for m in ms])),
         brier_min_fde=float(np.mean([m.brier_min_fde for m in ms])),
     )

@@ -66,18 +66,37 @@ def uniform_occupancy(spec: GridSpec, n_steps: int) -> np.ndarray:
 
 def focal_bce(pred: np.ndarray, gt: np.ndarray, gamma: float = 2.0,
               alpha: float = 0.25) -> float:
-    """Mean focal binary cross-entropy with probabilities clamped to [1e-6, 1-1e-6]."""
+    """Mean focal binary cross-entropy with probabilities clamped to [1e-6, 1-1e-6].
+
+    A clamped cell's loss is linear in its target y, so the cells clamped to
+    either bound are summed in closed form from their count and sum of y; only
+    the others, a small share of an occupancy grid, are evaluated one by one.
+    """
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    p = np.clip(np.asarray(pred, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = np.asarray(gt, dtype=np.float64)
-    loss = (-alpha * (1.0 - p) ** gamma * y * np.log(p)
+    pred = np.asarray(pred, dtype=np.float64)
+    total, inside = 0.0, np.ones(pred.shape, dtype=bool)
+    for bound, clamped in ((PROB_CLAMP, pred <= PROB_CLAMP),
+                           (1.0 - PROB_CLAMP, pred >= 1.0 - PROB_CLAMP)):
+        inside &= ~clamped
+        n = np.count_nonzero(clamped)
+        if n:
+            y_sum = float(np.sum(gt, where=clamped, dtype=np.float64))
+            total += (_focal_loss(bound, 1.0, gamma, alpha) * y_sum
+                      + _focal_loss(bound, 0.0, gamma, alpha) * (n - y_sum))
+    p, y = pred[inside], np.asarray(gt)[inside].astype(np.float64)
+    total += _focal_loss(p, y, gamma, alpha).sum()
+    return float(total) / pred.size
+
+
+def _focal_loss(p, y, gamma: float, alpha: float):
+    """The focal loss of probability p against target y, elementwise."""
+    return (-alpha * (1.0 - p) ** gamma * y * np.log(p)
             - (1.0 - alpha) * p ** gamma * (1.0 - y) * np.log(1.0 - p))
-    return float(loss.mean())
 
 
 # ---------------------------------------------------------------------------

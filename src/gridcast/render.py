@@ -12,31 +12,34 @@ MODE_COLORS = ((0, 200, 0), (0, 120, 255), (255, 160, 0),
                (0, 220, 220), (200, 0, 0), (160, 90, 230))
 
 
-def write_pgm(path, image: np.ndarray) -> None:
-    """Binary P5 PGM; image is (rows, cols) uint8, written row-major."""
+def write_netpbm(path, image: np.ndarray) -> None:
+    """Binary netpbm, written row-major: P5 PGM for a (rows, cols) gray image,
+    P6 PPM for a (rows, cols, 3) color one, both uint8."""
     img = np.ascontiguousarray(image, dtype=np.uint8)
+    if img.ndim == 2:
+        magic = "P5"
+    elif img.ndim == 3 and img.shape[2] == 3:
+        magic = "P6"
+    else:
+        raise ValueError(f"a netpbm image is (rows, cols) or (rows, cols, 3), got {img.shape}")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
 
-def write_ppm(path, image: np.ndarray) -> None:
-    """Binary P6 PPM; image is (rows, cols, 3) uint8."""
-    img = np.ascontiguousarray(image, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+def _min_max_scaled(field: np.ndarray, top: float) -> np.ndarray:
+    """round((f - min) / (max - min) * top) as uint8, so the field spans 0..top;
+    a flat field, whose max equals its min, is all 0."""
+    f = np.asarray(field, dtype=np.float64)
+    lo, hi = float(f.min()), float(f.max())
+    if not hi > lo:
+        return np.zeros(f.shape, dtype=np.uint8)
+    return np.round((f - lo) / (hi - lo) * top).astype(np.uint8)
 
 
 def field_to_pgm(path, field: np.ndarray) -> None:
     """Min-max scale a real-valued field into 8-bit grayscale."""
-    f = np.asarray(field, dtype=np.float64)
-    lo, hi = float(f.min()), float(f.max())
-    if hi - lo < 1e-300:
-        img = np.zeros(f.shape, dtype=np.uint8)
-    else:
-        img = np.round((f - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    write_pgm(path, img)
+    write_netpbm(path, _min_max_scaled(field, 255.0))
 
 
 def field_to_csv(path, field: np.ndarray) -> None:
@@ -82,7 +85,7 @@ def occupancy_frames(out_dir, ogm: np.ndarray, prefix: str = "ogm") -> list:
     for t in range(ogm.shape[2]):
         frame = np.clip(np.asarray(ogm[:, :, t], dtype=np.float64) * 255.0, 0, 255)
         p = out_dir / f"{prefix}_{t:03d}.pgm"
-        write_pgm(p, frame.astype(np.uint8))
+        write_netpbm(p, frame.astype(np.uint8))
         paths.append(p)
     return paths
 
@@ -106,11 +109,7 @@ def trajectory_overlay(spec: GridSpec, gt_future, mode_trajectories,
     """RGB overlay: background field in gray, modes in distinct colors, GT last."""
     img = np.zeros((spec.rows, spec.cols, 3), dtype=np.uint8)
     if background is not None:
-        bg = np.asarray(background, dtype=np.float64)
-        lo, hi = float(bg.min()), float(bg.max())
-        if hi > lo:
-            gray = np.round((bg - lo) / (hi - lo) * 180.0).astype(np.uint8)
-            img[:] = gray[..., None]
+        img[:] = _min_max_scaled(background, 180.0)[..., None]
     for k, traj in enumerate(mode_trajectories):
         _draw_polyline(img, traj, spec, MODE_COLORS[k % len(MODE_COLORS)])
     _draw_polyline(img, gt_future, spec, GT_COLOR)

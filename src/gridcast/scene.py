@@ -358,6 +358,48 @@ def generate_scene(kind: str, seed: int) -> SceneContext:
 # Feature rasterization
 # ---------------------------------------------------------------------------
 
+# bytes of one (cells, segments) float64 array of the nearest-segment search;
+# rasterize_features searches blocks of cells that fit it, a few such arrays
+# at a time, so its memory does not grow with the grid (every cell is
+# independent, so the raster is the same bits for any block size)
+RASTER_BLOCK_BYTES = 1 << 19
+
+
+def _nearest_centerline(p: np.ndarray, segs: np.ndarray):
+    """For the cell centres p (n, 2): the nearest lane segment, the distance
+    to it, that distance signed by the side of the segment the cell lies on
+    (positive to its left, clamped to +-MAX_CENTERLINE_DIST) and the
+    progress along the route at the nearest route segment (0 without one)."""
+    a = segs[:, [LX0, LY0]]
+    d = segs[:, [LX1, LY1]] - a
+    seg_len2 = np.maximum((d ** 2).sum(axis=1), 1e-12)
+    # projection parameter of every cell onto every segment
+    t = ((p[:, None, :] - a[None]) * d[None]).sum(axis=2)
+    t /= seg_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    diff = t[..., None] * d[None]
+    diff += a  # the closest point of each segment
+    np.subtract(p[:, None, :], diff, out=diff)
+    dist = (diff ** 2).sum(axis=2)
+    np.sqrt(dist, out=dist)
+
+    n_idx = np.arange(p.shape[0])
+    nearest = dist.argmin(axis=1)
+    nearest_dist = dist[n_idx, nearest]
+    near_diff = diff[n_idx, nearest]
+    side = d[nearest, 0] * near_diff[:, 1] - d[nearest, 1] * near_diff[:, 0]
+    signed = np.clip(np.sign(side) * nearest_dist, -MAX_CENTERLINE_DIST, MAX_CENTERLINE_DIST)
+
+    progress = np.zeros(p.shape[0])
+    r_ids = np.nonzero(segs[:, LTYPE] == LANE_TYPE_ROUTE)[0]
+    if r_ids.size:
+        r_len = np.sqrt(seg_len2[r_ids])
+        r_cum = np.concatenate([[0.0], np.cumsum(r_len)])[:-1]
+        r_near = dist[:, r_ids].argmin(axis=1)
+        progress = r_cum[r_near] + t[n_idx, r_ids[r_near]] * r_len[r_near]
+    return nearest, nearest_dist, signed, progress
+
+
 def rasterize_features(scene: SceneContext, spec: GridSpec) -> np.ndarray:
     """Per-cell context features (rows, cols, 6) for a normalized scene.
 
@@ -374,38 +416,17 @@ def rasterize_features(scene: SceneContext, spec: GridSpec) -> np.ndarray:
     p = centres.reshape(-1, 2)  # (n, 2)
 
     segs = scene.map_lanes.reshape(-1, 6)
-    a = segs[:, [LX0, LY0]]
-    d = segs[:, [LX1, LY1]] - a
-    seg_len2 = np.maximum((d ** 2).sum(axis=1), 1e-12)
-    # projection parameter of every cell onto every segment
-    t = ((p[:, None, :] - a[None]) * d[None]).sum(axis=2) / seg_len2[None]
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[None] + t[..., None] * d[None]
-    diff = p[:, None, :] - closest
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    # side of the centerline: positive to the segment's left
-    side = d[None, :, 0] * diff[..., 1] - d[None, :, 1] * diff[..., 0]
-
-    nearest = dist.argmin(axis=1)
-    n_idx = np.arange(p.shape[0])
-    nearest_dist = dist[n_idx, nearest]
-    signed = np.sign(side[n_idx, nearest]) * nearest_dist
-    signed = np.clip(signed, -MAX_CENTERLINE_DIST, MAX_CENTERLINE_DIST)
+    step = max(1, RASTER_BLOCK_BYTES // (8 * segs.shape[0]))
+    blocks = [_nearest_centerline(p[start:start + step], segs)
+              for start in range(0, p.shape[0], step)]
+    nearest, nearest_dist, signed, progress = (np.concatenate(part) for part in zip(*blocks))
 
     features = np.zeros((spec.rows, spec.cols, FEATURE_COUNT))
     shape = (spec.rows, spec.cols)
     features[..., F_ON_ROAD] = (nearest_dist <= LANE_HALF_WIDTH).astype(np.float64).reshape(shape)
     features[..., F_CENTER_DIST] = signed.reshape(shape)
     features[..., F_HEADING] = np.cos(segs[nearest, LHEAD]).reshape(shape)
-
-    route_mask = segs[:, LTYPE] == LANE_TYPE_ROUTE
-    if route_mask.any():
-        r_ids = np.nonzero(route_mask)[0]
-        r_len = np.sqrt(seg_len2[r_ids])
-        r_cum = np.concatenate([[0.0], np.cumsum(r_len)])[:-1]
-        r_near = dist[:, r_ids].argmin(axis=1)
-        progress = r_cum[r_near] + t[n_idx, r_ids[r_near]] * r_len[r_near]
-        features[..., F_PROGRESS] = progress.reshape(shape)
+    features[..., F_PROGRESS] = progress.reshape(shape)
 
     for i in range(scene.agents.shape[0]):
         if i == scene.target_index:

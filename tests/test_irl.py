@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast import irl
+from gridcast import irl, pipeline
+from gridcast.scene import generate_scene, normalize_to_target
 from gridcast.config import RunConfig
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
 from gridcast.irl import (
@@ -61,6 +66,50 @@ def test_reward_forward_two_layer_is_the_raw_network_output():
     raw = feats @ params.w1.T + params.b1
     raw = np.maximum(raw, 0.0) @ params.w2
     assert np.array_equal(field, raw)
+
+
+def whole_grid_network(feats, params, g):
+    """The two-layer map and its gradient w.r.t. the parameters, every cell at once."""
+    z = feats @ params.w1.T + params.b1
+    act = np.maximum(z, 0.0)
+    grad_z = g[..., None] * params.w2 * (z > 0.0)
+    grads = (np.tensordot(grad_z, feats, axes=([0, 1], [0, 1])), grad_z.sum(axis=(0, 1)),
+             np.tensordot(g, act, axes=([0, 1], [0, 1])))
+    return act @ params.w2, np.concatenate([grads[0].ravel(), grads[1], grads[2]])
+
+
+@pytest.mark.parametrize("rows, cols", [(65, 65), (128, 128), (27, 33)])
+def test_reward_network_in_row_blocks_is_the_whole_grid_network(rows, cols):
+    # the default box (5 blocks, the last of 9 rows), the full grid and the
+    # acceptance box (one block)
+    feats = random_features((rows, cols, 6), seed=rows)
+    g = random_features((rows, cols), seed=cols)
+    params = RewardMapParams.two_layer(6, hidden=16, seed=4)
+    reward, grad = whole_grid_network(feats, params, g)
+    assert np.array_equal(reward_forward(feats, params), reward)
+    blocked = reward_backward(feats, params, g).as_vector()
+    if rows * cols * 16 <= irl.HIDDEN_BLOCK_VALUES:
+        assert np.array_equal(blocked, grad)
+    np.testing.assert_allclose(blocked, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("direction, bound", [("forward", 500_000), ("backward", 750_000)])
+def test_reward_network_keeps_no_hidden_layer_of_the_grid(direction, bound):
+    # a (65, 65, 16) hidden layer takes 540,800 bytes; the whole-grid network
+    # peaked at 1.15 MB forward and 1.76 MB backward on the default box
+    feats = random_features((65, 65, 6), seed=3)
+    params = RewardMapParams.two_layer(6, hidden=16, seed=4)
+    g = random_features((65, 65), seed=5)
+    tracemalloc.start()
+    try:
+        if direction == "forward":
+            reward_forward(feats, params)
+        else:
+            reward_backward(feats, params, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_reward_forward_rejects_nonfinite():
@@ -677,6 +726,40 @@ def test_train_rejects_expert_of_another_grid():
     for wrong in (expert[:, :4], expert[None], expert.ravel()):
         with pytest.raises(ValueError, match="expert shape"):
             train_irl(np.zeros((5, 5, 2)), wrong, spec, train_cfg(3))
+
+
+FRESH_FIT = """
+import resource, sys
+import numpy as np
+from gridcast import config, grid, irl
+features, expert = np.load(sys.argv[1]), np.load(sys.argv[2])
+cfg = config.RunConfig()
+box, _ = grid.reachable_box(cfg.grid_spec(), cfg.horizon)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+irl.train_irl(features, expert, box, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_a_default_fit_in_a_fresh_process_takes_few_page_faults(tmp_path):
+    # a process that has freed no large array still has glibc's default 128 KiB
+    # mmap threshold: a 540 KB hidden layer per step was mapped and unmapped
+    # afresh, 47,680 minor faults over one 80-step fit of the default box. In
+    # row blocks the fit reads 500-9,000, as the planner's own temporaries
+    # happen to meet glibc's heap trimming, so the bound sits between the two
+    pytest.importorskip("resource")
+    cfg = RunConfig()
+    spec = cfg.grid_spec()
+    box, window = reachable_box(spec, cfg.horizon)
+    scene = normalize_to_target(generate_scene("curve", seed=100))
+    np.save(tmp_path / "features.npy", pipeline.scaled_features(scene, box))
+    np.save(tmp_path / "expert.npy", expert_visitation(pipeline.build_demos(scene, cfg, spec),
+                                                       spec, cfg.horizon)[window])
+    src = str(Path(irl.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FRESH_FIT, str(tmp_path / "features.npy"),
+                          str(tmp_path / "expert.npy")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, check=True)
+    assert int(out.stdout) < 20_000
 
 
 def test_path_reward_convention():

@@ -9,6 +9,7 @@ from gridcast.metrics import (
     brier,
     brier_min_fde,
     format_report_table,
+    is_miss,
     min_ade,
     min_fde,
     miss_rate,
@@ -99,6 +100,20 @@ def test_score_and_aggregate():
     assert report.miss_rate == 0.5
     assert report.min_fde == pytest.approx((0.0 + 3.0) / 2)
     assert report.brier == pytest.approx((0.0 + 0.25) / 2)
+
+
+def test_reported_miss_rate_is_miss_rate_of_the_min_fdes():
+    # one rule: an endpoint error of exactly 2.0 m is no miss, either way
+    gt = straight_gt()
+    scores = [score_forecast((gt + np.array([0.0, e]))[None], np.array([1.0]), gt)
+              for e in (0.0, 2.0, np.nextafter(2.0, 3.0), 1.0, 2.0, 3.0)]
+    fdes = [m.min_fde for m in scores]
+    assert fdes[1] == 2.0 and fdes[2] > 2.0
+    assert [m.missed for m in scores] == [False, False, True, False, False, True]
+    assert [m.missed for m in scores] == [bool(is_miss(e)) for e in fdes]
+    assert aggregate(scores, k=1).miss_rate == miss_rate(fdes) == 2 / 6
+    for n in range(1, len(scores) + 1):
+        assert aggregate(scores[:n], k=1).miss_rate == miss_rate(fdes[:n])
 
 
 def test_report_table_alignment():

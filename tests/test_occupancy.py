@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
 from gridcast.irl import Policy, reach_windows, soft_value_iteration
 from gridcast.occupancy import (
+    PROB_CLAMP,
     focal_bce,
     predict_occupancy,
     rasterize_gt_ogm,
@@ -130,6 +132,51 @@ def test_focal_bce_known_value():
     expected = 0.25 * 0.25 * math.log(2.0)
     assert focal_bce(p, y, gamma=2.0, alpha=0.25) == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(0.0433, abs=1e-4)
+
+
+def elementwise_focal_bce(pred, gt, gamma=2.0, alpha=0.25):
+    """focal_bce's definition, clamping and scoring every cell."""
+    p = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    y = np.asarray(gt, dtype=np.float64)
+    return float(np.mean(-alpha * (1.0 - p) ** gamma * y * np.log(p)
+                         - (1.0 - alpha) * p ** gamma * (1.0 - y) * np.log(1.0 - p)))
+
+
+def test_focal_bce_sums_clamped_cells_in_closed_form():
+    rs = np.random.RandomState(3)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    # below, at and just above the lower clamp, the same around the upper one,
+    # then 0, 1, negative and >1 predictions and ordinary probabilities
+    special = [-0.5, 0.0, lo / 2, lo, np.nextafter(lo, 1.0), 2 * lo, 0.5, 1.0 - 2 * lo,
+               np.nextafter(hi, 0.0), hi, (1.0 + hi) / 2, 1.0, 1.5]
+    pred = np.concatenate([np.repeat(special, 8), rs.uniform(size=200),
+                           np.zeros(400)]).reshape(-1, 4, 2)
+    for gt in ((rs.uniform(size=pred.shape) < 0.3).astype(np.uint8),
+               rs.uniform(size=pred.shape)):  # binary, and soft targets
+        for gamma, alpha in ((2.0, 0.25), (0.0, 0.5), (1.5, 0.9)):
+            want = elementwise_focal_bce(pred, gt, gamma, alpha)
+            assert focal_bce(pred, gt, gamma, alpha) == pytest.approx(want, rel=1e-12)
+
+
+def test_focal_bce_holds_no_grid_sized_temporaries():
+    # a default-config occupancy, 128x128x30, nonzero only on the 65x65 box;
+    # clamping and scoring every cell took 23.6 MB beside the 3.9 MB input
+    spec = spec_of(rows=128, cols=128, anchor=(32, 64))
+    box, window = reachable_box(spec, 32)
+    reward = np.random.RandomState(4).uniform(-3.0, 0.0, (box.rows, box.cols))
+    pred = np.zeros((128, 128, 30))
+    pred[window] = predict_occupancy(soft_value_iteration(reward, box, 32)[1], n_steps=30)
+    gt = np.zeros(pred.shape, dtype=np.uint8)
+    steps = np.arange(30)
+    gt[32, 64 + steps, steps] = 1  # the target moves one cell per step
+    tracemalloc.start()
+    try:
+        got = focal_bce(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(elementwise_focal_bce(pred, gt), rel=1e-12)
+    assert peak <= 4_000_000
 
 
 def test_focal_bce_validation():

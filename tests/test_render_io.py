@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gridcast.grid import CellIndex, GridSpec
 from gridcast.render import (
@@ -7,15 +8,14 @@ from gridcast.render import (
     occupancy_frames,
     read_field_csv,
     trajectory_overlay,
-    write_pgm,
-    write_ppm,
+    write_netpbm,
 )
 
 
 def test_pgm_header_and_payload(tmp_path):
     img = np.arange(12, dtype=np.uint8).reshape(3, 4)
     path = tmp_path / "x.pgm"
-    write_pgm(path, img)
+    write_netpbm(path, img)
     blob = path.read_bytes()
     assert blob.startswith(b"P5\n4 3\n255\n")
     assert blob[len(b"P5\n4 3\n255\n"):] == img.tobytes()
@@ -24,7 +24,7 @@ def test_pgm_header_and_payload(tmp_path):
 def test_ppm_header(tmp_path):
     img = np.zeros((2, 5, 3), dtype=np.uint8)
     path = tmp_path / "x.ppm"
-    write_ppm(path, img)
+    write_netpbm(path, img)
     assert path.read_bytes().startswith(b"P6\n5 2\n255\n")
 
 
@@ -41,6 +41,27 @@ def test_constant_field_pgm(tmp_path):
     field_to_pgm(path, np.full((2, 2), 3.5))
     payload = path.read_bytes().split(b"255\n", 1)[1]
     assert set(payload) == {0}
+
+
+@pytest.mark.parametrize("field", [np.full((4, 4), 3.5), np.where(np.eye(4) > 0, -0.0, 0.0),
+                                   np.eye(4) * 5e-324, 7.0 + np.eye(4) * np.spacing(7.0)])
+def test_one_min_max_rule_for_pgm_and_overlay_background(tmp_path, field):
+    # a flat field is all 0; any other, however narrow its range, spans 0..top
+    spec = GridSpec(rows=4, cols=4, resolution=1.0, anchor=CellIndex(0, 0))
+    path = tmp_path / "f.pgm"
+    field_to_pgm(path, field)
+    gray = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], dtype=np.uint8)
+    overlay = trajectory_overlay(spec, np.zeros((0, 2)), [], background=field)
+    flat = field.max() == field.min()
+    assert set(gray) == ({0} if flat else {0, 255})
+    assert set(overlay.ravel()) == ({0} if flat else {0, 180})
+    assert np.array_equal(gray.reshape(4, 4) == 0, overlay[..., 0] == 0)
+
+
+def test_netpbm_rejects_an_image_of_another_shape(tmp_path):
+    for shape in ((3,), (2, 2, 4), (2, 2, 3, 1)):
+        with pytest.raises(ValueError, match="netpbm"):
+            write_netpbm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8))
 
 
 def test_field_csv_roundtrip_exact(tmp_path):

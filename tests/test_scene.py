@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gridcast import scene as scene_mod
+from gridcast.config import RunConfig
 from gridcast.grid import CellIndex, GridSpec, reachable_box
 from gridcast.scene import (
     AHEAD,
@@ -313,6 +316,53 @@ def test_box_raster_is_the_full_raster_cut_to_the_box_bitwise(rows, cols, res, a
         assert full[outside, anchor[1], F_OCCUPANCY] == 1.0
         assert full[..., F_OCCUPANCY].sum() == 2.0
         assert boxed[..., F_OCCUPANCY].sum() == 1.0
+
+
+# sha256 prefixes of rasterize_features on the default config's 65x65 box and
+# its full 128x128 grid, scene seed = kind index, recorded with the search
+# over all cells at once
+RASTER_DIGESTS = {
+    "straight": ("4757b6aa87a37ed6", "675d85799af9537e"),
+    "curve": ("7417bd1ab2cde241", "fc5e576c03f6c5bb"),
+    "intersection_left": ("77a14790771b9985", "d94f8b957172d5be"),
+    "intersection_right": ("23398d18b11279f2", "2733ea66dfdf56d2"),
+    "lane_change": ("f81c81ae85930aa8", "0e759cf3b90d7a09"),
+    "stop": ("4fb9bf4a93fef428", "7451c876ae8decee"),
+}
+
+
+def test_blocked_raster_is_the_one_block_raster_bitwise(monkeypatch):
+    spec = RunConfig().grid_spec()
+    box, _ = reachable_box(spec, 32)
+    for seed, kind in enumerate(SCENE_KINDS):
+        scene = normalize_to_target(generate_scene(kind, seed=seed))
+        n_segs = scene.map_lanes.shape[0] * scene.map_lanes.shape[1]
+        rasters = {}
+        # the default budget, blocks of 37 cells (a ragged last block) and one block
+        for budget in (scene_mod.RASTER_BLOCK_BYTES, 8 * n_segs * 37, 1 << 40):
+            monkeypatch.setattr(scene_mod, "RASTER_BLOCK_BYTES", budget)
+            rasters[budget] = rasterize_features(scene, box).tobytes()
+        assert len(set(rasters.values())) == 1, kind
+        monkeypatch.undo()
+        digests = tuple(hashlib.sha256(rasterize_features(scene, grid).tobytes()).hexdigest()[:16]
+                        for grid in (box, spec))
+        assert digests == RASTER_DIGESTS[kind], kind
+
+
+@pytest.mark.parametrize("geometry, bound", [("box", 4_000_000), ("grid", 5_000_000)])
+def test_raster_memory_does_not_grow_with_the_grid(geometry, bound):
+    # searching every cell against all 72 lane segments at once took 19.7 MB
+    # on the default box and 75.9 MB on the full 128x128 grid that render draws
+    spec = RunConfig().grid_spec()
+    grid = reachable_box(spec, 32)[0] if geometry == "box" else spec
+    scene = normalize_to_target(generate_scene("curve", seed=5))
+    tracemalloc.start()
+    try:
+        rasterize_features(scene, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
