@@ -141,6 +141,39 @@ def test_unknown_kind_rejected():
         generate_scene("zigzag", seed=0)
 
 
+# sha256 prefixes of the JSON text of scene_to_dict(generate_scene(kind, seed))
+# for seeds 0-7, recorded while each kind's route, speed profile, third agent
+# and lanes were written in four separate ladders; the seeds cover both bend
+# directions of "curve" (0 and 4 bend left, 1 right) and the draws that vary
+# the "stop" profile
+GENERATOR_DIGESTS = {
+    "straight": ("5bce4d2c2f2f6104", "b04931a377e0af8e", "8c4b56afa370bba5", "c4e63b89ac6bf653",
+                 "ac6d7045d7fe9872", "166b41f62d1708dd", "6e7ca5b028d81f06", "7da4d329cd611883"),
+    "curve": ("4098b07e6fee91aa", "e9e856f8d497fa46", "b915b4c565d76d06", "37bf3159e4cb1bda",
+              "b87030cf605e9302", "11e6932d00d8bb7f", "3d3a5594695b9402", "e6b0833dc3ef5159"),
+    "intersection_left": ("f77dd7c51c0c0027", "1df44787e85ff001", "eee2bcae680a88e7",
+                          "2c5b22f50167c453", "926b97ce48037b02", "9756782d30f61d59",
+                          "b01d5fe2b81ee394", "1894a66d5de073c3"),
+    "intersection_right": ("e6ed306c555ffec0", "d6f5038e64164011", "905171dc45a0c4c3",
+                           "ae77e41e556a3848", "92a1f0f3d256fb05", "f87999338066a298",
+                           "2aeaa5a0bb5719fb", "c908fee9185090d4"),
+    "lane_change": ("f5ed3d2fe9b0c58a", "e6eed069e5fc5574", "4f7ad49e402d86c6",
+                    "8f0ac448b3fe00d1", "e6f10463d9dab772", "81729084b31925dd",
+                    "1b80d026138cd316", "a61ae5e69d7af6de"),
+    "stop": ("68e521f41566b428", "178eeb33e17604a9", "a6a0804078c1e79a", "f66f81351d5eccb2",
+             "04a36d5140e17512", "b5713bd6b303d4cd", "f15a250c6cc3265a", "658fd0ea165ca650"),
+}
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_generated_scenes_are_pinned_bitwise(kind):
+    digests = tuple(
+        hashlib.sha256(json.dumps(scene_to_dict(generate_scene(kind, seed)),
+                                  sort_keys=True).encode()).hexdigest()[:16]
+        for seed in range(8))
+    assert digests == GENERATOR_DIGESTS[kind]
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
