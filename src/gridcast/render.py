@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, world_to_cell
+from .grid import GridSpec, connect_cells, world_to_cell
 
 # distinct gray levels / colors for mode overlays
 GT_COLOR = (255, 0, 255)
@@ -91,17 +91,11 @@ def occupancy_frames(out_dir, ogm: np.ndarray, prefix: str = "ogm") -> list:
 
 
 def _draw_polyline(image: np.ndarray, points, spec: GridSpec, color) -> None:
-    """Rasterize a polyline of world points onto the grid image (Bresenham-ish)."""
-    cells = [world_to_cell(p, spec) for p in points]
-    cells = [c for c in cells if c is not None]
-    for a, b in zip(cells, cells[1:]):
-        n = max(abs(b.row - a.row), abs(b.col - a.col), 1)
-        for i in range(n + 1):
-            r = a.row + round(i * (b.row - a.row) / n)
-            c = a.col + round(i * (b.col - a.col) / n)
-            image[r, c] = color
-    if cells:
-        image[cells[-1].row, cells[-1].col] = color
+    """Colour the on-grid cells of a polyline of world points, joined by the
+    package's path repair (grid.connect_cells)."""
+    cells = (world_to_cell(p, spec) for p in points)
+    for cell in connect_cells(c for c in cells if c is not None):
+        image[cell.row, cell.col] = color
 
 
 def trajectory_overlay(spec: GridSpec, gt_future, mode_trajectories,

@@ -142,45 +142,74 @@ TURN_SPEED = 5.5
 
 _KIND_CODE = {kind: i for i, kind in enumerate(SCENE_KINDS)}
 
+# every scene's timestamps, the last observed one (t = 0) at index T_HISTORY - 1
+_TIMES = np.arange(-(T_HISTORY - 1), 2 * T_FUTURE + 1) * DT
+# x samples of the straight routes (0.2 m apart) and of the straight side lanes
+_ROUTE_X = np.arange(-45.0, 115.0, 0.2)
+_LANE_X = np.arange(-30.0, 90.0, 1.0)
+
 
 def _smoothstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u * u * (3.0 - 2.0 * u)
 
 
-def _route_polyline(kind: str, draws: np.ndarray) -> np.ndarray:
-    """Dense centerline through the origin with entry heading +x."""
-    if kind in ("straight", "stop"):
-        xs = np.arange(-45.0, 115.0, 0.2)
-        return np.column_stack([xs, np.zeros_like(xs)])
+def _along_x(xs: np.ndarray, y: float) -> np.ndarray:
+    return np.column_stack([xs, np.full_like(xs, y)])
+
+
+def _bend(x_turn: float, radius: float, sign: float, sweep: float) -> np.ndarray:
+    """Straight along +x from x = -45 to x_turn, then an arc of the radius
+    turning left (sign 1) or right (sign -1) through sweep radians."""
+    theta = np.arange(0.0, sweep, 0.2 / radius)
+    arc = np.column_stack([x_turn + radius * np.sin(theta),
+                           sign * radius * (1.0 - np.cos(theta))])
+    return np.vstack([_along_x(np.arange(-45.0, x_turn, 0.2), 0.0), arc])
+
+
+def _kind_parts(kind: str, draws: np.ndarray):
+    """Everything that sets one scene kind apart, each kind in one branch:
+    - its route, a dense centerline through the origin with entry heading +x;
+    - its speed breakpoints (t, v), covering [-2, 6+] seconds;
+    - its third agent, as (position at t = 0, constant velocity);
+    - its side lanes as polylines, or None for the route's neighbours at
+      +-LANE_OFFSET."""
+    if kind in ("intersection_left", "intersection_right"):
+        # a turn onto a crossing road, where the third agent drives; the
+        # constant speed through the turn keeps lateral acceleration bounded
+        # (v^2/r <= 3.4 m/s^2) and the constant-speed proposal rule exact
+        sign = 1.0 if kind == "intersection_left" else -1.0
+        radius = 8.0 + 3.0 * draws[0]
+        x_cross = TURN_ENTRY + radius
+        exit_y = np.arange(radius, radius + 60.0, 0.2)
+        cross_y = np.arange(-40.0, 40.0, 1.0) * sign
+        route = np.vstack([_bend(TURN_ENTRY, radius, sign, math.pi / 2.0),
+                           np.column_stack([np.full_like(exit_y, x_cross), sign * exit_y])])
+        crossing = ((x_cross, -sign * (20.0 + 15.0 * draws[6])),
+                    (0.0, sign * (6.0 + 3.0 * draws[7])))
+        sides = [_along_x(_LANE_X, 0.0),
+                 np.column_stack([np.full_like(cross_y, x_cross), cross_y])]
+        return route, [(-2.0, TURN_SPEED), (10.0, TURN_SPEED)], crossing, sides
+    # on every other kind the third agent comes the other way in the left lane
+    oncoming = ((28.0 + 14.0 * draws[6], LANE_OFFSET), (-(6.0 + 3.0 * draws[7]), 0.0))
+    if kind == "straight":
+        return _along_x(_ROUTE_X, 0.0), [(-2.0, 10.0), (8.0, 10.0)], oncoming, None
+    if kind == "stop":
+        v0 = 7.5 + 1.0 * draws[1]
+        t_stop = 1.7 + 0.4 * draws[2]
+        return (_along_x(_ROUTE_X, 0.0), [(-2.0, v0), (0.0, v0), (t_stop, 0.0), (8.0, 0.0)],
+                oncoming, None)
     if kind == "curve":
         # the bend begins near the forecast edge so long-horizon supervision
         # reveals curvature the scored window only hints at
         radius = 25.0 + 20.0 * draws[0]
-        sign = 1.0 if draws[1] < 0.5 else -1.0
-        entry_x = np.arange(-45.0, CURVE_ENTRY, 0.2)
-        entry = np.column_stack([entry_x, np.zeros_like(entry_x)])
-        sweep = min(100.0 / radius, 1.9)
-        theta = np.arange(0.0, sweep, 0.2 / radius)
-        arc = np.column_stack([CURVE_ENTRY + radius * np.sin(theta),
-                               sign * radius * (1.0 - np.cos(theta))])
-        return np.vstack([entry, arc])
-    if kind in ("intersection_left", "intersection_right"):
-        sign = 1.0 if kind == "intersection_left" else -1.0
-        radius = 8.0 + 3.0 * draws[0]
-        entry_x = np.arange(-45.0, TURN_ENTRY, 0.2)
-        entry = np.column_stack([entry_x, np.zeros_like(entry_x)])
-        theta = np.arange(0.0, math.pi / 2.0, 0.2 / radius)
-        arc = np.column_stack([TURN_ENTRY + radius * np.sin(theta),
-                               sign * radius * (1.0 - np.cos(theta))])
-        exit_y = np.arange(radius, radius + 60.0, 0.2)
-        exit_seg = np.column_stack([np.full_like(exit_y, TURN_ENTRY + radius), sign * exit_y])
-        return np.vstack([entry, arc, exit_seg])
-    if kind == "lane_change":
-        xs = np.arange(-45.0, 115.0, 0.2)
-        ys = LANE_OFFSET * _smoothstep((xs - 5.0) / 20.0)
-        return np.column_stack([xs, ys])
-    raise ValueError(f"unknown scene kind {kind!r}")
+        route = _bend(CURVE_ENTRY, radius, 1.0 if draws[1] < 0.5 else -1.0,
+                      min(100.0 / radius, 1.9))
+        return route, [(-2.0, 8.5), (8.0, 8.5)], oncoming, None
+    # lane_change (generate_scene rejects an unknown kind)
+    route = np.column_stack([_ROUTE_X, LANE_OFFSET * _smoothstep((_ROUTE_X - 5.0) / 20.0)])
+    sides = [_along_x(_LANE_X, 0.0), _along_x(_LANE_X, LANE_OFFSET)]
+    return route, [(-2.0, 9.0), (8.0, 9.0)], oncoming, sides
 
 
 class _Route:
@@ -211,38 +240,6 @@ class _Route:
         h = self.heading_at(s_values)
         normal = np.stack([-np.sin(h), np.cos(h)], axis=-1)
         return pts + offset * normal
-
-
-def _speed_profile(kind: str, draws: np.ndarray):
-    """Piecewise-linear speed breakpoints (t, v) covering [-2, 6+] seconds."""
-    if kind == "straight":
-        return [(-2.0, 10.0), (8.0, 10.0)]
-    if kind == "curve":
-        return [(-2.0, 8.5), (8.0, 8.5)]
-    if kind == "lane_change":
-        return [(-2.0, 9.0), (8.0, 9.0)]
-    if kind == "stop":
-        v0 = 7.5 + 1.0 * draws[1]
-        t_stop = 1.7 + 0.4 * draws[2]
-        return [(-2.0, v0), (0.0, v0), (t_stop, 0.0), (8.0, 0.0)]
-    if kind in ("intersection_left", "intersection_right"):
-        # constant speed through the turn keeps lateral acceleration bounded
-        # (v^2/r <= 3.4 m/s^2) and the constant-speed proposal rule exact
-        return [(-2.0, TURN_SPEED), (10.0, TURN_SPEED)]
-    raise ValueError(f"unknown scene kind {kind!r}")
-
-
-def _integrate_motion(route: _Route, profile, t_grid: np.ndarray):
-    """Positions, headings, and speeds along the route for the given times."""
-    ts = np.array([p[0] for p in profile])
-    vs = np.array([p[1] for p in profile])
-    speeds = np.interp(t_grid, ts, vs)
-    # trapezoidal arc length with s(0) = 0
-    zero_idx = int(np.argmin(np.abs(t_grid)))
-    ds = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t_grid)
-    s = np.concatenate([[0.0], np.cumsum(ds)])
-    s = s - s[zero_idx]
-    return route.point(s), route.heading_at(s), speeds
 
 
 def _agent_states(points: np.ndarray, headings: np.ndarray, speeds: np.ndarray) -> np.ndarray:
@@ -277,77 +274,56 @@ def _lane_rows(points: np.ndarray, lane_type: float) -> np.ndarray:
 def generate_scene(kind: str, seed: int) -> SceneContext:
     """Deterministic synthetic scene in the target frame.
 
-    The target follows a kind-specific route with a continuous speed profile;
-    a lead vehicle shares the route and a third agent travels an adjacent or
-    crossing lane. ``extended_future`` always covers 2 * T_f timestamps.
+    The target follows a kind-specific route with a continuous speed profile
+    (_kind_parts); a lead vehicle shares the route and a third agent travels
+    an adjacent or crossing lane. ``extended_future`` always covers 2 * T_f
+    timestamps.
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind {kind!r}; expected one of {SCENE_KINDS}")
     draws = rng.uniform(seed, rng.STREAM_SCENE * 256 + _KIND_CODE[kind], np.arange(16))
-    route = _Route(_route_polyline(kind, draws))
-    profile = _speed_profile(kind, draws)
-
-    t_grid = np.arange(-(T_HISTORY - 1), 2 * T_FUTURE + 1) * DT
-    pts, headings, speeds = _integrate_motion(route, profile, t_grid)
+    polyline, profile, (start, velocity), sides = _kind_parts(kind, draws)
+    route = _Route(polyline)
     now = T_HISTORY - 1
-    target_states = _agent_states(pts, headings, speeds)
+
+    # the target: speeds from the breakpoints, trapezoidal arc length with s(0) = 0
+    ts, vs = np.array(profile).T
+    speeds = np.interp(_TIMES, ts, vs)
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(_TIMES))])
+    s = s - s[now]
+    pts = route.point(s)
+    target_states = _agent_states(pts, route.heading_at(s), speeds)
 
     # lead vehicle on the same route, constant speed
     gap = 15.0 + 10.0 * draws[4]
     v_lead = (0.85 + 0.1 * draws[5]) * max(speeds[now], 4.0)
-    s_lead = gap + v_lead * t_grid
+    s_lead = gap + v_lead * _TIMES
     lead_states = _agent_states(route.point(s_lead), route.heading_at(s_lead),
-                                np.full_like(t_grid, v_lead))
+                                np.full_like(_TIMES, v_lead))
 
-    # third agent: oncoming in the adjacent lane, or crossing at intersections
-    if kind in ("intersection_left", "intersection_right"):
-        sign = 1.0 if kind == "intersection_left" else -1.0
-        radius = 8.0 + 3.0 * draws[0]
-        x_cross = TURN_ENTRY + radius
-        y0 = -sign * (20.0 + 15.0 * draws[6])
-        v_third = 6.0 + 3.0 * draws[7]
-        third_pts = np.column_stack([np.full_like(t_grid, x_cross), y0 + sign * v_third * t_grid])
-        third_heading = sign * math.pi / 2.0
-    else:
-        x0 = 28.0 + 14.0 * draws[6]
-        v_third = 6.0 + 3.0 * draws[7]
-        third_pts = np.column_stack([x0 - v_third * t_grid, np.full_like(t_grid, LANE_OFFSET)])
-        third_heading = math.pi
-    third_states = _agent_states(third_pts, np.full_like(t_grid, third_heading),
-                                 np.full_like(t_grid, v_third))
+    # third agent: a straight line at constant velocity
+    third_states = _agent_states(np.add(start, np.multiply.outer(_TIMES, velocity)),
+                                 np.full_like(_TIMES, math.atan2(velocity[1], velocity[0])),
+                                 np.full_like(_TIMES, math.hypot(*velocity)))
 
     all_states = [target_states, lead_states, third_states]
     agents = np.stack([s[: now + 1] for s in all_states])
     agent_futures = np.stack(
         [s[now + 1: now + 1 + T_FUTURE, [AX, AY]].copy() for s in all_states])
 
-    gt_future = pts[now + 1: now + 1 + T_FUTURE].copy()
-    extended_future = pts[now + 1: now + 1 + 2 * T_FUTURE].copy()
-
     s_lane = np.linspace(-30.0, min(route.s_max, 90.0), 200)
+    if sides is None:
+        sides = [route.offset_polyline(LANE_OFFSET, s_lane),
+                 route.offset_polyline(-LANE_OFFSET, s_lane)]
     lanes = [_lane_rows(route.point(s_lane), LANE_TYPE_ROUTE)]
-    if kind in ("intersection_left", "intersection_right"):
-        sign = 1.0 if kind == "intersection_left" else -1.0
-        radius = 8.0 + 3.0 * draws[0]
-        through_x = np.arange(-30.0, 90.0, 1.0)
-        lanes.append(_lane_rows(np.column_stack([through_x, np.zeros_like(through_x)]), 0.0))
-        cross_y = np.arange(-40.0, 40.0, 1.0) * sign
-        lanes.append(_lane_rows(np.column_stack(
-            [np.full_like(cross_y, TURN_ENTRY + radius), cross_y]), 0.0))
-    elif kind == "lane_change":
-        xs = np.arange(-30.0, 90.0, 1.0)
-        lanes.append(_lane_rows(np.column_stack([xs, np.zeros_like(xs)]), 0.0))
-        lanes.append(_lane_rows(np.column_stack([xs, np.full_like(xs, LANE_OFFSET)]), 0.0))
-    else:
-        lanes.append(_lane_rows(route.offset_polyline(LANE_OFFSET, s_lane), 0.0))
-        lanes.append(_lane_rows(route.offset_polyline(-LANE_OFFSET, s_lane), 0.0))
+    lanes += [_lane_rows(side, 0.0) for side in sides]
 
     return SceneContext(
         agents=agents,
         map_lanes=np.stack(lanes),
         target_index=0,
-        gt_future=gt_future,
-        extended_future=extended_future,
+        gt_future=pts[now + 1: now + 1 + T_FUTURE].copy(),
+        extended_future=pts[now + 1: now + 1 + 2 * T_FUTURE].copy(),
         agent_futures=agent_futures,
         scenario_kind=kind,
         dt=DT,

@@ -282,7 +282,7 @@ def test_policy_simplex_and_mass_conservation():
 # visitation helpers
 # ---------------------------------------------------------------------------
 
-def _one_hot_policy(spec, action, horizon):
+def one_hot_policy(spec, action, horizon):
     """Every step takes ``action``, the only move with a nonzero weight."""
     weights = np.zeros(9)
     weights[action] = 1.0
@@ -308,7 +308,7 @@ def test_policy_rejects_no_tables():
 def test_deterministic_policy_unit_spikes():
     spec = small_spec(rows=8, cols=8, anchor=(1, 1))
     horizon = 4
-    policy = _one_hot_policy(spec, ACTIONS.index((1, 1)), horizon)
+    policy = one_hot_policy(spec, ACTIONS.index((1, 1)), horizon)
     visit = expected_visitation(policy)
     for t in range(horizon + 1):
         assert visit[t].max() == 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
-from gridcast.irl import Policy, reach_windows, soft_value_iteration
+from gridcast.irl import soft_value_iteration
 from gridcast.occupancy import (
     PROB_CLAMP,
     focal_bce,
@@ -17,6 +17,7 @@ from gridcast.occupancy import (
 )
 from gridcast.scene import generate_scene, normalize_to_target
 from dataclasses import replace
+from test_irl import one_hot_policy
 
 
 def spec_of(rows=64, cols=64, anchor=(16, 32), d=1.0):
@@ -70,15 +71,6 @@ def test_gt_idempotent_and_agent_order_independent():
         target_index=scene.agents.shape[0] - 1 - scene.target_index,
     )
     np.testing.assert_array_equal(rasterize_gt_ogm(flipped, spec), a)
-
-
-def one_hot_policy(spec, action, horizon):
-    """Every step takes ``action``, the only move with a nonzero weight."""
-    weights = np.zeros(9)
-    weights[action] = 1.0
-    on_grid = np.ones((spec.rows, spec.cols))
-    return Policy(spec, weights.reshape(3, 3),
-                  [on_grid[win] for win in reach_windows(spec, horizon)[1:]])
 
 
 def test_deterministic_policy_spike_slices():

@@ -102,3 +102,21 @@ def test_each_rule_lives_in_one_module():
     strays = [f"{module}: {rule}" for found, rule, home in homes
               for module in MODULES if module != home and rule in found[module]]
     assert strays == []
+
+
+def test_scene_kinds_are_told_apart_in_one_function():
+    # each scene kind is stated in one branch of one function, which gives its
+    # route, speed profile, third agent and side lanes; a kind name compared
+    # anywhere else is a second place where the kind is defined
+    from gridcast.scene import SCENE_KINDS
+
+    def kind_names(node):
+        return {n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and n.value in SCENE_KINDS}
+
+    homes = {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+             for top in MODULES["scene"].body for node in ast.walk(top)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+             and kind_names(node)}
+    assert len(homes) == 1, sorted(homes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridcast.grid import CellIndex, GridSpec
+from gridcast.grid import CellIndex, GridSpec, cell_to_world, connect_cells
 from gridcast.render import (
     field_to_csv,
     field_to_pgm,
@@ -90,3 +90,14 @@ def test_overlay_draws_polylines():
     # both modes present with distinct colors
     colors = {tuple(c) for c in img.reshape(-1, 3)}
     assert len(colors) >= 4  # background + gt + 2 modes
+
+
+def test_overlay_joins_cells_by_the_path_repair_line():
+    # a segment neither straight nor diagonal: from cell (0, 0) to (3, 1) the
+    # 8-connected line steps diagonally first, through (1, 1), not (1, 0)
+    spec = GridSpec(rows=6, cols=6, resolution=1.0, anchor=CellIndex(0, 0))
+    ends = [CellIndex(0, 0), CellIndex(3, 1)]
+    img = trajectory_overlay(spec, cell_to_world(np.array([[0, 0], [3, 1]]), spec), [])
+    drawn = {CellIndex(int(r), int(c)) for r, c in zip(*np.nonzero(img[..., 0]))}
+    assert drawn == set(connect_cells(ends)) == {CellIndex(0, 0), CellIndex(1, 1),
+                                                 CellIndex(2, 1), CellIndex(3, 1)}

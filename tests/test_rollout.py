@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
-from gridcast.irl import Policy, reach_windows, soft_value_iteration
+from gridcast.irl import soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
     forecast_to_payload,
@@ -14,20 +14,12 @@ from gridcast.rollout import (
     score_modes,
     write_forecast,
 )
+from test_irl import one_hot_policy
 from test_scene import streamed_json
 
 
 def spec_of(rows=21, cols=21, anchor=(10, 10)):
     return GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=CellIndex(*anchor))
-
-
-def one_hot_policy(spec, action, horizon):
-    """Every step takes ``action``, the only move with a nonzero weight."""
-    weights = np.zeros(9)
-    weights[action] = 1.0
-    on_grid = np.ones((spec.rows, spec.cols))
-    return Policy(spec, weights.reshape(3, 3),
-                  [on_grid[win] for win in reach_windows(spec, horizon)[1:]])
 
 
 def uniform_reward_policy(spec, horizon):
