@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from gridcast import irl, pipeline
-from gridcast.scene import generate_scene, normalize_to_target
+from gridcast.scene import SCENE_KINDS, generate_scene, normalize_to_target
 from gridcast.config import RunConfig
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
 from gridcast.irl import (
@@ -726,6 +727,41 @@ def test_train_rejects_expert_of_another_grid():
     for wrong in (expert[:, :4], expert[None], expert.ravel()):
         with pytest.raises(ValueError, match="expert shape"):
             train_irl(np.zeros((5, 5, 2)), wrong, spec, train_cfg(3))
+
+
+# the acceptance experiment's configuration (criteria 07-09)
+ACCEPTANCE_CFG = RunConfig(rows=40, cols=40, resolution=2.0, anchor_row=10, anchor_col=20,
+                           horizon=16, rollouts=96, lr=0.1, max_iters=150, tol=1e-6)
+
+# sha256 prefixes of train_irl's returned parameter bytes and nll_history at
+# the default config and at ACCEPTANCE_CFG, scene seed = kind index, recorded
+# before the planner passes dropped their per-call overhead
+FIT_DIGESTS = {
+    "straight": ("43f576a3bfd97eef", "c696935b2ddac578"),
+    "curve": ("445ef1b3249deeec", "062043f69f199fed"),
+    "intersection_left": ("3dc2af4d7656421a", "1b90f5bc4d054086"),
+    "intersection_right": ("af8b4242518115c7", "5a5b4a5d5e1c0688"),
+    "lane_change": ("2941e0e9d9e57e7a", "3e27d5c1315ddd12"),
+    "stop": ("2a128d8c2295e0bb", "97a72fff98f5e8d7"),
+}
+
+
+def fit_digest(scene, cfg):
+    """The scene's fit as predict_scene runs it, digested."""
+    spec = cfg.grid_spec()
+    box, window = reachable_box(spec, cfg.horizon)
+    expert = expert_visitation(pipeline.build_demos(scene, cfg, spec), spec, cfg.horizon)[window]
+    params, diag = train_irl(pipeline.scaled_features(scene, box), expert.copy(), box, cfg)
+    h = hashlib.sha256(params.as_vector().tobytes())
+    h.update(np.array(diag.nll_history).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_fits_are_pinned_bitwise(kind):
+    scene = normalize_to_target(generate_scene(kind, seed=SCENE_KINDS.index(kind)))
+    digests = tuple(fit_digest(scene, cfg) for cfg in (RunConfig(), ACCEPTANCE_CFG))
+    assert digests == FIT_DIGESTS[kind]
 
 
 FRESH_FIT = """
