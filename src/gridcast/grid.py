@@ -113,24 +113,19 @@ def _strided_view(base: np.ndarray, shape, offset: int, strides) -> np.ndarray:
     return view
 
 
-def neighbourhood(padded: np.ndarray, spec: GridSpec,
-                  window: tuple[slice, slice] | None = None) -> np.ndarray:
-    """The read-only (3, 3, h, w) neighbourhood of a padded map over the grid
-    or a ``window`` of it.
+def neighbourhood(padded: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The read-only (3, 3, rows, cols) neighbourhood of a padded map.
 
-    Entry (dr+1, dc+1, r, c) is the padded map at the successor of window cell
+    Entry (dr+1, dc+1, r, c) is the padded map at the successor of grid cell
     (r, c) under the move (dr, dc); a move off the grid reads the border. Its
-    first two axes flatten to the nine actions in ACTIONS order. ``window`` is
-    a (row_slice, col_slice) pair with explicit bounds, as ``window`` returns.
+    first two axes flatten to the nine actions in ACTIONS order, and
+    ``view[:, :, rows, cols]`` is the neighbourhood of the window (rows, cols).
     The view shares memory with ``padded``, so it sees later writes into it.
     """
     if padded.shape != (spec.rows + 2, spec.cols + 2):
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
-    rows, cols = window or (slice(0, spec.rows), slice(0, spec.cols))
     s_row, s_col = padded.strides
-    return _strided_view(padded, (3, 3, rows.stop - rows.start, cols.stop - cols.start),
-                         rows.start * s_row + cols.start * s_col,
-                         (s_row, s_col, s_row, s_col))
+    return _strided_view(padded, (3, 3, spec.rows, spec.cols), 0, (s_row, s_col, s_row, s_col))
 
 
 def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:

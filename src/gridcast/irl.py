@@ -32,6 +32,7 @@ stay 600 nats inside it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -153,14 +154,17 @@ def reward_backward(features: np.ndarray, params: RewardMapParams,
     if not np.all(np.isfinite(grad_reward)):
         raise ValueError("grad_reward contains non-finite values")
     g = grad_reward
+    # sum_s g(s) x(s) over the cells s as the (1, cells) @ (cells, k) product,
+    # the one that tensordot forms, so the same bits at less cost per call
     if params.mode == "linear":
-        grad_w = np.tensordot(g, features, axes=([0, 1], [0, 1]))
-        return RewardMapParams(mode="linear", w=grad_w)
+        grad_w = g.reshape(1, -1) @ features.reshape(-1, features.shape[-1])
+        return RewardMapParams(mode="linear", w=grad_w[0])
     grad_w1, grad_b1, grad_w2 = (np.zeros_like(w) for w in (params.w1, params.b1, params.w2))
     for rows, f, z in _hidden_blocks(features, params):
         grad_z = g[rows, :, None] * params.w2
         grad_z *= z > 0.0
-        grad_w2 += np.tensordot(g[rows], np.maximum(z, 0.0, out=z), axes=([0, 1], [0, 1]))
+        act = np.maximum(z, 0.0, out=z)
+        grad_w2 += (g[rows].reshape(1, -1) @ act.reshape(-1, act.shape[-1]))[0]
         grad_b1 += grad_z.sum(axis=(0, 1))
         grad_w1 += grad_z.reshape(-1, grad_z.shape[-1]).T @ f.reshape(-1, f.shape[-1])
     return RewardMapParams(mode="two_layer", w1=grad_w1, b1=grad_b1, w2=grad_w2)
@@ -179,11 +183,12 @@ LOG_ROUNDING = math.log(np.finfo(np.float64).eps / (2 * TINY))
 UNDERFLOW = "the reward spans more than float64 holds in probability space"
 
 
-def _box_sum(padded: np.ndarray, spec: GridSpec, win: Window, weights: np.ndarray) -> np.ndarray:
-    """sum_a k_a padded(s + a) over the cells s of ``win``, for the (3, 3)
-    action weights k (grid.neighbourhood order)."""
-    moves = neighbourhood(padded, spec, win)
-    return (weights.ravel() @ moves.reshape(N_ACTIONS, -1)).reshape(moves.shape[2:])
+def _box_sum(hood: np.ndarray, win: Window, weights: np.ndarray) -> np.ndarray:
+    """sum_a k_a padded(s + a) over the cells s of ``win``, from ``hood``, the
+    whole-grid neighbourhood of the padded map (grid.neighbourhood), and the
+    action weights k as a contiguous vector of nine (grid.neighbourhood order)."""
+    moves = hood[:, :, win[0], win[1]]
+    return (weights @ moves.reshape(N_ACTIONS, -1)).reshape(moves.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -192,14 +197,17 @@ class Policy:
     t < horizon, on windows[t] = ``anchor ± t``. ``weights`` is k, (3, 3) with
     entry (dr+1, dc+1) for the move (dr, dc); ``succ[t]`` is u_t on
     windows[t+1] (a move off the grid reads 0). normaliser(t) is n_t(s) = sum_a
-    k_a u_t(s + a) on windows[t], ``norm[t]`` when the planner gives it. Raises
-    ValueError for no steps or a successor map whose shape is not its window's."""
+    k_a u_t(s + a) on windows[t], read as 1 where it is 0: every move from such
+    a cell has weight 0, so it gets probability 0 and passes on no mass.
+    ``norm[t]`` is n_t as the planner gives it, or None to compute it here; the
+    policy reads its zeros as 1 in place. Raises ValueError for no steps or a
+    successor map whose shape is not its window's."""
 
     spec: GridSpec
     weights: np.ndarray
     succ: list[np.ndarray]
     norm: list[np.ndarray] | None = None
-    windows: list[Window] = field(init=False)
+    windows: tuple[Window, ...] = field(init=False)
 
     def __post_init__(self):
         if not self.succ:
@@ -209,6 +217,16 @@ class Policy:
             if np.shape(u) != (rows.stop - rows.start, cols.stop - cols.start):
                 raise ValueError(f"successor map {t} has shape {np.shape(u)}, its window "
                                  f"needs {(rows.stop - rows.start, cols.stop - cols.start)}")
+        if self.norm is None:
+            padded = padded_map(self.spec, 0.0)
+            hood, weights = neighbourhood(padded, self.spec), self.weights.ravel()
+            norm = []
+            for u, win, reach in zip(self.succ, self.windows, self.windows[1:]):
+                padded[1:-1, 1:-1][reach] = u  # windows grow, so each write covers the last
+                norm.append(_box_sum(hood, win, weights))
+            object.__setattr__(self, "norm", norm)
+        for n in self.norm:
+            n[n == 0.0] = 1.0
 
     @property
     def horizon(self) -> int:
@@ -220,18 +238,15 @@ class Policy:
         return padded
 
     def normaliser(self, t: int) -> np.ndarray:
-        if self.norm is not None:
-            return self.norm[t]
-        return _box_sum(self._padded(t), self.spec, self.windows[t], self.weights)
+        return self.norm[t]
 
     def probs(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """pi_t(. | s) at the grid cells s = (rows, cols) of windows[t], shape
-        rows.shape + (9,); a cell with n_t = 0, which no mass reaches, gets 0s."""
+        rows.shape + (9,); a cell with n_t = 0 gets 0s."""
         moves = neighbourhood(self._padded(t), self.spec)[:, :, rows, cols].reshape(N_ACTIONS, -1)
         moves *= self.weights.reshape(N_ACTIONS, 1)
         win_rows, win_cols = self.windows[t]
-        n = self.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
-        np.divide(moves, n, out=moves, where=n > 0.0)  # n = 0 only where every move is 0
+        moves /= self.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
         return moves.T.reshape(np.shape(rows) + (N_ACTIONS,))
 
     def __call__(self, t: int) -> np.ndarray:
@@ -241,10 +256,12 @@ class Policy:
         return table
 
 
-def reach_windows(spec: GridSpec, horizon: int) -> list[Window]:
+@functools.lru_cache(maxsize=64)
+def reach_windows(spec: GridSpec, horizon: int) -> tuple[Window, ...]:
     """Step t's window is ``anchor ± t``, for t = 0..horizon: where the target
-    can be at step t. Step t's successors lie in window t+1 or off the grid."""
-    return [window(spec, t) for t in range(horizon + 1)]
+    can be at step t. Step t's successors lie in window t+1 or off the grid.
+    Memoised per (spec, horizon); the tuple and its slices are immutable."""
+    return tuple(window(spec, t) for t in range(horizon + 1))
 
 
 def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
@@ -259,15 +276,17 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
         raise ValueError(f"reward shape {reward.shape} != grid {(spec.rows, spec.cols)}")
     windows = reach_windows(spec, horizon)
     padded, ones = padded_map(spec, 0.0), np.ones((3, 3))
+    interior, hood, weights = padded[1:-1, 1:-1], neighbourhood(padded, spec), ones.ravel()
     succ, norm = [None] * horizon, [None] * horizon
     beta, log_partition, gain = 1.0, 0.0, math.log(horizon)
     for t in range(horizon - 1, -1, -1):
         r = reward[windows[t + 1]]
         top = r.max()
-        u = np.exp(r - top)
+        u = r - top
+        np.exp(u, out=u)
         u *= beta
-        padded[1:-1, 1:-1][windows[t + 1]] = u
-        n = _box_sum(padded, spec, windows[t], ones)
+        interior[windows[t + 1]] = u
+        n = _box_sum(hood, windows[t], weights)
         scale = n.max()
         gain += math.log(N_ACTIONS / scale) if scale >= TINY else math.inf
         if not gain <= LOG_ROUNDING:
@@ -291,14 +310,15 @@ def expected_visitation(policy: Policy, summed: bool = False) -> np.ndarray:
     if not summed:
         visits[0, spec.anchor.row, spec.anchor.col] = 1.0
     padded = padded_map(spec, 0.0)
-    inflow = policy.weights[::-1, ::-1]  # sum_a k_a q(s' - a) = sum_b k_{-b} q(s' + b)
+    interior, hood = padded[1:-1, 1:-1], neighbourhood(padded, spec)
+    # sum_a k_a q(s' - a) = sum_b k_{-b} q(s' + b); ravel copies the reversed
+    # view, where reshape would give a vector of negative stride and other bits
+    inflow = policy.weights[::-1, ::-1].ravel()
     d = np.ones((1, 1))
     for t in range(horizon):
         win, reach = policy.windows[t], policy.windows[t + 1]
-        q = np.zeros_like(d)  # a cell with n_t = 0 holds no mass: q = 0, not 0/0
-        np.divide(d, policy.normaliser(t), out=q, where=d > 0.0)
-        padded[1:-1, 1:-1][win] = q
-        d = policy.succ[t] * _box_sum(padded, spec, reach, inflow)
+        np.divide(d, policy.normaliser(t), out=interior[win])
+        d = policy.succ[t] * _box_sum(hood, reach, inflow)
         (visits if summed else visits[t + 1])[reach] += d
     return visits
 

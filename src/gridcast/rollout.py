@@ -64,11 +64,12 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
     cells[:, 0, 1] = spec.anchor.col
     rewards = np.zeros(count)
     r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
+    # entry (i, t) is stream i's draw at counter t, as one call per step would draw it
+    draws = rng.uniform(seed, streams[:, None], np.arange(horizon))
     for t in range(horizon):
         cum = np.cumsum(policy.probs(t, r, c), axis=1)
         cum /= cum[:, -1:]
-        u = rng.uniform(seed, streams, t)
-        action = np.minimum((u[:, None] >= cum).sum(axis=1), N_ACTIONS - 1)
+        action = np.minimum((draws[:, t, None] >= cum).sum(axis=1), N_ACTIONS - 1)
         r = r + ACTION_OFFSETS[action, 0]
         c = c + ACTION_OFFSETS[action, 1]
         cells[:, t + 1, 0] = r

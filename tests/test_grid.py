@@ -149,8 +149,12 @@ def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():
             inside = np.zeros((rows, cols), dtype=bool)
             inside[win] = True
             assert np.array_equal(inside, reached)
-            assert np.array_equal(neighbourhood(padded, spec, win),
-                                  neighbourhood(padded, spec)[:, :, win[0], win[1]])
+            # the window's cut of the neighbourhood reads each move's slice
+            r, c = win
+            views = neighbourhood(padded, spec)[:, :, r, c].reshape(N_ACTIONS, -1)
+            for view, (dr, dc) in zip(views, ACTIONS):
+                assert np.array_equal(view, padded[1 + dr + r.start: 1 + dr + r.stop,
+                                                   1 + dc + c.start: 1 + dc + c.stop].ravel())
             reached = neighbourhood(np.pad(reached, 1), spec).any(axis=(0, 1))
 
 

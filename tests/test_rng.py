@@ -16,6 +16,15 @@ def test_order_independent():
     np.testing.assert_array_equal(batch, singles)
 
 
+def test_broadcast_draw_equals_the_per_counter_draws_bitwise():
+    # sample_rollouts draws its (rollout, step) uniforms in one broadcast call
+    streams = np.arange(96, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
+    batch = rng.uniform(11, streams[:, None], np.arange(16))
+    assert batch.shape == (96, 16)
+    per_counter = np.stack([rng.uniform(11, streams, t) for t in range(16)], axis=1)
+    assert batch.tobytes() == per_counter.tobytes()
+
+
 def test_range_and_spread():
     u = rng.uniform(0, rng.STREAM_TEST, np.arange(20000))
     assert u.min() >= 0.0 and u.max() < 1.0
