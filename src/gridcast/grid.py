@@ -104,11 +104,11 @@ def padded_map(spec: GridSpec, border) -> np.ndarray:
     return np.full((spec.rows + 2, spec.cols + 2), border)
 
 
-def _strided_view(base: np.ndarray, shape, offset: int, strides) -> np.ndarray:
-    """A read-only view of the contiguous array ``base``. The ndarray
-    constructor raises ValueError if ``base`` is not contiguous or if any
-    element of the view would lie outside its buffer."""
-    view = np.ndarray(shape, base.dtype, base, offset, strides)
+def _strided_view(base: np.ndarray, shape, strides) -> np.ndarray:
+    """A read-only view of the contiguous array ``base`` from its first
+    element. The ndarray constructor raises ValueError if ``base`` is not
+    contiguous or if any element of the view would lie outside its buffer."""
+    view = np.ndarray(shape, base.dtype, base, 0, strides)
     view.flags.writeable = False
     return view
 
@@ -125,7 +125,7 @@ def neighbourhood(padded: np.ndarray, spec: GridSpec) -> np.ndarray:
     if padded.shape != (spec.rows + 2, spec.cols + 2):
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
     s_row, s_col = padded.strides
-    return _strided_view(padded, (3, 3, spec.rows, spec.cols), 0, (s_row, s_col, s_row, s_col))
+    return _strided_view(padded, (3, 3, spec.rows, spec.cols), (s_row, s_col, s_row, s_col))
 
 
 def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:
