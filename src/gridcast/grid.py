@@ -7,6 +7,7 @@ target agent), the column axis along +y (left).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,9 +79,10 @@ def cell_to_world(cells, spec: GridSpec) -> np.ndarray:
     (row, col) cells, as a (..., 2) float array; inverse of world_to_cell on
     the lattice. Raises ValueError for a cell off the grid."""
     cells = np.asarray(cells)
-    if cells.shape[-1:] != (2,) or not np.issubdtype(cells.dtype, np.integer):
+    if cells.shape[-1:] != (2,) or cells.dtype.kind not in "iu":
         raise ValueError(f"expected an integer (..., 2) cell array, got {cells.dtype} {cells.shape}")
-    if np.any(cells < 0) or np.any(cells >= (spec.rows, spec.cols)):
+    # initial=0 keeps the minimum defined on an empty array
+    if cells.min(initial=0) < 0 or (cells >= (spec.rows, spec.cols)).any():
         raise ValueError(f"cells outside {spec.rows}x{spec.cols} grid")
     return (cells - (spec.anchor.row, spec.anchor.col)) * spec.resolution
 
@@ -126,6 +128,26 @@ def neighbourhood(padded: np.ndarray, spec: GridSpec) -> np.ndarray:
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
     s_row, s_col = padded.strides
     return _strided_view(padded, (3, 3, spec.rows, spec.cols), (s_row, s_col, s_row, s_col))
+
+
+@functools.lru_cache(maxsize=64)
+def successor_offsets(spec: GridSpec) -> np.ndarray:
+    """The nine moves as flat offsets into a padded map of ``spec``, in ACTIONS
+    order: the successor of grid cell (r, c) under move a is the padded map's
+    flat element r * (cols + 2) + c + offsets[a]. Memoised per spec; read-only."""
+    offsets = (ACTION_OFFSETS[:, 0] + 1) * (spec.cols + 2) + (ACTION_OFFSETS[:, 1] + 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def successors(padded: np.ndarray, spec: GridSpec, rows, cols) -> np.ndarray:
+    """A padded map's values at the nine successors of the grid cells (rows,
+    cols), as a new array of shape (9,) + rows.shape: the first axis of
+    ``neighbourhood(padded, spec)[:, :, rows, cols]`` flattened, read with one
+    flat gather (successor_offsets). A move off the grid reads the border."""
+    if padded.shape != (spec.rows + 2, spec.cols + 2):
+        raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
+    return padded.take(np.add.outer(successor_offsets(spec), rows * (spec.cols + 2) + cols))
 
 
 def window(spec: GridSpec, radius: int) -> tuple[slice, slice]:

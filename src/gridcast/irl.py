@@ -50,6 +50,7 @@ from .grid import (
     neighbourhood,
     padded_map,
     quantize_trajectory,
+    successors,
     window,
 )
 from . import rng
@@ -243,7 +244,7 @@ class Policy:
     def probs(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """pi_t(. | s) at the grid cells s = (rows, cols) of windows[t], shape
         rows.shape + (9,); a cell with n_t = 0 gets 0s."""
-        moves = neighbourhood(self._padded(t), self.spec)[:, :, rows, cols].reshape(N_ACTIONS, -1)
+        moves = successors(self._padded(t), self.spec, rows, cols).reshape(N_ACTIONS, -1)
         moves *= self.weights.reshape(N_ACTIONS, 1)
         win_rows, win_cols = self.windows[t]
         moves /= self.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)

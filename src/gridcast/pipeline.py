@@ -21,6 +21,7 @@ reads only box cells and the reward gradient E[mu] - mu_hat is exactly 0 off it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -98,12 +99,15 @@ def scaled_features(scene: scene_mod.SceneContext, spec: GridSpec) -> np.ndarray
     return scene_mod.rasterize_features(scene, spec) * FEATURE_SCALE
 
 
+@functools.lru_cache(maxsize=8)
 def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
     """Stationary heading-biased policy for the no-reasoning baseline.
 
     Action weights k_a = exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
     neutral weight. The successor weight is 1 on the grid, so off-grid actions
-    are renormalized away.
+    are renormalized away. A pure function of (spec, horizon), so it is
+    memoised: every call with the same pair returns the same Policy, whose
+    weights, successor maps and normalisers are read-only.
     """
     logits = np.empty(N_ACTIONS)
     for a, (dr, dc) in enumerate(ACTIONS):
@@ -112,8 +116,11 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
         else:
             logits[a] = STRAIGHT_KAPPA * dr / math.hypot(dr, dc)
     on_grid = np.ones((spec.rows, spec.cols))
-    return Policy(spec, np.exp(logits).reshape(3, 3),
-                  [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
+    policy = Policy(spec, np.exp(logits).reshape(3, 3),
+                    [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
+    for array in (policy.weights, *policy.succ, *policy.norm):
+        array.flags.writeable = False
+    return policy
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,

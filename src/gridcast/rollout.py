@@ -63,18 +63,14 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
     cells[:, 0, 0] = spec.anchor.row
     cells[:, 0, 1] = spec.anchor.col
     rewards = np.zeros(count)
-    r, c = cells[:, 0, 0].copy(), cells[:, 0, 1].copy()
     # entry (i, t) is stream i's draw at counter t, as one call per step would draw it
     draws = rng.uniform(seed, streams[:, None], np.arange(horizon))
     for t in range(horizon):
-        cum = np.cumsum(policy.probs(t, r, c), axis=1)
+        cum = policy.probs(t, cells[:, t, 0], cells[:, t, 1]).cumsum(axis=1)
         cum /= cum[:, -1:]
         action = np.minimum((draws[:, t, None] >= cum).sum(axis=1), N_ACTIONS - 1)
-        r = r + ACTION_OFFSETS[action, 0]
-        c = c + ACTION_OFFSETS[action, 1]
-        cells[:, t + 1, 0] = r
-        cells[:, t + 1, 1] = c
-        rewards += reward[r, c]
+        np.add(cells[:, t], ACTION_OFFSETS[action], out=cells[:, t + 1])
+        rewards += reward[cells[:, t + 1, 0], cells[:, t + 1, 1]]
     return RolloutBatch(cells=cells, path_rewards=rewards)
 
 
@@ -93,15 +89,21 @@ def path_to_trajectory(path_cells, spec: GridSpec, n_points: int,
     yields n_points copies of its single cell center.
     """
     cells = np.asarray(path_cells, dtype=np.int64).reshape(-1, 2)
-    keep = np.ones(len(cells), dtype=bool)
-    keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    cells = cells[keep]
-    xy = cell_to_world(cells, spec)
+    moved = cells[1:] != cells[:-1]
+    keep = np.empty(len(cells), dtype=bool)
+    keep[0] = True
+    np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
+    xy = cell_to_world(cells[keep], spec)
     if len(xy) == 1:
         return np.repeat(xy, n_points, axis=0)
-    seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = (np.arange(1, n_points + 1)) * speed * dt
+    # segment lengths sqrt(dx*dx + dy*dy), the bits of linalg.norm over (dx, dy)
+    seg = xy[1:] - xy[:-1]
+    seg *= seg
+    length = seg[:, 0] + seg[:, 1]
+    cum = np.empty(len(xy))
+    cum[0] = 0.0
+    np.sqrt(length, out=length).cumsum(out=cum[1:])
+    targets = np.arange(1, n_points + 1) * speed * dt
     out = np.empty((n_points, 2))
     out[:, 0] = np.interp(targets, cum, xy[:, 0])
     out[:, 1] = np.interp(targets, cum, xy[:, 1])
@@ -151,12 +153,11 @@ def cluster_proposals(proposals: np.ndarray, k: int, seed: int) -> ClusterResult
         labels = dist.argmin(axis=1)
         inertia_history.append(float(dist[np.arange(n), labels].sum()))
         new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = x[members].mean(axis=0)
-        empties = [j for j in range(k) if not (labels == j).any()]
-        if empties:
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts):
+            new_centers[j] = x[labels == j].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
             own = dist[np.arange(n), labels].copy()
             for j in empties:
                 far = int(own.argmax())

@@ -341,32 +341,38 @@ def generate_scene(kind: str, seed: int) -> SceneContext:
 RASTER_BLOCK_BYTES = 1 << 19
 
 
-def _nearest_centerline(p: np.ndarray, segs: np.ndarray):
-    """For the cell centres p (n, 2): the nearest lane segment, the distance
-    to it, that distance signed by the side of the segment the cell lies on
-    (positive to its left, clamped to +-MAX_CENTERLINE_DIST) and the
-    progress along the route at the nearest route segment (0 without one)."""
-    a = segs[:, [LX0, LY0]]
-    d = segs[:, [LX1, LY1]] - a
-    seg_len2 = np.maximum((d ** 2).sum(axis=1), 1e-12)
+def _nearest_centerline(px: np.ndarray, py: np.ndarray, segs: np.ndarray):
+    """For the cell centres (px, py), two (n,) arrays: the nearest lane segment,
+    the distance to it, that distance signed by the side of the segment the
+    cell lies on (positive to its left, clamped to +-MAX_CENTERLINE_DIST) and
+    the progress along the route at the nearest route segment (0 without one).
+    Works per coordinate on (n, segments) maps."""
+    ax, ay = segs[:, LX0], segs[:, LY0]
+    dx, dy = segs[:, LX1] - ax, segs[:, LY1] - ay
+    seg_len2 = np.maximum(dx * dx + dy * dy, 1e-12)
     # projection parameter of every cell onto every segment
-    t = ((p[:, None, :] - a[None]) * d[None]).sum(axis=2)
+    t = (px[:, None] - ax) * dx
+    t += (py[:, None] - ay) * dy
     t /= seg_len2
     np.clip(t, 0.0, 1.0, out=t)
-    diff = t[..., None] * d[None]
-    diff += a  # the closest point of each segment
-    np.subtract(p[:, None, :], diff, out=diff)
-    dist = (diff ** 2).sum(axis=2)
+    # from the closest point of each segment to the cell
+    ex = t * dx
+    ex += ax
+    np.subtract(px[:, None], ex, out=ex)
+    ey = t * dy
+    ey += ay
+    np.subtract(py[:, None], ey, out=ey)
+    dist = ex * ex
+    dist += ey * ey
     np.sqrt(dist, out=dist)
 
-    n_idx = np.arange(p.shape[0])
+    n_idx = np.arange(px.shape[0])
     nearest = dist.argmin(axis=1)
     nearest_dist = dist[n_idx, nearest]
-    near_diff = diff[n_idx, nearest]
-    side = d[nearest, 0] * near_diff[:, 1] - d[nearest, 1] * near_diff[:, 0]
+    side = dx[nearest] * ey[n_idx, nearest] - dy[nearest] * ex[n_idx, nearest]
     signed = np.clip(np.sign(side) * nearest_dist, -MAX_CENTERLINE_DIST, MAX_CENTERLINE_DIST)
 
-    progress = np.zeros(p.shape[0])
+    progress = np.zeros(px.shape[0])
     r_ids = np.nonzero(segs[:, LTYPE] == LANE_TYPE_ROUTE)[0]
     if r_ids.size:
         r_len = np.sqrt(seg_len2[r_ids])
@@ -389,12 +395,12 @@ def rasterize_features(scene: SceneContext, spec: GridSpec) -> np.ndarray:
         raise ValueError("scene must be normalized before rasterization")
 
     centres = cell_to_world(np.stack(np.indices((spec.rows, spec.cols)), axis=-1), spec)
-    p = centres.reshape(-1, 2)  # (n, 2)
+    px, py = centres[..., 0].ravel(), centres[..., 1].ravel()
 
     segs = scene.map_lanes.reshape(-1, 6)
     step = max(1, RASTER_BLOCK_BYTES // (8 * segs.shape[0]))
-    blocks = [_nearest_centerline(p[start:start + step], segs)
-              for start in range(0, p.shape[0], step)]
+    blocks = [_nearest_centerline(px[start:start + step], py[start:start + step], segs)
+              for start in range(0, px.shape[0], step)]
     nearest, nearest_dist, signed, progress = (np.concatenate(part) for part in zip(*blocks))
 
     features = np.zeros((spec.rows, spec.cols, FEATURE_COUNT))

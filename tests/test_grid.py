@@ -15,6 +15,8 @@ from gridcast.grid import (
     reachable_box,
     round_half_away,
     step,
+    successor_offsets,
+    successors,
     window,
     world_to_cell,
 )
@@ -72,6 +74,15 @@ def test_cell_to_world_examples():
         cell_to_world(np.array([[64, 64], [0, 128]]), spec)
     with pytest.raises(ValueError):
         cell_to_world(np.array([64.0, 64.0]), spec)
+    # no cells: an empty float array, as before
+    empty = cell_to_world(np.zeros((0, 2), dtype=np.int64), spec)
+    assert empty.shape == (0, 2) and empty.dtype == np.float64
+    # unsigned cells, also left of and behind the anchor
+    for dtype in (np.uint8, np.uint64):
+        assert np.array_equal(cell_to_world(np.array([[65, 63], [62, 64]], dtype=dtype), spec),
+                              [[1.0, -1.0], [-2.0, 0.0]])
+    with pytest.raises(ValueError):  # row = rows is the first row off the grid
+        cell_to_world(np.array([128, 0]), spec)
 
 
 def test_round_trip_all_cells():
@@ -133,6 +144,30 @@ def test_neighbourhood_reads_each_actions_successor():
         neighbourhood(np.zeros((6, 8)), spec)
     with pytest.raises(ValueError):  # a non-contiguous map exposes no single buffer
         neighbourhood(np.zeros((6, 14))[:, ::2], spec)
+
+
+def test_successors_are_the_neighbourhood_bitwise():
+    # the flat gather reads what the 4-D index of the strided view reads, at
+    # every cell of the grid (its border cells included, whose off-grid moves
+    # read the border value) and at sampled cells in any order
+    rs = np.random.RandomState(7)
+    for rows, cols in ((3, 3), (4, 5), (9, 7), (65, 65)):
+        spec = GridSpec(rows=rows, cols=cols, resolution=1.0, anchor=CellIndex(0, 0))
+        padded = padded_map(spec, -7.5)
+        padded[1:-1, 1:-1] = rs.uniform(size=(rows, cols))
+        offsets = successor_offsets(spec)
+        assert offsets.shape == (N_ACTIONS,) and not offsets.flags.writeable
+        hood = neighbourhood(padded, spec)
+        r, c = np.mgrid[0:rows, 0:cols]
+        got = successors(padded, spec, r, c)
+        assert got.shape == (N_ACTIONS, rows, cols)
+        assert got.tobytes() == hood.reshape(N_ACTIONS, rows, cols).tobytes()
+        assert np.all(got[~on_grid_moves(spec).transpose(2, 0, 1)] == -7.5)
+        r, c = rs.randint(0, rows, 50), rs.randint(0, cols, 50)
+        got = successors(padded, spec, r, c)
+        assert got.tobytes() == hood[:, :, r, c].reshape(N_ACTIONS, 50).tobytes()
+    with pytest.raises(ValueError):
+        successors(np.zeros((6, 8)), GridSpec(4, 5, 1.0, CellIndex(0, 0)), r, c)
 
 
 def test_window_holds_the_cells_reachable_in_radius_moves_and_their_views():

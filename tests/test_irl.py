@@ -12,7 +12,7 @@ import pytest
 from gridcast import irl, pipeline
 from gridcast.scene import SCENE_KINDS, generate_scene, normalize_to_target
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, neighbourhood, reachable_box
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
@@ -344,6 +344,45 @@ def test_a_hand_built_policy_stepping_off_the_grid_drops_its_mass_exactly():
     visits = assert_zero_normalisers_read_as_one(policy)
     assert visits[2, 4, 4] == 1.0
     assert np.array_equal(visits[3], np.zeros((5, 5)))
+
+
+def neighbourhood_probs(policy, t, rows, cols):
+    """Policy.probs as first written: the 4-D advanced index of the strided
+    neighbourhood view."""
+    moves = neighbourhood(policy._padded(t), policy.spec)[:, :, rows, cols].reshape(9, -1)
+    moves *= policy.weights.reshape(9, 1)
+    win_rows, win_cols = policy.windows[t]
+    moves /= policy.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
+    return moves.T.reshape(np.shape(rows) + (9,))
+
+
+@pytest.mark.parametrize("planned", [True, False])
+def test_policy_probs_gather_is_the_neighbourhood_index_bitwise(planned):
+    # on 9x11 with the anchor near a corner, windows reach three sides of the
+    # grid by t = 5, so border cells and their off-grid moves (which read 0)
+    # are covered; the planner has k = 1, the straight policy k != 1
+    spec = small_spec(9, 11, (2, 8))
+    horizon = 7
+    if planned:
+        reward = np.random.RandomState(3).uniform(-2.0, 0.0, (spec.rows, spec.cols))
+        policy = soft_value_iteration(reward, spec, horizon)[1]
+        assert np.all(policy.weights == 1.0)
+    else:
+        policy = pipeline.straight_rollout_policy(spec, horizon)
+        assert len(np.unique(policy.weights)) > 1
+    rs = np.random.RandomState(5)
+    off_grid = ~on_grid_moves(spec)
+    borders = 0
+    for t in range(horizon):
+        rows, cols = np.mgrid[policy.windows[t]]
+        table = policy.probs(t, rows, cols)
+        assert table.tobytes() == neighbourhood_probs(policy, t, rows, cols).tobytes()
+        assert np.all(table[off_grid[policy.windows[t]]] == 0.0)
+        borders += int(off_grid[policy.windows[t]].any(axis=-1).sum())
+        picks = rs.randint(0, rows.size, 40)  # sampled cells, repeats included
+        r, c = rows.ravel()[picks], cols.ravel()[picks]
+        assert policy.probs(t, r, c).tobytes() == neighbourhood_probs(policy, t, r, c).tobytes()
+    assert borders > 0
 
 
 def test_policy_rejects_a_table_off_its_window():

@@ -89,15 +89,16 @@ def test_no_module_calls_json_dump():
 
 
 def test_each_rule_lives_in_one_module():
-    # path repair (the 8-connected line between two cells) lives in grid, and
-    # the forecast file format (each mode's "points" and "prob") in rollout
+    # path repair (the 8-connected line between two cells) and the flat
+    # offsets of the nine moves in a padded map live in grid, and the forecast
+    # file format (each mode's "points" and "prob") in rollout
     names = {module: _referenced(tree) | {alias.name for node in ast.walk(tree)
                                           if isinstance(node, ast.ImportFrom)
                                           for alias in node.names}
              for module, tree in MODULES.items()}
     strings = {module: {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
                for module, tree in MODULES.items()}
-    homes = [(names, "eight_connected_line", "grid"),
+    homes = [(names, "eight_connected_line", "grid"), (names, "successor_offsets", "grid"),
              (strings, "points", "rollout"), (strings, "prob", "rollout")]
     strays = [f"{module}: {rule}" for found, rule, home in homes
               for module in MODULES if module != home and rule in found[module]]

@@ -121,6 +121,25 @@ def test_policy_tables_are_read_only(planned):
         assert policy(t).tobytes() == before
 
 
+def test_the_straight_policy_is_memoised_and_read_only():
+    a = pipeline.predict_scene(generate_scene("curve", seed=1), SMALL, reasoning=False,
+                               stream_key=1)
+    b = pipeline.predict_scene(generate_scene("stop", seed=2), SMALL, reasoning=False,
+                               stream_key=2)
+    assert a.policy is b.policy
+    shorter = replace(SMALL, horizon=SMALL.horizon - 1)
+    assert pipeline.predict_scene(generate_scene("curve", seed=1), shorter, reasoning=False,
+                                  stream_key=1).policy is not a.policy
+    policy = a.policy
+    for array in (policy.weights, *policy.succ, *policy.norm):
+        before = array.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+        assert array.tobytes() == before
+
+
 def test_stream_key_changes_rollouts():
     scene = generate_scene("straight", seed=4)
     a = pipeline.predict_scene(scene, SMALL, reasoning=False, stream_key=1)

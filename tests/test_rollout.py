@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, reachable_box
+from gridcast.grid import ACTIONS, CellIndex, GridSpec, cell_to_world, reachable_box
 from gridcast.irl import soft_value_iteration
 from gridcast.rollout import (
     cluster_proposals,
@@ -131,6 +131,61 @@ def test_all_stay_path():
     path = np.tile([10, 10], (7, 1))
     traj = path_to_trajectory(path, spec, n_points=5, speed=8.0, dt=0.1)
     np.testing.assert_array_equal(traj, 0.0)
+
+
+def reference_path_to_trajectory(path_cells, spec, n_points, speed, dt):
+    """path_to_trajectory as first written: repeats dropped by a row-wise any,
+    segment lengths from linalg.norm and a concatenated cumulative sum."""
+    cells = np.asarray(path_cells, dtype=np.int64).reshape(-1, 2)
+    keep = np.ones(len(cells), dtype=bool)
+    keep[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    xy = cell_to_world(cells[keep], spec)
+    if len(xy) == 1:
+        return np.repeat(xy, n_points, axis=0)
+    seg = np.linalg.norm(np.diff(xy, axis=0), axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = (np.arange(1, n_points + 1)) * speed * dt
+    out = np.empty((n_points, 2))
+    out[:, 0] = np.interp(targets, cum, xy[:, 0])
+    out[:, 1] = np.interp(targets, cum, xy[:, 1])
+    return out
+
+
+def random_walk(rs, anchor, length, stay):
+    """An 8-connected path of ``length`` moves from ``anchor``, each a STAY with
+    probability ``stay`` and otherwise one of the eight other moves."""
+    moves = np.array([m for m in ACTIONS if m != (0, 0)])
+    steps = moves[rs.randint(0, 8, length)]
+    steps[rs.uniform(size=length) < stay] = 0
+    return np.vstack([anchor, anchor + np.cumsum(steps, axis=0)])
+
+
+@pytest.mark.parametrize("resolution", [1.0, 2.0, 0.3])
+def test_path_to_trajectory_is_the_reference_decoder_bitwise(resolution):
+    # 0.3 m cells have centres that are not exact multiples of the cell size
+    spec = GridSpec(rows=81, cols=81, resolution=resolution, anchor=CellIndex(40, 40))
+    anchor = np.array([40, 40])
+    rs = np.random.RandomState(int(resolution * 10))
+    paths = [random_walk(rs, anchor, 32, stay) for stay in (0.0, 0.3, 0.7, 0.95) * 25]
+    paths += [
+        np.tile(anchor, (33, 1)),                                   # all STAY
+        np.array([anchor, anchor + (1, 1)]),                        # a single move
+        np.vstack([np.tile(anchor, (5, 1)), np.tile(anchor + (0, -1), (28, 1))]),
+        np.array([anchor]),                                         # the anchor alone
+    ]
+    for i, path in enumerate(paths):
+        # speed * dt * n_points from 1.5 m to 150 m: the long ones overrun the path
+        speed = (0.5, 5.0, 12.0, 50.0)[i % 4]
+        got = path_to_trajectory(path, spec, 30, speed, 0.1)
+        want = reference_path_to_trajectory(path, spec, 30, speed, 0.1)
+        assert got.shape == (30, 2)
+        assert got.tobytes() == want.tobytes(), i
+
+
+def test_path_to_trajectory_rejects_a_path_off_the_grid():
+    spec = spec_of(rows=9, cols=9, anchor=(4, 4))
+    with pytest.raises(ValueError, match="outside 9x9"):
+        path_to_trajectory(np.array([[4, 4], [4, 9]]), spec, 5, 1.0, 0.1)
 
 
 def test_short_path_clamps_at_terminus():
