@@ -144,7 +144,8 @@ def successors(padded: np.ndarray, spec: GridSpec, rows, cols) -> np.ndarray:
     """A padded map's values at the nine successors of the grid cells (rows,
     cols), as a new array of shape (9,) + rows.shape: the first axis of
     ``neighbourhood(padded, spec)[:, :, rows, cols]`` flattened, read with one
-    flat gather (successor_offsets). A move off the grid reads the border."""
+    flat gather (successor_offsets). A move off the grid reads the border; the
+    cells themselves must lie on the grid, which the flat index cannot check."""
     if padded.shape != (spec.rows + 2, spec.cols + 2):
         raise ValueError(f"padded map shape {padded.shape} != {(spec.rows + 2, spec.cols + 2)}")
     return padded.take(np.add.outer(successor_offsets(spec), rows * (spec.cols + 2) + cols))
