@@ -197,37 +197,47 @@ class Policy:
     """pi_t(a | s) = k_a u_t(s + a) / n_t(s) on the grid ``spec``, for steps
     t < horizon, on windows[t] = ``anchor ± t``. ``weights`` is k, (3, 3) with
     entry (dr+1, dc+1) for the move (dr, dc); ``succ[t]`` is u_t on
-    windows[t+1] (a move off the grid reads 0). normaliser(t) is n_t(s) = sum_a
-    k_a u_t(s + a) on windows[t], read as 1 where it is 0: every move from such
-    a cell has weight 0, so it gets probability 0 and passes on no mass.
-    ``norm[t]`` is n_t as the planner gives it, or None to compute it here; the
-    policy reads its zeros as 1 in place. Raises ValueError for no steps or a
-    successor map whose shape is not its window's."""
+    windows[t+1] (a move off the grid reads 0) and ``norm[t]`` is n_t(s) =
+    sum_a k_a u_t(s + a) on windows[t], read as 1 where it is 0: every move
+    from such a cell has weight 0, so it gets probability 0 and passes on no
+    mass. The builder (soft_value_iteration or Policy.on_grid) gives each map."""
 
     spec: GridSpec
     weights: np.ndarray
     succ: list[np.ndarray]
-    norm: list[np.ndarray] | None = None
+    norm: list[np.ndarray]
     windows: tuple[Window, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.succ:
-            raise ValueError("a policy needs at least one step")
-        object.__setattr__(self, "windows", reach_windows(self.spec, self.horizon))
-        for t, (u, (rows, cols)) in enumerate(zip(self.succ, self.windows[1:])):
-            if np.shape(u) != (rows.stop - rows.start, cols.stop - cols.start):
-                raise ValueError(f"successor map {t} has shape {np.shape(u)}, its window "
-                                 f"needs {(rows.stop - rows.start, cols.stop - cols.start)}")
-        if self.norm is None:
-            padded = padded_map(self.spec, 0.0)
-            hood, weights = neighbourhood(padded, self.spec), self.weights.ravel()
-            norm = []
-            for u, win, reach in zip(self.succ, self.windows, self.windows[1:]):
-                padded[1:-1, 1:-1][reach] = u  # windows grow, so each write covers the last
-                norm.append(_box_sum(hood, win, weights))
-            object.__setattr__(self, "norm", norm)
-        for n in self.norm:
-            n[n == 0.0] = 1.0
+        if not self.succ or len(self.norm) != self.horizon:
+            raise ValueError(f"a policy needs at least one step and one normaliser per step, "
+                             f"got {self.horizon} and {len(self.norm)}")
+        windows = reach_windows(self.spec, self.horizon)
+        object.__setattr__(self, "windows", windows)
+        shapes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols in windows]
+        for name, maps, wanted in (("successor", self.succ, shapes[1:]),
+                                   ("normaliser", self.norm, shapes)):
+            for t, m in enumerate(maps):
+                if np.shape(m) != wanted[t]:
+                    raise ValueError(f"{name} map {t} has shape {np.shape(m)}, "
+                                     f"its window needs {wanted[t]}")
+
+    @classmethod
+    def on_grid(cls, spec: GridSpec, horizon: int, weights: np.ndarray) -> "Policy":
+        """The policy with action weights k (copied) and successor weight 1 on the
+        grid: u_t is the on-grid indicator and n_t(s) = sum_a k_a [s + a on the
+        grid] for every t, one padded map and one box sum as read-only views."""
+        weights = np.array(weights, dtype=np.float64)
+        padded = padded_map(spec, 0.0)
+        padded[1:-1, 1:-1] = 1.0
+        grid = (slice(0, spec.rows), slice(0, spec.cols))
+        norm = _box_sum(neighbourhood(padded, spec), grid, weights.ravel())
+        norm[norm == 0.0] = 1.0
+        for array in (weights, padded, norm):
+            array.flags.writeable = False
+        windows = reach_windows(spec, horizon)
+        return cls(spec, weights, [padded[1:-1, 1:-1][win] for win in windows[1:]],
+                   [norm[win] for win in windows[:-1]])
 
     @property
     def horizon(self) -> int:
@@ -238,16 +248,16 @@ class Policy:
         padded[1:-1, 1:-1][self.windows[t + 1]] = self.succ[t]
         return padded
 
-    def normaliser(self, t: int) -> np.ndarray:
-        return self.norm[t]
-
     def probs(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """pi_t(. | s) at the grid cells s = (rows, cols) of windows[t], shape
-        rows.shape + (9,); a cell with n_t = 0 gets 0s."""
+        rows.shape + (9,); a cell with n_t = 0 gets 0s. Raises ValueError for
+        a cell off windows[t]."""
+        norm, (win_rows, win_cols) = self.norm[t], self.windows[t]
+        # raises off the window on either side; a (row, col) index would wrap below it
+        at = np.ravel_multi_index((rows - win_rows.start, cols - win_cols.start), norm.shape)
         moves = successors(self._padded(t), self.spec, rows, cols).reshape(N_ACTIONS, -1)
         moves *= self.weights.reshape(N_ACTIONS, 1)
-        win_rows, win_cols = self.windows[t]
-        moves /= self.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
+        moves /= norm.flat[at].reshape(1, -1)
         return moves.T.reshape(np.shape(rows) + (N_ACTIONS,))
 
     def __call__(self, t: int) -> np.ndarray:
@@ -294,6 +304,7 @@ def soft_value_iteration(reward: np.ndarray, spec: GridSpec, horizon: int):
             raise IrlDivergenceError(f"the plan underflows at step {t}: {UNDERFLOW}")
         log_partition += float(top) + math.log(scale)
         beta = n / scale
+        n[n == 0.0] = 1.0  # the policy reads a zero normaliser as 1
         succ[t], norm[t] = u, n
     # beta_0 is the anchor's n_0 / s_0 = 1
     return log_partition, Policy(spec, ones, succ, norm)
@@ -318,7 +329,7 @@ def expected_visitation(policy: Policy, summed: bool = False) -> np.ndarray:
     d = np.ones((1, 1))
     for t in range(horizon):
         win, reach = policy.windows[t], policy.windows[t + 1]
-        np.divide(d, policy.normaliser(t), out=interior[win])
+        np.divide(d, policy.norm[t], out=interior[win])
         d = policy.succ[t] * _box_sum(hood, reach, inflow)
         (visits if summed else visits[t + 1])[reach] += d
     return visits

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import irl, metrics, occupancy, rng, rollout, scene as scene_mod
 from .config import RunConfig
-from .grid import ACTIONS, N_ACTIONS, GridSpec, reachable_box
+from .grid import ACTIONS, GridSpec, reachable_box
 from .irl import Policy, RewardMapParams, TrainDiagnostics, Window
 
 STRAIGHT_KAPPA = 3.0
@@ -105,22 +105,12 @@ def straight_rollout_policy(spec: GridSpec, horizon: int) -> Policy:
 
     Action weights k_a = exp(STRAIGHT_KAPPA * cos(angle to +x)); STAY gets the
     neutral weight. The successor weight is 1 on the grid, so off-grid actions
-    are renormalized away. A pure function of (spec, horizon), so it is
-    memoised: every call with the same pair returns the same Policy, whose
-    weights, successor maps and normalisers are read-only.
+    are renormalized away (Policy.on_grid). A pure function of (spec, horizon),
+    so it is memoised: every call with the same pair returns the same Policy,
+    whose arrays are read-only.
     """
-    logits = np.empty(N_ACTIONS)
-    for a, (dr, dc) in enumerate(ACTIONS):
-        if dr == 0 and dc == 0:
-            logits[a] = 0.0
-        else:
-            logits[a] = STRAIGHT_KAPPA * dr / math.hypot(dr, dc)
-    on_grid = np.ones((spec.rows, spec.cols))
-    policy = Policy(spec, np.exp(logits).reshape(3, 3),
-                    [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
-    for array in (policy.weights, *policy.succ, *policy.norm):
-        array.flags.writeable = False
-    return policy
+    logits = [STRAIGHT_KAPPA * dr / math.hypot(dr, dc) if dr or dc else 0.0 for dr, dc in ACTIONS]
+    return Policy.on_grid(spec, horizon, np.exp(logits).reshape(3, 3))
 
 
 def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,

@@ -94,8 +94,6 @@ def path_to_trajectory(path_cells, spec: GridSpec, n_points: int,
     keep[0] = True
     np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
     xy = cell_to_world(cells[keep], spec)
-    if len(xy) == 1:
-        return np.repeat(xy, n_points, axis=0)
     # segment lengths sqrt(dx*dx + dy*dy), the bits of linalg.norm over (dx, dy)
     seg = xy[1:] - xy[:-1]
     seg *= seg

@@ -287,32 +287,31 @@ def one_hot_policy(spec, action, horizon):
     """Every step takes ``action``, the only move with a nonzero weight."""
     weights = np.zeros(9)
     weights[action] = 1.0
-    on_grid = np.ones((spec.rows, spec.cols))
-    return irl.Policy(spec, weights.reshape(3, 3),
-                      [on_grid[win] for win in irl.reach_windows(spec, horizon)[1:]])
+    return irl.Policy.on_grid(spec, horizon, weights.reshape(3, 3))
 
 
-def raw_normalisers(policy):
-    """sum_a k_a u_t(s + a) on each windows[t], zeros as they are: the box sum
-    of the successor weights over nine stacked slices."""
-    spec, out = policy.spec, []
-    for t, u in enumerate(policy.succ):
+def box_sums(spec, weights, succ):
+    """sum_a k_a u_t(s + a) on each window anchor ± t, zeros as they are: the
+    box sum of the successor weights u_t (on anchor ± (t+1)) over nine stacked
+    slices, one padded map per step."""
+    windows, out = irl.reach_windows(spec, len(succ)), []
+    for t, u in enumerate(succ):
         padded = np.zeros((spec.rows + 2, spec.cols + 2))
-        padded[1:-1, 1:-1][policy.windows[t + 1]] = u
-        views = np.stack(_reference_views(padded, policy.windows[t]))
-        out.append((policy.weights.ravel() @ views.reshape(9, -1)).reshape(views.shape[1:]))
+        padded[1:-1, 1:-1][windows[t + 1]] = u
+        views = np.stack(_reference_views(padded, windows[t]))
+        out.append((weights.ravel() @ views.reshape(9, -1)).reshape(views.shape[1:]))
     return out
 
 
 def assert_zero_normalisers_read_as_one(policy):
-    """normaliser(t) is the box sum with 0 read as 1, and a cell whose box sum
+    """norm[t] is the box sum with 0 read as 1, and a cell whose box sum
     is 0 has all-0 moves and passes on no mass: exact 0s, never NaN. Returns
     the visitations."""
     visits = expected_visitation(policy)
     assert np.all(np.isfinite(visits))
     zeros = 0
-    for t, raw in enumerate(raw_normalisers(policy)):
-        assert np.array_equal(policy.normaliser(t), np.where(raw == 0.0, 1.0, raw))
+    for t, raw in enumerate(box_sums(policy.spec, policy.weights, policy.succ)):
+        assert np.array_equal(policy.norm[t], np.where(raw == 0.0, 1.0, raw))
         rows, cols = np.mgrid[policy.windows[t]]
         table = policy.probs(t, rows, cols)
         assert np.all(np.isfinite(table))
@@ -329,7 +328,7 @@ def test_a_planned_cell_whose_moves_all_underflow_has_normaliser_one():
     reward = np.zeros((7, 7))
     reward[3:6, 3:6] = -1000.0
     policy = soft_value_iteration(reward, spec, 2)[1]
-    raw = raw_normalisers(policy)[1]
+    raw = box_sums(spec, policy.weights, policy.succ)[1]
     assert raw[4 - 2, 4 - 2] == 0.0
     visits = assert_zero_normalisers_read_as_one(policy)
     assert np.all(visits[1][policy.windows[1]][raw == 0.0] == 0.0)  # no mass reaches it
@@ -352,7 +351,7 @@ def neighbourhood_probs(policy, t, rows, cols):
     moves = neighbourhood(policy._padded(t), policy.spec)[:, :, rows, cols].reshape(9, -1)
     moves *= policy.weights.reshape(9, 1)
     win_rows, win_cols = policy.windows[t]
-    moves /= policy.normaliser(t)[rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
+    moves /= policy.norm[t][rows - win_rows.start, cols - win_cols.start].reshape(1, -1)
     return moves.T.reshape(np.shape(rows) + (9,))
 
 
@@ -389,14 +388,86 @@ def test_policy_rejects_a_table_off_its_window():
     # a whole-grid map where a window's belongs would read the wrong cells
     spec = small_spec(rows=9, cols=9, anchor=(4, 4))
     on_grid, weights = np.ones((9, 9)), np.ones((3, 3))
+    norm = [np.ones((1, 1)), np.ones((3, 3))]
     with pytest.raises(ValueError, match=r"successor map 1 has shape \(9, 9\), "
                                          r"its window needs \(5, 5\)"):
-        irl.Policy(spec, weights, [on_grid[3:6, 3:6], on_grid])
+        irl.Policy(spec, weights, [on_grid[3:6, 3:6], on_grid], norm)
+    with pytest.raises(ValueError, match=r"normaliser map 1 has shape \(9, 9\), "
+                                         r"its window needs \(3, 3\)"):
+        irl.Policy(spec, weights, [on_grid[3:6, 3:6], on_grid[2:7, 2:7]], [norm[0], on_grid])
 
 
 def test_policy_rejects_no_tables():
     with pytest.raises(ValueError, match="at least one step"):
-        irl.Policy(small_spec(), np.ones((3, 3)), [])
+        irl.Policy(small_spec(), np.ones((3, 3)), [], [])
+
+
+def test_policy_rejects_a_normaliser_count_off_its_steps():
+    spec, succ = small_spec(rows=9, cols=9, anchor=(4, 4)), [np.ones((3, 3))]
+    for norm in ([], [np.ones((1, 1))] * 2):
+        with pytest.raises(ValueError, match="one normaliser per step"):
+            irl.Policy(spec, np.ones((3, 3)), succ, norm)
+
+
+@pytest.mark.parametrize("planned", [True, False])
+def test_policy_probs_rejects_a_cell_off_its_window_on_either_side(planned):
+    # on 21x21 with the anchor at (10, 10), windows[2] is rows and cols 8-12:
+    # a negative offset must not wrap around to the window's far edge
+    spec, t = small_spec(21, 21, (10, 10)), 2
+    if planned:
+        policy = soft_value_iteration(np.zeros((21, 21)), spec, 4)[1]
+    else:
+        policy = pipeline.straight_rollout_policy(spec, 4)
+    np.testing.assert_allclose(policy.probs(t, np.array([8, 12]), np.array([10, 10])).sum(axis=1),
+                               1.0, rtol=0.0, atol=1e-12)
+    for row, col in ((7, 10), (13, 10), (10, 7), (10, 13)):
+        with pytest.raises(ValueError):
+            policy.probs(t, np.array([row]), np.array([col]))
+
+
+def on_grid_normalisers(cases):
+    """(policy, its per-window box sums, zeros as they are) for the straight
+    and a one-hot on-grid policy on the reachable box of each (grid shape,
+    anchor, horizon). The one-hot move (+1, +1) leaves the grid from a box's
+    bottom row and right column, so a window that meets either has
+    normalisers 0 there."""
+    for shape, anchor, horizon in cases:
+        box = reachable_box(small_spec(*shape, anchor), horizon)[0]
+        for policy in (pipeline.straight_rollout_policy(box, horizon),
+                       one_hot_policy(box, ACTIONS.index((1, 1)), horizon)):
+            succ = [np.ones_like(u) for u in policy.succ]
+            assert [u.tobytes() for u in policy.succ] == [u.tobytes() for u in succ]
+            yield policy, box_sums(box, policy.weights, succ)
+
+
+def test_on_grid_normalisers_are_the_per_window_box_sums_of_the_configs_bitwise():
+    # the reachable boxes of the default 128x128/H=32 config (65x65), the
+    # acceptance config (27x33/H=16) and the CLI and benchmark tests' configs
+    # (21x25/H=12, 15x17/H=8): one box sum over the whole box gives the bits
+    # the per-window box sums gave there
+    cases = [((128, 128), (32, 64), 32), ((40, 40), (10, 20), 16), ((32, 32), (8, 16), 12),
+             ((24, 24), (6, 12), 8)]
+    for policy, raws in on_grid_normalisers(cases):
+        for n, raw in zip(policy.norm, raws, strict=True):
+            assert n.tobytes() == np.where(raw == 0.0, 1.0, raw).tobytes()
+
+
+def test_on_grid_normalisers_match_the_per_window_box_sums_at_every_edge():
+    # boxes whose windows meet the grid edge on one (top), two (top, right)
+    # and three (top, bottom, left) sides. The BLAS product sums a vector's
+    # last elements in another order than the rest, so the last cell of a
+    # window can round differently from the same cell of the whole box: the
+    # two agree to the rounding of a sum of nine nonnegative terms, and a zero
+    # normaliser is read as exactly 1 in both
+    cases = [((15, 17), (3, 8), 8), ((21, 25), (2, 22), 12), ((27, 33), (13, 3), 16)]
+    zeros = 0
+    for policy, raws in on_grid_normalisers(cases):
+        for n, raw in zip(policy.norm, raws, strict=True):
+            np.testing.assert_allclose(n, np.where(raw == 0.0, 1.0, raw),
+                                       rtol=16 * np.finfo(np.float64).eps, atol=0.0)
+            assert np.all(n[raw == 0.0] == 1.0)
+            zeros += int(np.sum(raw == 0.0))
+    assert zeros > 0
 
 
 def test_deterministic_policy_unit_spikes():

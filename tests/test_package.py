@@ -121,3 +121,30 @@ def test_scene_kinds_are_told_apart_in_one_function():
              and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
              and kind_names(node)}
     assert len(homes) == 1, sorted(homes)
+
+
+def _owners(tree, name) -> set:
+    """The innermost function around each reference to ``name`` (as a bare
+    name or an attribute), or "<module>" for one outside every function."""
+    owners = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                owners.add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_only_the_two_passes_and_the_on_grid_policy_take_box_sums():
+    # each step of the backward and forward pass is one box sum, and the
+    # on-grid policy takes one over the whole grid; a box sum anywhere else
+    # would be a second copy of the planner's stepping loop
+    users = sorted(f"{module}.{owner}" for module, tree in MODULES.items()
+                   for owner in _owners(tree, "_box_sum"))
+    assert users == ["irl.expected_visitation", "irl.on_grid", "irl.soft_value_iteration"]

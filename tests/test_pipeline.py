@@ -5,8 +5,9 @@ import pytest
 
 from gridcast import irl, occupancy, pipeline, rng, rollout, scene as scene_mod
 from gridcast.config import RunConfig
+from gridcast.grid import reachable_box
 from gridcast.scene import generate_scene
-from test_irl import grid_windows, reference_plan
+from test_irl import box_sums, grid_windows, reference_plan
 
 SMALL = RunConfig(rows=40, cols=40, resolution=2.0, anchor_row=10, anchor_col=20,
                   horizon=17, rollouts=48, max_iters=25, tol=1e-5, lr=0.1)
@@ -67,7 +68,8 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     for value, win in zip(ref_values[1:], result.policy.windows[1:]):
         log_u = (result.reward + value)[win]
         succ.append(np.exp(log_u - log_u.max()))
-    whole = irl.Policy(box, np.ones((3, 3)), succ)
+    norm = [np.where(n == 0.0, 1.0, n) for n in box_sums(box, np.ones((3, 3)), succ)]
+    whole = irl.Policy(box, np.ones((3, 3)), succ, norm)
     np.testing.assert_allclose(irl.expected_visitation(result.policy), ref_visits,
                                rtol=0.0, atol=1e-12)
     seed = rng.derive_seed(cfg.seed, result.stream_key)
@@ -138,6 +140,17 @@ def test_the_straight_policy_is_memoised_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array *= 2.0
         assert array.tobytes() == before
+
+
+def test_the_default_box_straight_policy_holds_two_maps():
+    # u_t and n_t are the same map on every step, so each step's maps are
+    # views of one padded on-grid map and one normaliser map over the box
+    box, _ = reachable_box(RunConfig().grid_spec(), RunConfig().horizon)
+    policy = pipeline.straight_rollout_policy(box, RunConfig().horizon)
+    bases = {id(base): base for base in (a if a.base is None else a.base
+                                         for a in (policy.weights, *policy.succ, *policy.norm))}
+    assert len(bases) == 3
+    assert sum(base.nbytes for base in bases.values()) <= 100_000
 
 
 def test_stream_key_changes_rollouts():
