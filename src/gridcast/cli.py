@@ -59,8 +59,14 @@ def _check_jobs(args) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` as strict JSON; a NaN or infinity raises a ValueError
+    naming ``path`` before the file is opened."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _sha256(path: Path) -> str:

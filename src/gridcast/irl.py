@@ -420,7 +420,8 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
     nll = log Z - <R, mu_hat> for the expert's visit counts mu_hat;
     grad_R = E[mu] - mu_hat, the expected minus empirical visitation counts
-    (descend it to raise likelihood).
+    (descend it to raise likelihood). Returns (nll, grad_R, policy), the
+    soft-optimal Policy of ``reward`` that E[mu] came from.
     """
     log_partition, policy = soft_value_iteration(reward, spec, horizon)
     grad = expected_visitation(policy, summed=True)
@@ -428,7 +429,7 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
     # <R, mu_hat> over the cells mu_hat visits: the same products in the same
     # order on any grid that holds them, so a box and its grid agree bitwise
     seen = np.flatnonzero(expert)
-    return log_partition - float(reward.flat[seen] @ expert.flat[seen]), grad
+    return log_partition - float(reward.flat[seen] @ expert.flat[seen]), grad, policy
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +438,14 @@ def irl_loss_and_grad(reward: np.ndarray, expert: np.ndarray, spec: GridSpec, ho
 
 @dataclass
 class TrainDiagnostics:
-    """nll_history[-1] and final_grad_inf belong to the last evaluated
-    parameters; train_irl takes one more Adam step after that evaluation and
-    returns the stepped parameters."""
+    """nll_history holds the NLL at the parameters of each Adam step; nll_final
+    and final_grad_inf, max |E[mu] - mu_hat|, belong to the returned
+    parameters, whose reward and plan train_irl returns with them."""
 
     nll_history: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    nll_final: float = float("nan")
     final_grad_inf: float = float("nan")
 
 
@@ -452,10 +454,12 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
 
     ``features`` is the (rows, cols, F) raster of ``spec`` and ``expert`` the
     expert's visit counts mu_hat on it (expert_visitation); the fit plans from
-    the anchor of ``spec`` over ``config.horizon`` steps. Each iteration logs
-    one debug line (it, nll, grad_inf). Returns (params, diagnostics). Raises
-    IrlDivergenceError when the loss or parameters go non-finite, reporting
-    the offending iteration.
+    the anchor of ``spec`` over ``config.horizon`` steps. Each Adam step, and
+    the evaluation at the parameters it ends with, logs one debug line (it,
+    nll, grad_inf). Returns (params, diagnostics, reward, policy): the reward
+    map and its soft-optimal Policy are the ones that last evaluation planned.
+    Raises IrlDivergenceError when the loss or parameters go non-finite or a
+    plan underflows, reporting the offending evaluation.
     """
     # the CLI imports and configures logging; a process that never imported it
     # cannot have enabled debug output, and importing it here would add ~0.4 MB
@@ -481,21 +485,27 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
     v = np.zeros_like(vec)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     prev_nll = None
-    grad_inf = float("nan")
 
-    for it in range(1, config.max_iters + 1):
+    # evaluation it precedes Adam step it; the one after the last step (step
+    # max_iters, or the step that converged) is final and takes no step
+    for it in range(1, config.max_iters + 2):
         params = params.with_vector(vec)
         reward = reward_forward(features, params)
         try:
-            nll, grad_r = irl_loss_and_grad(reward, expert, spec, horizon)
+            nll, grad_r, policy = irl_loss_and_grad(reward, expert, spec, horizon)
         except IrlDivergenceError as exc:
             raise IrlDivergenceError(str(exc), it) from None
         if not math.isfinite(nll):
             raise IrlDivergenceError("nll is non-finite", it)
-        grad_vec = reward_backward(features, params, grad_r).as_vector()
         grad_inf = float(np.abs(grad_r).max())
         if log:
             log.debug("it=%d nll=%r grad_inf=%r", it, nll, grad_inf)
+        if diag.converged or it > config.max_iters:
+            break
+        # a step's plan is dropped before the next evaluation builds its own:
+        # holding both adds ~0.5 MB to the peak RSS of a default-config run
+        del policy
+        grad_vec = reward_backward(features, params, grad_r).as_vector()
         diag.nll_history.append(nll)
         diag.iterations = it
 
@@ -507,10 +517,9 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
 
         if not np.all(np.isfinite(vec)):
             raise IrlDivergenceError("parameters are non-finite", it)
-        if math.isinf(config.tol) or (prev_nll is not None and abs(nll - prev_nll) < config.tol):
-            diag.converged = True
-            break
+        diag.converged = math.isinf(config.tol) or (prev_nll is not None
+                                                    and abs(nll - prev_nll) < config.tol)
         prev_nll = nll
 
-    diag.final_grad_inf = grad_inf
-    return params.with_vector(vec), diag
+    diag.nll_final, diag.final_grad_inf = nll, grad_inf
+    return params, diag, reward, policy

@@ -7,7 +7,7 @@ learned policy with a heading-biased straight-rollout policy and a zero
 reward.
 
 Every scene runs end to end on the box ``anchor ± horizon`` (grid.reachable_box),
-which predict_scene cuts once: the raster, the fit, the final plan, the
+which predict_scene cuts once: the raster, the fit and its plan, the
 rollouts and the occupancy pass all run there. No cell outside it can be
 reached within the horizon, and the box keeps the world frame. The baseline's
 straight policy is the full grid's bit for bit wherever the target can be
@@ -128,9 +128,7 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
         # truncates the demo at horizon+1 states; every visit lies in the box
         expert = irl.expert_visitation(build_demos(norm, cfg, spec), spec,
                                        cfg.horizon)[window].copy()
-        params, diagnostics = irl.train_irl(features, expert, box, cfg)
-        reward = irl.reward_forward(features, params)
-        _, policy = irl.soft_value_iteration(reward, box, cfg.horizon)
+        params, diagnostics, reward, policy = irl.train_irl(features, expert, box, cfg)
     else:
         reward = np.zeros((box.rows, box.cols))
         policy = straight_rollout_policy(box, cfg.horizon)
@@ -173,7 +171,7 @@ def run_record(result: PredictionResult) -> dict:
         "irl_iterations": diag.iterations if diag else None,
         "irl_converged": diag.converged if diag else None,
         "nll_first": diag.nll_history[0] if diag else None,
-        "nll_last": diag.nll_history[-1] if diag else None,
+        "nll_last": diag.nll_final if diag else None,
         "grad_inf": diag.final_grad_inf if diag else None,
         "kmeans_iterations": result.clusters.n_iter,
         "kmeans_inertia": result.clusters.inertia_history[-1],

@@ -265,8 +265,15 @@ def forecast_from_payload(payload, source: str, n_points: int,
 
 def write_forecast(path, forecast: Forecast, include_proposals: bool = False,
                    extra: dict | None = None) -> None:
+    """Write the forecast file (forecast_to_payload plus ``extra``) as strict
+    JSON; a NaN or infinity raises a ValueError naming ``path`` before the
+    file is opened."""
     payload = forecast_to_payload(forecast, include_proposals)
     if extra:
         payload.update(extra)
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(text + "\n")

@@ -56,8 +56,8 @@ def test_criterion_01_oracle_equivalence():
         worst_marginal = max(worst_marginal,
                              float(np.abs(visit - dist.marginals()).max()))
         demo = _rollout_demo(policy, reward, seed=i)
-        nll, _ = irl.irl_loss_and_grad(reward, irl.expert_visitation([demo], spec, horizon),
-                                       spec, horizon)
+        nll, _, _ = irl.irl_loss_and_grad(reward, irl.expert_visitation([demo], spec, horizon),
+                                          spec, horizon)
         worst_nll = max(worst_nll, abs(nll - dist.nll(demo.cells)))
     elapsed = time.monotonic() - t0
     ok = worst_marginal <= 1e-9 and worst_nll <= 1e-9 and elapsed < 5.0
@@ -88,14 +88,14 @@ def test_criterion_02_gradient_correctness():
         demos = [_rollout_demo(policy, reward, seed=10 * instance + j)
                  for j in range(2)]
         expert = irl.expert_visitation(demos, spec, horizon)
-        _, grad = irl.irl_loss_and_grad(reward, expert, spec, horizon)
+        _, grad, _ = irl.irl_loss_and_grad(reward, expert, spec, horizon)
         for _ in range(10):
             r, c = rs.randint(rows), rs.randint(cols)
             up, dn = reward.copy(), reward.copy()
             up[r, c] += eps
             dn[r, c] -= eps
-            nup, _ = irl.irl_loss_and_grad(up, expert, spec, horizon)
-            ndn, _ = irl.irl_loss_and_grad(dn, expert, spec, horizon)
+            nup, _, _ = irl.irl_loss_and_grad(up, expert, spec, horizon)
+            ndn, _, _ = irl.irl_loss_and_grad(dn, expert, spec, horizon)
             worst = max(worst, _rel_err(float(grad[r, c]), (nup - ndn) / (2 * eps)))
 
         feats = rs.uniform(-1.0, 1.0, (rows, cols, 4))
@@ -146,15 +146,13 @@ def recovery_run():
     features = np.eye(rows * cols).reshape(rows, cols, rows * cols)
 
     t0 = time.monotonic()
-    params, diag = irl.train_irl(
+    _, diag, _, policy = irl.train_irl(
         features, irl.expert_visitation(demos, spec, horizon), spec,
         RunConfig(rows=rows, cols=cols, resolution=1.0, anchor_row=start.row,
                   anchor_col=start.col, horizon=horizon, reward_mode="linear",
                   optimizer="adam", lr=0.1, max_iters=300, tol=0.0))
     elapsed = time.monotonic() - t0
 
-    reward = irl.reward_forward(features, params)
-    policy = irl.soft_value_iteration(reward, spec, horizon)[1]
     learned = irl.expected_visitation(policy)[1:].sum(axis=0)
     expert = irl.expert_visitation(demos, spec, horizon)
     return {"horizon": horizon, "diag": diag, "elapsed": elapsed,

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,7 +136,7 @@ def test_predict_writes_run_record_matching_the_prediction(tmp_path, cfg_file, s
     assert record == {
         "scene": "straight_0000.json", "reasoning": True,
         "irl_iterations": diag.iterations, "irl_converged": diag.converged,
-        "nll_first": diag.nll_history[0], "nll_last": diag.nll_history[-1],
+        "nll_first": diag.nll_history[0], "nll_last": diag.nll_final,
         "grad_inf": diag.final_grad_inf, "kmeans_iterations": result.clusters.n_iter,
         "kmeans_inertia": result.clusters.inertia_history[-1], "stream_key": key,
         "config_sha256": hashlib.sha256((out1 / "config_used.cfg").read_bytes()).hexdigest(),
@@ -261,6 +264,30 @@ def test_eval_aggregate_is_mean(tmp_path):
     fdes = [per[name]["min_fde"] for name in sorted(per)]
     assert report["min_fde"] == pytest.approx(float(np.mean(fdes)))
     assert report["miss_rate"] == 0.5
+
+
+def test_eval_of_an_overflowing_score_fails_and_writes_no_infinity(tmp_path):
+    # a finite 1e300 ground-truth point makes the displacement errors inf; in a
+    # subprocess, as a user runs it, where numpy's RuntimeWarnings only print
+    scenes, forecasts, out = tmp_path / "scenes", tmp_path / "fc", tmp_path / "report"
+    scenes.mkdir()
+    path = scenes / "straight_0.json"
+    save_scene(path, generate_scene("straight", seed=0))
+    _write_gt_forecasts(scenes, forecasts)
+    payload = json.loads(path.read_text())
+    payload["gt_future"][-1] = [1e300, 0.0]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "gridcast.cli", "eval", "--forecasts",
+                           str(forecasts), "--scenes", str(scenes), "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(str(out / "report.json") + ": Out of range float")
+    for written in out.iterdir():
+        assert "Infinity" not in written.read_text(), written.name
 
 
 def test_eval_missing_forecast_nonzero_exit(tmp_path, capsys):
@@ -690,14 +717,16 @@ def test_predict_debug_log_has_one_line_per_irl_iteration(tmp_path, cfg_file, sc
     assert cli.main(["predict", scene_file, "--out", str(out), "--config", cfg_file]) == 0
     records = [r for r in caplog.records if r.name == "gridcast.irl"]
     rec = json.loads((out / "straight_0000.run.json").read_text())
-    assert len(records) == rec["irl_iterations"] > 1
+    # one line per Adam step and one for the evaluation at the returned
+    # parameters, whose NLL and gradient norm the run record holds
+    assert len(records) == rec["irl_iterations"] + 1 > 2
     for it, record in enumerate(records, start=1):
         assert record.levelno == logging.DEBUG
         assert record.getMessage().startswith(f"it={it} nll=")
         assert " grad_inf=" in record.getMessage()
     assert records[0].getMessage().startswith(f"it=1 nll={rec['nll_first']!r} ")
-    assert records[-1].getMessage() == (f"it={rec['irl_iterations']} nll={rec['nll_last']!r} "
-                                        f"grad_inf={rec['grad_inf']!r}")
+    assert records[-1].getMessage() == (f"it={rec['irl_iterations'] + 1} "
+                                        f"nll={rec['nll_last']!r} grad_inf={rec['grad_inf']!r}")
     # the log is the only output that changes
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in quiet.iterdir())
     for path in out.iterdir():

@@ -255,9 +255,9 @@ def test_policy_shift_invariance():
     # every path enters exactly `horizon` cells, so R + c raises V_0 by
     # horizon * c and <R + c, mu_hat> by c * sum(mu_hat) = horizon * c
     expert = expert_visitation([demo_from_rows([(2, 2), (2, 3), (3, 3), (3, 3)])], spec, 3)
-    nll, grad = irl_loss_and_grad(reward, expert, spec, 3)
+    nll, grad, _ = irl_loss_and_grad(reward, expert, spec, 3)
     for c in (-50.0, 17.3, 1e3):
-        nll_c, grad_c = irl_loss_and_grad(reward + c, expert, spec, 3)
+        nll_c, grad_c, _ = irl_loss_and_grad(reward + c, expert, spec, 3)
         assert abs(nll_c - nll) <= 1e-9
         np.testing.assert_allclose(grad_c, grad, rtol=0.0, atol=1e-9)
 
@@ -566,7 +566,7 @@ def test_nll_uniform_reward():
     spec = GridSpec(rows=15, cols=15, resolution=1.0, anchor=CellIndex(7, 7))
     horizon = 3
     demo = demo_from_rows([(7, 7), (8, 7), (9, 7), (10, 7)])
-    nll, grad = irl_loss_and_grad(np.zeros((15, 15)), expert_visitation([demo], spec, horizon),
+    nll, grad, _ = irl_loss_and_grad(np.zeros((15, 15)), expert_visitation([demo], spec, horizon),
                                   spec, horizon)
     assert nll == pytest.approx(horizon * math.log(9.0), abs=1e-9)
     assert grad.shape == (15, 15)
@@ -578,7 +578,7 @@ def test_nll_matches_oracle():
     reward = rs.uniform(-1.0, 0.0, (5, 5))
     horizon = 4
     demo = demo_from_rows([(2, 2), (3, 2), (3, 3), (2, 3), (2, 2)])
-    nll, grad = irl_loss_and_grad(reward, expert_visitation([demo], spec, horizon), spec, horizon)
+    nll, grad, _ = irl_loss_and_grad(reward, expert_visitation([demo], spec, horizon), spec, horizon)
     dist = enumerate_paths(reward, spec, CellIndex(2, 2), horizon)
     assert nll == pytest.approx(dist.nll(demo.cells), abs=1e-9)
     np.testing.assert_allclose(grad, dist.grad([demo]), atol=1e-9)
@@ -595,7 +595,7 @@ def test_nll_decreases_with_reward_sharpening():
     expert = expert_visitation([demo], spec, horizon)
     nlls = []
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
-        nll, _ = irl_loss_and_grad(base * scale, expert, spec, horizon)
+        nll, _, _ = irl_loss_and_grad(base * scale, expert, spec, horizon)
         nlls.append(nll)
     assert all(b < a for a, b in zip(nlls, nlls[1:]))
 
@@ -607,15 +607,15 @@ def test_grad_matches_finite_differences():
     horizon = 3
     demo = demo_from_rows([(2, 2), (3, 3), (4, 4), (4, 4)])
     expert = expert_visitation([demo], spec, horizon)
-    nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+    nll, grad, _ = irl_loss_and_grad(reward, expert, spec, horizon)
     eps = 1e-5
     for _ in range(10):
         r, c = rs.randint(5), rs.randint(5)
         up, dn = reward.copy(), reward.copy()
         up[r, c] += eps
         dn[r, c] -= eps
-        nup, _ = irl_loss_and_grad(up, expert, spec, horizon)
-        ndn, _ = irl_loss_and_grad(dn, expert, spec, horizon)
+        nup, _, _ = irl_loss_and_grad(up, expert, spec, horizon)
+        ndn, _, _ = irl_loss_and_grad(dn, expert, spec, horizon)
         fd = (nup - ndn) / (2 * eps)
         assert abs(grad[r, c] - fd) <= 1e-5 * max(abs(fd), abs(grad[r, c]), 1e-8)
 
@@ -652,8 +652,8 @@ def test_box_loss_and_grad_equal_full_grid_bitwise():
         reward = rs.uniform(-3.0, 0.0, (rows, cols))
         expert = random_walk_expert(spec, horizon, rs)
         box, win = reachable_box(spec, horizon)
-        full_nll, full_grad = irl_loss_and_grad(reward, expert, spec, horizon)
-        nll, grad = irl_loss_and_grad(reward[win], expert[win], box, horizon)
+        full_nll, full_grad, _ = irl_loss_and_grad(reward, expert, spec, horizon)
+        nll, grad, _ = irl_loss_and_grad(reward[win], expert[win], box, horizon)
         assert nll == full_nll
         assert np.array_equal(grad, full_grad[win])
         assert np.array_equal(np.signbit(grad), np.signbit(full_grad[win]))  # no -0.0
@@ -813,7 +813,7 @@ def test_box_grad_matches_finite_differences_and_is_zero_off_box():
     horizon = 2  # box rows 0..3, cols 2..6
     reward = rs.uniform(-1.0, 0.0, (9, 9))
     expert = expert_visitation([demo_from_rows([(1, 4), (2, 5), (3, 5)])], spec, horizon)
-    nll, grad = irl_loss_and_grad(reward, expert, spec, horizon)
+    nll, grad, _ = irl_loss_and_grad(reward, expert, spec, horizon)
     off_box = np.ones((9, 9), dtype=bool)
     off_box[0:4, 2:7] = False
     assert np.all(grad[off_box] == 0.0)
@@ -860,7 +860,7 @@ def test_train_tol_inf_single_iteration():
     spec = small_spec()
     demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
     feats = random_features((5, 5, 3), seed=12)
-    params, diag = fit(feats, demo, spec, 3, tol=float("inf"), max_iters=50)
+    params, diag, _, _ = fit(feats, demo, spec, 3, tol=float("inf"), max_iters=50)
     assert diag.iterations == 1
     assert diag.converged
     assert np.any(params.as_vector() != 0.0)  # updated once
@@ -873,7 +873,7 @@ def test_train_reduces_nll():
     feats = np.zeros((9, 9, 2))
     feats[:, :, 0] = (np.arange(9)[:, None] - 4) / 4.0  # forward progress
     feats[:, :, 1] = np.abs(np.arange(9)[None, :] - 4) / 4.0
-    params, diag = fit(feats, demo, spec, horizon, max_iters=60, tol=1e-9, lr=0.1)
+    _, diag, _, _ = fit(feats, demo, spec, horizon, max_iters=60, tol=1e-9, lr=0.1)
     assert diag.nll_history[-1] < diag.nll_history[0] - 0.5
 
 
@@ -915,7 +915,8 @@ def fit_digest(scene, cfg):
     spec = cfg.grid_spec()
     box, window = reachable_box(spec, cfg.horizon)
     expert = expert_visitation(pipeline.build_demos(scene, cfg, spec), spec, cfg.horizon)[window]
-    params, diag = train_irl(pipeline.scaled_features(scene, box), expert.copy(), box, cfg)
+    params, diag, _, _ = train_irl(pipeline.scaled_features(scene, box), expert.copy(), box,
+                                   cfg)
     h = hashlib.sha256(params.as_vector().tobytes())
     h.update(np.array(diag.nll_history).tobytes())
     return h.hexdigest()[:16]

@@ -148,3 +148,11 @@ def test_only_the_two_passes_and_the_on_grid_policy_take_box_sums():
     users = sorted(f"{module}.{owner}" for module, tree in MODULES.items()
                    for owner in _owners(tree, "_box_sum"))
     assert users == ["irl.expected_visitation", "irl.on_grid", "irl.soft_value_iteration"]
+
+
+def test_only_the_loss_plans_a_reward():
+    # train_irl returns the plan of its last loss evaluation with the reward
+    # it fitted, so no module plans a fitted reward a second time
+    users = sorted(f"{module}.{owner}" for module, tree in MODULES.items()
+                   for owner in _owners(tree, "soft_value_iteration"))
+    assert users == ["irl.irl_loss_and_grad"]

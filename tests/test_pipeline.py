@@ -92,16 +92,66 @@ def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
         np.testing.assert_allclose(whole(t), ref_tables[t][win], rtol=0.0, atol=1e-12)
 
 
-def test_a_final_plan_that_underflows_raises(monkeypatch):
-    # train_irl returns the parameters after its last Adam step, which no
-    # loss evaluation planned; the final plan is certified all the same
-    def wild(features, expert, spec, cfg):
-        params = irl.RewardMapParams.linear(features.shape[-1])
-        return params.with_vector(np.full(features.shape[-1], 1e4)), irl.TrainDiagnostics()
+def _fit_inputs(raw_scene, cfg):
+    """predict_scene's raster and mu_hat on the reachable box, and the box."""
+    spec = cfg.grid_spec()
+    box, window = reachable_box(spec, cfg.horizon)
+    scene = scene_mod.normalize_to_target(raw_scene)
+    expert = irl.expert_visitation(pipeline.build_demos(scene, cfg, spec), spec, cfg.horizon)
+    return pipeline.scaled_features(scene, box), expert[window].copy(), box
 
-    monkeypatch.setattr(irl, "train_irl", wild)
-    with pytest.raises(irl.IrlDivergenceError, match="underflows at step"):
-        pipeline.predict_scene(generate_scene("curve", seed=8), SMALL, reasoning=True)
+
+@pytest.mark.parametrize("kind", ["curve", "intersection_left"])
+def test_the_fit_returns_the_reward_and_plan_of_its_returned_parameters(kind, monkeypatch):
+    cfg = replace(SMALL, max_iters=6)
+    raw = generate_scene(kind, seed=8)
+    features, expert, box = _fit_inputs(raw, cfg)
+    params, diag, reward, policy = irl.train_irl(features, expert, box, cfg)
+    replanned = irl.reward_forward(features, params)
+    assert reward.tobytes() == replanned.tobytes()
+    _, again = irl.soft_value_iteration(replanned, box, cfg.horizon)
+    for maps, ref in ((policy.succ, again.succ), (policy.norm, again.norm)):
+        assert [m.tobytes() for m in maps] == [m.tobytes() for m in ref]
+    nll, grad, _ = irl.irl_loss_and_grad(replanned, expert, box, cfg.horizon)
+    assert (diag.nll_final, diag.final_grad_inf) == (nll, float(np.abs(grad).max()))
+    assert len(diag.nll_history) == diag.iterations
+
+    # the reference plans the returned parameters again after the fit
+    fitted = pipeline.predict_scene(raw, cfg, reasoning=True, stream_key=8)
+    real = irl.train_irl
+
+    def planned_again(features, expert, spec, cfg):
+        params, diag, _, _ = real(features, expert, spec, cfg)
+        reward = irl.reward_forward(features, params)
+        return params, diag, reward, irl.soft_value_iteration(reward, spec, cfg.horizon)[1]
+
+    monkeypatch.setattr(irl, "train_irl", planned_again)
+    ref = pipeline.predict_scene(raw, cfg, reasoning=True, stream_key=8)
+    assert fitted.reward.tobytes() == ref.reward.tobytes() == reward.tobytes()
+    for name in ("trajectories", "anchors", "offsets", "probs", "proposals"):
+        assert (getattr(fitted.forecast, name).tobytes()
+                == getattr(ref.forecast, name).tobytes()), name
+
+
+def test_a_final_plan_that_underflows_raises(monkeypatch):
+    # the plan the fit returns is certified like every plan it evaluates: a
+    # reward past the float64 range at the evaluation after the last Adam
+    # step raises, numbered one past the steps
+    cfg = replace(SMALL, max_iters=3, tol=0.0)
+    features, expert, box = _fit_inputs(generate_scene("curve", seed=8), cfg)
+    real, calls = irl.reward_forward, []
+
+    def wild_last(features, params):
+        calls.append(params)
+        reward = real(features, params)
+        if len(calls) <= cfg.max_iters:
+            return reward
+        return np.random.RandomState(0).uniform(-2000.0, 0.0, reward.shape)
+
+    monkeypatch.setattr(irl, "reward_forward", wild_last)
+    with pytest.raises(irl.IrlDivergenceError, match="underflows at step") as raised:
+        irl.train_irl(features, expert, box, cfg)
+    assert raised.value.iteration == cfg.max_iters + 1 == len(calls)
 
 
 @pytest.mark.parametrize("planned", [True, False])

@@ -364,3 +364,17 @@ def test_written_forecast_bytes_are_the_streamed_encoding(tmp_path):
     path = tmp_path / "f.forecast.json"
     write_forecast(path, f, include_proposals=True, extra=extra)
     assert path.read_bytes() == streamed_json({**forecast_to_payload(f, True), **extra})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_forecast_is_not_written(tmp_path, bad):
+    # strict JSON has no NaN or Infinity, so the file is never opened
+    trajectories = np.zeros((2, 4, 2))
+    trajectories[1, 3, 0] = bad
+    f = Forecast(trajectories=trajectories, anchors=np.zeros((2, 4, 2)),
+                 offsets=trajectories, probs=np.array([0.5, 0.5]),
+                 proposals=np.zeros((3, 4, 2)))
+    path = tmp_path / "f.forecast.json"
+    with pytest.raises(ValueError, match="f.forecast.json: Out of range float"):
+        write_forecast(path, f)
+    assert not path.exists()
