@@ -207,6 +207,8 @@ class Policy:
     succ: list[np.ndarray]
     norm: list[np.ndarray]
     windows: tuple[Window, ...] = field(init=False)
+    # set by on_grid, whose succ maps are views of one padded on-grid indicator
+    _on_grid: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
         if not self.succ or len(self.norm) != self.horizon:
@@ -236,14 +238,22 @@ class Policy:
         for array in (weights, padded, norm):
             array.flags.writeable = False
         windows = reach_windows(spec, horizon)
-        return cls(spec, weights, [padded[1:-1, 1:-1][win] for win in windows[1:]],
-                   [norm[win] for win in windows[:-1]])
+        policy = cls(spec, weights, [padded[1:-1, 1:-1][win] for win in windows[1:]],
+                     [norm[win] for win in windows[:-1]])
+        object.__setattr__(policy, "_on_grid", True)
+        return policy
 
     @property
     def horizon(self) -> int:
         return len(self.succ)
 
     def _padded(self, t: int) -> np.ndarray:
+        """succ[t] in a zero-bordered padded map. The on-grid successors of
+        windows[t] lie in windows[t+1], so an on-grid policy's probs read the
+        same values from the indicator its succ views share, and no map is
+        built."""
+        if self._on_grid:
+            return self.succ[t].base
         padded = padded_map(self.spec, 0.0)
         padded[1:-1, 1:-1][self.windows[t + 1]] = self.succ[t]
         return padded

@@ -60,10 +60,6 @@ def uniform(seed: int, stream, counter) -> np.ndarray:
     return (bits >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniform_scalar(seed: int, stream: int, counter: int) -> float:
-    return float(uniform(seed, stream, counter)[0])
-
-
 def derive_seed(seed: int, *tags: int) -> int:
     """Fold integer tags into a sub-seed; order-sensitive and collision-resistant."""
     h = _seed_u64(seed)

@@ -9,6 +9,7 @@ reward softmax.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -122,6 +123,9 @@ def cluster_proposals(proposals: np.ndarray, k: int, seed: int) -> ClusterResult
     Runs at most ``KMEANS_MAX_ITER`` Lloyd iterations or until the largest
     pointwise centroid move drops below ``KMEANS_SHIFT_TOL`` meters. Empty
     clusters are re-seeded from the point farthest from its assigned centroid.
+    Each step ranks the centres by ||x||^2 - 2 x.c + ||c||^2 (one product,
+    clamped at 0) and forms the centroids as one one-hot product over the
+    counts, so its rounding differs from a per-pair difference and a mean.
     """
     proposals = np.asarray(proposals, dtype=np.float64)
     n, t, _ = proposals.shape
@@ -129,47 +133,80 @@ def cluster_proposals(proposals: np.ndarray, k: int, seed: int) -> ClusterResult
         raise ValueError(f"need 1 <= k <= {n} proposals, got k={k}")
     x = proposals.reshape(n, -1)
 
-    def pick(counter: int, weights: np.ndarray | None) -> int:
-        u = rng.uniform_scalar(seed, rng.STREAM_KMEANS, counter)
+    def pick(u: float, weights: np.ndarray | None) -> int:
         if weights is None or weights.sum() <= 0.0:
             return min(int(u * n), n - 1)
         cum = np.cumsum(weights)
         return int(np.searchsorted(cum, u * cum[-1], side="right").clip(0, n - 1))
 
+    # draw j is counter j of the k-means stream, as one call per draw would give it
+    draws = rng.uniform(seed, rng.STREAM_KMEANS, np.arange(k))
     centers = np.empty((k, x.shape[1]))
-    centers[0] = x[pick(0, None)]
+    centers[0] = x[pick(draws[0], None)]
     d2 = ((x - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        centers[j] = x[pick(j, d2)]
+        centers[j] = x[pick(draws[j], d2)]
         d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
 
-    labels = np.zeros(n, dtype=np.int64)
+    x_sq = np.einsum("ij,ij->i", x, x)[:, None]
+    one_hot = np.eye(k)
+
+    def distances(centers: np.ndarray) -> np.ndarray:
+        """(n, k) squared distances, clamped at 0: cancellation can take an
+        exact 0 below it."""
+        dist = x @ centers.T
+        dist *= -2.0
+        dist += x_sq
+        dist += np.einsum("ij,ij->i", centers, centers)
+        return np.maximum(dist, 0.0, out=dist)
+
     inertia_history: list[float] = []
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
-        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = distances(centers)
         labels = dist.argmin(axis=1)
         inertia_history.append(float(dist[np.arange(n), labels].sum()))
-        new_centers = centers.copy()
         counts = np.bincount(labels, minlength=k)
-        for j in np.flatnonzero(counts):
-            new_centers[j] = x[labels == j].mean(axis=0)
+        new_centers = one_hot[labels].T @ x
+        new_centers /= np.maximum(counts, 1)[:, None]
         empties = np.flatnonzero(counts == 0)
         if empties.size:
-            own = dist[np.arange(n), labels].copy()
+            # the farthest points by each point's distance to its own centre,
+            # from the difference: a rounding residue of the expanded form could
+            # outrank the exact 0 of a point that sits on its centre
+            own = x - centers[labels]
+            own *= own
+            own = own.sum(axis=1)
             for j in empties:
                 far = int(own.argmax())
                 new_centers[j] = x[far]
                 own[far] = -1.0  # distinct reseeds when several clusters empty
-        shift = np.linalg.norm(
-            new_centers.reshape(k, t, 2) - centers.reshape(k, t, 2), axis=2).max()
+        # the largest pointwise move, with the bits of linalg.norm over (dx, dy)
+        move = new_centers - centers
+        move *= move
+        shift = np.sqrt(move.reshape(k, t, 2).sum(axis=2).max())
         centers = new_centers
         if shift < KMEANS_SHIFT_TOL:
             break
-    dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dist.argmin(axis=1)
+    labels = distances(centers).argmin(axis=1)
     return ClusterResult(anchors=centers.reshape(k, t, 2), membership=labels,
                          n_iter=n_iter, inertia_history=inertia_history)
+
+
+@functools.lru_cache(maxsize=16)
+def smoothing_operator(t: int, smooth_weight: float) -> np.ndarray:
+    """The read-only (t, t) map A from a mode's anchor to its offsets on one
+    axis: A = -w (I + w B^T B)^-1 B^T B, where B y holds the second
+    differences j = 1 .. t-1 of [0, y_1 .. y_t], built with one solve.
+    Memoised per (t, smooth_weight)."""
+    d2 = np.zeros((t - 1, t + 1))
+    for j in range(1, t):
+        d2[j - 1, j - 1: j + 2] = (1.0, -2.0, 1.0)
+    b = d2[:, 1:]
+    btb = b.T @ b
+    operator = np.linalg.solve(np.eye(t) + smooth_weight * btb, -smooth_weight * btb)
+    operator.flags.writeable = False
+    return operator
 
 
 def refine_offsets(anchors: np.ndarray, smooth_weight: float) -> np.ndarray:
@@ -177,28 +214,17 @@ def refine_offsets(anchors: np.ndarray, smooth_weight: float) -> np.ndarray:
 
     Minimizes ||dY||^2 + smooth_weight * ||second difference of [origin; Y]||^2
     per mode and axis: the trajectory is treated as emanating from the origin,
-    which enters the difference operator as a fixed first point. At
-    smooth_weight = 0 the offsets are exactly zero.
+    which enters the difference operator as a fixed first point. The minimiser
+    is linear in the anchor, so every mode and axis takes one product with
+    smoothing_operator. At smooth_weight = 0 the offsets are exactly zero.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
-    k, t, _ = anchors.shape
+    _, t, _ = anchors.shape
     if not np.all(np.isfinite(anchors)):
         raise ValueError("anchors contain non-finite values")
     if smooth_weight == 0.0 or t < 2:
         return np.zeros_like(anchors)
-    # D2 over the extended sequence [0, y_1 .. y_T]: rows j = 1 .. T-1
-    d2 = np.zeros((t - 1, t + 1))
-    for j in range(1, t):
-        d2[j - 1, j - 1: j + 2] = (1.0, -2.0, 1.0)
-    b = d2[:, 1:]
-    m = np.eye(t) + smooth_weight * (b.T @ b)
-    offsets = np.zeros_like(anchors)
-    for mode in range(k):
-        for axis in range(2):
-            e = np.concatenate([[0.0], anchors[mode, :, axis]])
-            rhs = -smooth_weight * (b.T @ (d2 @ e))
-            offsets[mode, :, axis] = np.linalg.solve(m, rhs)
-    return offsets
+    return np.matmul(smoothing_operator(t, smooth_weight), anchors)
 
 
 def score_modes(membership: np.ndarray, path_rewards: np.ndarray, k: int,

@@ -384,6 +384,34 @@ def test_policy_probs_gather_is_the_neighbourhood_index_bitwise(planned):
     assert borders > 0
 
 
+def test_on_grid_probs_read_the_policys_own_padded_map(monkeypatch):
+    # the straight and a one-hot policy on boxes whose windows meet the grid
+    # edge: every border cell of every window gets the bits of a policy that
+    # pads succ[t] on each call, and no call builds a padded map
+    cases = [((9, 11), (2, 8), 7), ((15, 17), (3, 8), 8), ((27, 33), (13, 3), 16)]
+    padded = []
+    original = irl.padded_map
+    monkeypatch.setattr(irl, "padded_map", lambda *args: padded.append(1) or original(*args))
+    for shape, anchor, horizon in cases:
+        box = reachable_box(small_spec(*shape, anchor), horizon)[0]
+        for policy in (pipeline.straight_rollout_policy(box, horizon),
+                       one_hot_policy(box, ACTIONS.index((1, 1)), horizon)):
+            padding = irl.Policy(box, policy.weights, policy.succ, policy.norm)
+            off_grid = ~on_grid_moves(box)
+            for t in range(horizon):
+                rows, cols = np.mgrid[policy.windows[t]]
+                on_edge = off_grid[policy.windows[t]].any(axis=-1)
+                on_edge[[0, -1], :] = on_edge[:, [0, -1]] = True  # the window's own border
+                r, c = rows[on_edge], cols[on_edge]
+                before = len(padded)
+                got = policy.probs(t, r, c)
+                table = policy(t)
+                assert len(padded) == before
+                assert got.tobytes() == padding.probs(t, r, c).tobytes()
+                assert table.tobytes() == padding(t).tobytes()
+    assert padded  # the padding policy built one per call
+
+
 def test_policy_rejects_a_table_off_its_window():
     # a whole-grid map where a window's belongs would read the wrong cells
     spec = small_spec(rows=9, cols=9, anchor=(4, 4))

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gridcast import pipeline, rng, rollout
+from gridcast.config import RunConfig
 from gridcast.grid import ACTIONS, CellIndex, GridSpec, cell_to_world, reachable_box
 from gridcast.irl import soft_value_iteration
 from gridcast.rollout import (
+    KMEANS_MAX_ITER,
+    KMEANS_SHIFT_TOL,
     cluster_proposals,
     forecast_to_payload,
     Forecast,
@@ -14,6 +20,7 @@ from gridcast.rollout import (
     score_modes,
     write_forecast,
 )
+from gridcast.scene import SCENE_KINDS, generate_scene
 from test_irl import one_hot_policy
 from test_scene import streamed_json
 
@@ -245,6 +252,158 @@ def test_cluster_rejects_too_few():
         cluster_proposals(np.zeros((3, 5, 2)), k=4, seed=0)
 
 
+def reference_cluster_proposals(proposals, k, seed, max_iter=KMEANS_MAX_ITER):
+    """cluster_proposals as first written: one scalar draw per seed,
+    each Lloyd step's distances from an (n, k, d) difference tensor and each
+    centroid as the mean of its members."""
+    proposals = np.asarray(proposals, dtype=np.float64)
+    n, t, _ = proposals.shape
+    x = proposals.reshape(n, -1)
+
+    def pick(counter, weights):
+        u = float(rng.uniform(seed, rng.STREAM_KMEANS, counter)[0])
+        if weights is None or weights.sum() <= 0.0:
+            return min(int(u * n), n - 1)
+        cum = np.cumsum(weights)
+        return int(np.searchsorted(cum, u * cum[-1], side="right").clip(0, n - 1))
+
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[pick(0, None)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        centers[j] = x[pick(j, d2)]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+
+    labels = np.zeros(n, dtype=np.int64)
+    inertia_history = []
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = dist.argmin(axis=1)
+        inertia_history.append(float(dist[np.arange(n), labels].sum()))
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts):
+            new_centers[j] = x[labels == j].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            own = dist[np.arange(n), labels].copy()
+            for j in empties:
+                far = int(own.argmax())
+                new_centers[j] = x[far]
+                own[far] = -1.0
+        shift = np.linalg.norm(
+            new_centers.reshape(k, t, 2) - centers.reshape(k, t, 2), axis=2).max()
+        centers = new_centers
+        if shift < KMEANS_SHIFT_TOL:
+            break
+    dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = dist.argmin(axis=1)
+    return rollout.ClusterResult(anchors=centers.reshape(k, t, 2), membership=labels,
+                                 n_iter=n_iter, inertia_history=inertia_history)
+
+
+@pytest.fixture(scope="module")
+def straight_proposals():
+    """The proposals of 60 default-config no-reasoning scenes, ten per kind."""
+    cfg = RunConfig()
+    return [pipeline.predict_scene(generate_scene(SCENE_KINDS[i % 6], 500 + i), cfg,
+                                   reasoning=False, stream_key=i).forecast.proposals
+            for i in range(60)]
+
+
+def distinct_rows(proposals):
+    return len(np.unique(proposals.reshape(len(proposals), -1), axis=0))
+
+
+def assert_clusters_match_the_reference(proposals, k, seed):
+    got = cluster_proposals(proposals, k, seed)
+    want = reference_cluster_proposals(proposals, k, seed)
+    assert got.n_iter == want.n_iter
+    assert np.array_equal(got.membership, want.membership)
+    scale = max(1.0, np.abs(want.anchors).max())
+    np.testing.assert_allclose(got.anchors, want.anchors, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.inertia_history, want.inertia_history, rtol=1e-12,
+                               atol=1e-12 * scale ** 2)
+
+
+def test_kmeans_seeding_draws_every_counter_at_once(monkeypatch, straight_proposals):
+    # no Lloyd step: the anchors are the k-means++ seeds, bit for bit the ones
+    # drawn one counter at a time
+    monkeypatch.setattr(rollout, "KMEANS_MAX_ITER", 0)
+    rs = np.random.RandomState(11)
+    sets = straight_proposals[:6] + [rs.uniform(-5, 5, (40, 8, 2)), np.zeros((10, 4, 2))]
+    for i, proposals in enumerate(sets):
+        for k in (1, 3, 6, len(proposals)):
+            got = cluster_proposals(proposals, k, seed=i)
+            want = reference_cluster_proposals(proposals, k, seed=i, max_iter=0)
+            assert got.anchors.tobytes() == want.anchors.tobytes()
+            assert got.n_iter == 0 and got.inertia_history == []
+
+
+def test_kmeans_on_distinct_proposals_is_the_reference(straight_proposals):
+    # every straight-policy proposal of these scenes is distinct, so no two
+    # centres tie exactly and the assignments are the reference's
+    assert all(distinct_rows(p) == len(p) for p in straight_proposals)
+    for i, proposals in enumerate(straight_proposals):
+        assert_clusters_match_the_reference(proposals, 6, seed=i)
+    rs = np.random.RandomState(12)
+    for i in range(40):
+        n, t = rs.randint(6, 130), rs.randint(1, 31)
+        proposals = rs.uniform(-30, 30, (n, t, 2)) * rs.uniform(0.01, 3)
+        for k in (1, min(6, n), n):
+            assert_clusters_match_the_reference(proposals, k, seed=100 + i)
+
+
+def duplicate_heavy_sets():
+    """Proposal sets that repeat a few lattice trajectories many times over,
+    and the all-identical set."""
+    rs = np.random.RandomState(13)
+    for i in range(30):
+        n, t, distinct = rs.randint(20, 129), rs.randint(2, 31), rs.randint(1, 12)
+        base = rs.randint(-6, 7, (distinct, t, 2)) * 0.5
+        yield base[rs.randint(0, distinct, n)], min(6, n)
+    yield np.tile(np.linspace(0, 1, 8)[None, :, None], (10, 1, 2)), 2
+    yield np.full((40, 30, 2), 123.25), 6
+
+
+def test_kmeans_anchors_are_their_members_means_on_duplicate_heavy_sets():
+    for i, (proposals, k) in enumerate(duplicate_heavy_sets()):
+        result = cluster_proposals(proposals, k, seed=i)
+        scale = max(1.0, np.abs(proposals).max())
+        hist = result.inertia_history
+        assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
+        assert min(hist) >= 0.0  # each point's distance to its centre is clamped at 0
+        for j in np.unique(result.membership):
+            mean = proposals[result.membership == j].mean(axis=0)
+            np.testing.assert_allclose(result.anchors[j], mean, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_kmeans_distances_are_never_negative_on_identical_proposals():
+    # ||x||^2 - 2 x.c + ||c||^2 with c = x can round below 0; the clamp keeps
+    # every distance, and so every inertia, at 0 or above
+    for value in (0.1, 1.0 / 3.0, 123.25, 1e4 / 7.0):
+        proposals = np.full((50, 30, 2), value)
+        proposals[:, :, 1] *= -0.7
+        result = cluster_proposals(proposals, 6, seed=3)
+        assert all(inertia >= 0.0 for inertia in result.inertia_history)
+        np.testing.assert_allclose(result.anchors, np.broadcast_to(proposals[0], (6, 30, 2)),
+                                   rtol=1e-15, atol=0.0)
+
+
+def test_kmeans_builds_no_pairwise_difference_tensor():
+    # one (128, 6, 60) float64 array takes 368,640 bytes
+    proposals = np.random.RandomState(14).uniform(-20, 20, (128, 30, 2))
+    cluster_proposals(proposals, 6, seed=0)  # warm the code path
+    tracemalloc.start()
+    try:
+        cluster_proposals(proposals, 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 6 * 60 * 8
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -261,6 +420,70 @@ def test_zero_weight_zero_offsets():
     anchors = rs.uniform(-5, 5, size=(3, 12, 2))
     offsets = refine_offsets(anchors, smooth_weight=0.0)
     np.testing.assert_array_equal(offsets, 0.0)
+
+
+def reference_refine_offsets(anchors, smooth_weight):
+    """refine_offsets as first written: the system built on every call and one
+    solve per mode and axis."""
+    anchors = np.asarray(anchors, dtype=np.float64)
+    k, t, _ = anchors.shape
+    if smooth_weight == 0.0 or t < 2:
+        return np.zeros_like(anchors)
+    d2 = np.zeros((t - 1, t + 1))
+    for j in range(1, t):
+        d2[j - 1, j - 1: j + 2] = (1.0, -2.0, 1.0)
+    b = d2[:, 1:]
+    m = np.eye(t) + smooth_weight * (b.T @ b)
+    offsets = np.zeros_like(anchors)
+    for mode in range(k):
+        for axis in range(2):
+            e = np.concatenate([[0.0], anchors[mode, :, axis]])
+            rhs = -smooth_weight * (b.T @ (d2 @ e))
+            offsets[mode, :, axis] = np.linalg.solve(m, rhs)
+    return offsets
+
+
+def test_refine_offsets_is_the_reference_solve(straight_proposals):
+    rs = np.random.RandomState(15)
+    sets = [cluster_proposals(p, 6, seed=0).anchors for p in straight_proposals[:12]]
+    sets += [rs.uniform(-50, 50, (rs.randint(1, 9), rs.randint(1, 40), 2)) for _ in range(30)]
+    for anchors in sets:
+        scale = max(1.0, np.abs(anchors).max())
+        # the system's condition number grows as 1 + 16 w, and both solves
+        # round with it: at w = 1e3 they differ by up to 1e-11 relative
+        for weight in (0.25, 4.0, 10.0, 100.0):
+            got = refine_offsets(anchors, weight)
+            want = reference_refine_offsets(anchors, weight)
+            assert got.shape == anchors.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+        assert refine_offsets(anchors, 0.0).tobytes() == np.zeros_like(anchors).tobytes()
+
+
+def test_refine_offsets_solves_once_per_length_and_weight(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    anchors = np.random.RandomState(16).uniform(-5, 5, (6, 29, 2))
+    first = refine_offsets(anchors, 3.75)
+    second = refine_offsets(anchors[::-1], 3.75)
+    assert len(calls) <= 1  # one solve over 24 right-hand sides, then memoised
+    assert second.tobytes() == first[::-1].tobytes()
+
+
+def test_smoothing_operator_is_read_only():
+    operator = rollout.smoothing_operator(12, 4.0)
+    assert operator.shape == (12, 12) and not operator.flags.writeable
+    with pytest.raises(ValueError):
+        operator[0, 0] = 1.0
+    assert rollout.smoothing_operator(12, 4.0) is operator
+    offsets = refine_offsets(np.ones((2, 12, 2)), 4.0)
+    offsets += 1.0  # the offsets are the caller's own array
+    assert np.shares_memory(offsets, operator) is False
 
 
 def _curvature(traj):
