@@ -137,10 +137,10 @@ def predict_scene(raw_scene: scene_mod.SceneContext, cfg: RunConfig,
                                     rng.derive_seed(cfg.seed, stream_key))
     if reasoning:
         batch = rollout.gather_path_features(batch, features)
-    proposals = np.stack([
-        rollout.path_to_trajectory(batch.cells[i], box, cfg.t_future, speed, norm.dt)
-        for i in range(cfg.rollouts)
-    ])
+    points, arc = rollout.path_polylines(batch.cells, box)
+    targets = np.arange(1, cfg.t_future + 1) * speed * norm.dt
+    proposals = np.stack([rollout.path_to_trajectory(points[i], arc[i], targets)
+                          for i in range(cfg.rollouts)])
     clusters = rollout.cluster_proposals(proposals, cfg.modes,
                                          rng.derive_seed(cfg.seed, stream_key, 1))
     trajectories = clusters.anchors + rollout.refine_offsets(clusters.anchors,

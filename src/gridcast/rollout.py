@@ -81,31 +81,36 @@ def gather_path_features(batch: RolloutBatch, feature_stack: np.ndarray) -> Roll
     return replace(batch, features=gathered)
 
 
-def path_to_trajectory(path_cells, spec: GridSpec, n_points: int,
-                       speed: float, dt: float) -> np.ndarray:
-    """Resample a cell path into n_points at constant speed along its polyline.
+def path_polylines(cells, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, H+1, 2) cell-centre polylines of a rollout batch's (L, H+1, 2)
+    cells, with their (L, H+1) cumulative arc lengths from 0.
 
-    Sample i sits at arc length (i+1) * speed * dt, clamped to the path end
-    (the terminal point is held once the path runs out). An all-STAY path
-    yields n_points copies of its single cell center.
+    One cell_to_world over the batch, so a cell off the grid raises a
+    ValueError once per batch. A STAY adds an exact 0 to the arc length.
     """
-    cells = np.asarray(path_cells, dtype=np.int64).reshape(-1, 2)
-    moved = cells[1:] != cells[:-1]
-    keep = np.empty(len(cells), dtype=bool)
-    keep[0] = True
-    np.logical_or(moved[:, 0], moved[:, 1], out=keep[1:])
-    xy = cell_to_world(cells[keep], spec)
+    points = cell_to_world(cells, spec)
     # segment lengths sqrt(dx*dx + dy*dy), the bits of linalg.norm over (dx, dy)
-    seg = xy[1:] - xy[:-1]
+    seg = points[:, 1:] - points[:, :-1]
     seg *= seg
-    length = seg[:, 0] + seg[:, 1]
-    cum = np.empty(len(xy))
-    cum[0] = 0.0
-    np.sqrt(length, out=length).cumsum(out=cum[1:])
-    targets = np.arange(1, n_points + 1) * speed * dt
-    out = np.empty((n_points, 2))
-    out[:, 0] = np.interp(targets, cum, xy[:, 0])
-    out[:, 1] = np.interp(targets, cum, xy[:, 1])
+    length = seg[..., 0] + seg[..., 1]
+    arc = np.empty(points.shape[:2])
+    arc[:, 0] = 0.0
+    np.sqrt(length, out=length).cumsum(axis=1, out=arc[:, 1:])
+    return points, arc
+
+
+def path_to_trajectory(points: np.ndarray, arc: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Resample one (H+1, 2) polyline of path_polylines at the arc lengths
+    ``targets``, as a (len(targets), 2) array.
+
+    A target past the path end holds its terminal point. Where a STAY repeats
+    a knot, np.interp reads the repeated point, so the result is that of the
+    polyline with the repeats dropped, bit for bit; an all-STAY path yields
+    copies of its single cell centre.
+    """
+    out = np.empty((len(targets), 2))
+    out[:, 0] = np.interp(targets, arc, points[:, 0])
+    out[:, 1] = np.interp(targets, arc, points[:, 1])
     return out
 
 

@@ -456,6 +456,10 @@ def save_scene(path, scene: SceneContext) -> None:
         fh.write(json.dumps(scene_to_dict(scene), sort_keys=True) + "\n")
 
 
+# the largest magnitude scene_from_dict admits in any array: UTM-sized
+# coordinates fit, and the rasterizer's squared distances stay far from overflow
+MAX_SCENE_MAGNITUDE = 1e9
+
 # every key scene_to_dict writes; scene_from_dict rejects any other
 SCENE_KEYS = frozenset({"version", "kind", "dt", "target_index", "agents", "lanes",
                         "gt_future", "extended_future", "agent_futures", "to_world"})
@@ -472,8 +476,13 @@ def _finite_array(value, name: str, source: str) -> np.ndarray:
             type(v) is bool for v in np.asarray(value, dtype=object).flat):
         raise SceneFormatError(f"{source}: {name} must hold numbers only, got {value!r:.40}")
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # one reduction for both checks: a NaN or an infinity makes the peak non-finite
+    peak = float(np.abs(arr).max(initial=0.0))
+    if not math.isfinite(peak):
         raise SceneFormatError(f"{source}: {name} contains non-finite values")
+    if peak > MAX_SCENE_MAGNITUDE:
+        raise SceneFormatError(f"{source}: {name} holds a value of magnitude {peak}, "
+                               f"above MAX_SCENE_MAGNITUDE = {MAX_SCENE_MAGNITUDE:g}")
     return arr
 
 

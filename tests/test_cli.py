@@ -267,15 +267,16 @@ def test_eval_aggregate_is_mean(tmp_path):
 
 
 def test_eval_of_an_overflowing_score_fails_and_writes_no_infinity(tmp_path):
-    # a finite 1e300 ground-truth point makes the displacement errors inf; in a
-    # subprocess, as a user runs it, where numpy's RuntimeWarnings only print
+    # a finite 1e300 forecast point makes the displacement errors inf (a scene
+    # cannot hold one: scene_from_dict bounds its magnitudes); in a subprocess,
+    # as a user runs it, where numpy's RuntimeWarnings only print
     scenes, forecasts, out = tmp_path / "scenes", tmp_path / "fc", tmp_path / "report"
     scenes.mkdir()
-    path = scenes / "straight_0.json"
-    save_scene(path, generate_scene("straight", seed=0))
+    save_scene(scenes / "straight_0.json", generate_scene("straight", seed=0))
     _write_gt_forecasts(scenes, forecasts)
+    path = forecasts / "straight_0.forecast.json"
     payload = json.loads(path.read_text())
-    payload["gt_future"][-1] = [1e300, 0.0]
+    payload["modes"][0]["points"][-1] = [1e300, 0.0]
     path.write_text(json.dumps(payload), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "gridcast.cli", "eval", "--forecasts",
@@ -288,6 +289,31 @@ def test_eval_of_an_overflowing_score_fails_and_writes_no_infinity(tmp_path):
     assert err["message"].startswith(str(out / "report.json") + ": Out of range float")
     for written in out.iterdir():
         assert "Infinity" not in written.read_text(), written.name
+
+
+@pytest.mark.parametrize("array, index", [("lanes", (0, 0, 0)), ("agents", (0, -1, 0))])
+def test_predict_of_a_scene_beyond_the_magnitude_bound_fails_with_one_error(tmp_path, array,
+                                                                           index):
+    # one lane coordinate or the target's position at 1e300; in a subprocess, as
+    # a user runs it, where numpy's RuntimeWarnings only print
+    path = tmp_path / "huge.json"
+    save_scene(path, generate_scene("intersection_left", seed=5))
+    payload = json.loads(path.read_text())
+    i, j, k = index
+    payload[array][i][j][k] = 1e300
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "gridcast.cli", "predict", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "SceneFormatError"
+    assert err["message"].startswith(f"{path}: {array} holds a value of magnitude 1e+300")
 
 
 def test_eval_missing_forecast_nonzero_exit(tmp_path, capsys):

@@ -234,9 +234,10 @@ def test_no_reasoning_box_plan_equals_the_full_grid_plan_bitwise(anchor, horizon
     np.testing.assert_array_equal(on_box.cells + offset, on_grid.cells)
     assert on_box.path_rewards.tobytes() == on_grid.path_rewards.tobytes()
     speed = scene_mod.target_pose(result.scene)[3]
-    proposals = np.stack([rollout.path_to_trajectory(cells, spec, cfg.t_future, speed,
-                                                     result.scene.dt)
-                          for cells in on_grid.cells])
+    points, arc = rollout.path_polylines(on_grid.cells, spec)
+    targets = np.arange(1, cfg.t_future + 1) * speed * result.scene.dt
+    proposals = np.stack([rollout.path_to_trajectory(points[i], arc[i], targets)
+                          for i in range(cfg.rollouts)])
     assert result.forecast.proposals.tobytes() == proposals.tobytes()
     expected = occupancy.predict_occupancy(full, cfg.t_future)
     assert pipeline.predicted_occupancy(result, cfg).tobytes() == expected.tobytes()

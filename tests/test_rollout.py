@@ -14,6 +14,7 @@ from gridcast.rollout import (
     forecast_to_payload,
     Forecast,
     gather_path_features,
+    path_polylines,
     path_to_trajectory,
     refine_offsets,
     sample_rollouts,
@@ -124,10 +125,20 @@ def test_gather_constant_stack():
 # trajectory conversion
 # ---------------------------------------------------------------------------
 
+def decode(paths, spec, n_points, speed, dt):
+    """The (L, n_points, 2) trajectories of an (L, H+1, 2) path batch: one
+    path_polylines pass, then one path_to_trajectory per path, as
+    predict_scene decodes."""
+    points, arc = path_polylines(np.asarray(paths, dtype=np.int64), spec)
+    targets = np.arange(1, n_points + 1) * speed * dt
+    return np.stack([path_to_trajectory(points[i], arc[i], targets)
+                     for i in range(len(points))])
+
+
 def test_straight_path_resampling():
     spec = GridSpec(rows=40, cols=9, resolution=1.0, anchor=CellIndex(0, 4))
     path = np.column_stack([np.arange(32), np.full(32, 4)])
-    traj = path_to_trajectory(path, spec, n_points=30, speed=10.0, dt=0.1)
+    traj = decode([path], spec, n_points=30, speed=10.0, dt=0.1)[0]
     np.testing.assert_allclose(traj[:, 0], np.arange(1, 31), atol=1e-12)
     np.testing.assert_allclose(traj[:, 1], 0.0, atol=1e-12)
     np.testing.assert_allclose(traj[-1], (30.0, 0.0), atol=1e-12)
@@ -136,7 +147,7 @@ def test_straight_path_resampling():
 def test_all_stay_path():
     spec = spec_of()
     path = np.tile([10, 10], (7, 1))
-    traj = path_to_trajectory(path, spec, n_points=5, speed=8.0, dt=0.1)
+    traj = decode([path], spec, n_points=5, speed=8.0, dt=0.1)[0]
     np.testing.assert_array_equal(traj, 0.0)
 
 
@@ -169,37 +180,65 @@ def random_walk(rs, anchor, length, stay):
 
 @pytest.mark.parametrize("resolution", [1.0, 2.0, 0.3])
 def test_path_to_trajectory_is_the_reference_decoder_bitwise(resolution):
-    # 0.3 m cells have centres that are not exact multiples of the cell size
+    # 0.3 m cells have centres that are not exact multiples of the cell size;
+    # with 30 points, np.interp precomputes its slopes for H + 1 <= 30 knots,
+    # where a repeated knot's 0/0 slope is computed and never read
     spec = GridSpec(rows=81, cols=81, resolution=resolution, anchor=CellIndex(40, 40))
     anchor = np.array([40, 40])
     rs = np.random.RandomState(int(resolution * 10))
-    paths = [random_walk(rs, anchor, 32, stay) for stay in (0.0, 0.3, 0.7, 0.95) * 25]
-    paths += [
-        np.tile(anchor, (33, 1)),                                   # all STAY
-        np.array([anchor, anchor + (1, 1)]),                        # a single move
-        np.vstack([np.tile(anchor, (5, 1)), np.tile(anchor + (0, -1), (28, 1))]),
-        np.array([anchor]),                                         # the anchor alone
-    ]
-    for i, path in enumerate(paths):
-        # speed * dt * n_points from 1.5 m to 150 m: the long ones overrun the path
-        speed = (0.5, 5.0, 12.0, 50.0)[i % 4]
-        got = path_to_trajectory(path, spec, 30, speed, 0.1)
-        want = reference_path_to_trajectory(path, spec, 30, speed, 0.1)
-        assert got.shape == (30, 2)
-        assert got.tobytes() == want.tobytes(), i
+    for horizon in (0, 1, 4, 16, 29, 30, 32):
+        paths = [random_walk(rs, anchor, horizon, stay) for stay in (0.0, 0.3, 0.7, 0.95) * 25]
+        paths.append(np.tile(anchor, (horizon + 1, 1)))  # all STAY; at H = 0, one cell
+        if horizon:
+            run = max(horizon // 4, 1)
+            walk = random_walk(rs, anchor, horizon - run, 0.0)
+            paths += [np.vstack([np.tile(anchor, (run, 1)), walk]),  # STAYs first
+                      np.vstack([walk, np.tile(walk[-1], (run, 1))])]  # STAYs last
+        for speed in (0.5, 5.0, 12.0, 50.0):
+            # speed * dt * n_points from 1.5 m to 150 m: the long ones overrun the path
+            with np.errstate(all="raise"):
+                got = decode(paths, spec, 30, speed, 0.1)
+                want = [reference_path_to_trajectory(path, spec, 30, speed, 0.1)
+                        for path in paths]
+            assert got.shape == (len(paths), 30, 2)
+            for i, path in enumerate(paths):
+                assert got[i].tobytes() == want[i].tobytes(), (horizon, speed, i)
 
 
-def test_path_to_trajectory_rejects_a_path_off_the_grid():
+def test_path_polylines_rejects_a_path_off_the_grid():
     spec = spec_of(rows=9, cols=9, anchor=(4, 4))
     with pytest.raises(ValueError, match="outside 9x9"):
-        path_to_trajectory(np.array([[4, 4], [4, 9]]), spec, 5, 1.0, 0.1)
+        path_polylines(np.array([[[4, 4], [4, 5]], [[4, 4], [4, 9]]]), spec)
+
+
+def test_path_polylines_measure_the_batch_arc_lengths():
+    spec = GridSpec(rows=9, cols=9, resolution=2.0, anchor=CellIndex(4, 4))
+    cells = np.array([[[4, 4], [5, 4], [5, 4], [6, 5]],
+                      [[4, 4], [4, 4], [4, 4], [4, 4]]])
+    points, arc = path_polylines(cells, spec)
+    np.testing.assert_array_equal(points, (cells - 4) * 2.0)
+    np.testing.assert_array_equal(arc, [[0.0, 2.0, 2.0, 2.0 + np.sqrt(8.0)],
+                                        [0.0, 0.0, 0.0, 0.0]])
 
 
 def test_short_path_clamps_at_terminus():
     spec = GridSpec(rows=40, cols=9, resolution=1.0, anchor=CellIndex(0, 4))
     path = np.column_stack([np.arange(4), np.full(4, 4)])  # 3 m long
-    traj = path_to_trajectory(path, spec, n_points=10, speed=10.0, dt=0.1)
+    traj = decode([path], spec, n_points=10, speed=10.0, dt=0.1)[0]
     np.testing.assert_allclose(traj[2:], np.tile([3.0, 0.0], (8, 1)), atol=1e-12)
+
+
+def test_no_reasoning_scene_converts_its_cells_to_metres_once(monkeypatch):
+    calls = []
+
+    def counted(cells, spec):
+        calls.append(np.shape(cells))
+        return cell_to_world(cells, spec)
+
+    monkeypatch.setattr(rollout, "cell_to_world", counted)
+    cfg = RunConfig()
+    pipeline.predict_scene(generate_scene("curve", seed=1), cfg, reasoning=False, stream_key=1)
+    assert calls == [(cfg.rollouts, cfg.horizon + 1, 2)]
 
 
 # ---------------------------------------------------------------------------

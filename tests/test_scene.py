@@ -29,6 +29,7 @@ from gridcast.scene import (
     LX1,
     LY0,
     LY1,
+    MAX_SCENE_MAGNITUDE,
     SCENE_KINDS,
     SceneFormatError,
     apply_rigid,
@@ -479,6 +480,33 @@ def test_load_parse_error_has_line_context(tmp_path):
     path.write_text('{"version": 1,\n  "agents": [[[,\n}', encoding="utf-8")
     with pytest.raises(SceneFormatError, match="line 2"):
         load_scene(path)
+
+
+def test_load_rejects_a_value_beyond_the_magnitude_bound(tmp_path):
+    base = scene_to_dict(generate_scene("intersection_left", seed=5))
+    base["to_world"] = [1.0, 2.0, 0.5]
+    path = tmp_path / "huge.json"
+    for key in ("agents", "lanes", "gt_future", "extended_future", "agent_futures",
+                "to_world", "dt"):
+        for value in (MAX_SCENE_MAGNITUDE, -MAX_SCENE_MAGNITUDE):
+            arr = np.asarray(base.get(key, 0.1), dtype=np.float64)
+            arr.flat[-1] = value
+            path.write_text(json.dumps({**base, key: arr.tolist()}), encoding="utf-8")
+            if key != "dt" or value > 0:
+                load_scene(path)
+            arr.flat[-1] = math.nextafter(value, 2.0 * value)
+            path.write_text(json.dumps({**base, key: arr.tolist()}), encoding="utf-8")
+            with pytest.raises(SceneFormatError) as info:
+                load_scene(path)
+            assert str(info.value) == (f"{path}: {key} holds a value of magnitude "
+                                       f"{abs(float(arr.flat[-1]))!r}, above MAX_SCENE_MAGNITUDE "
+                                       "= 1e+09")
+
+
+def test_generated_scenes_lie_within_the_magnitude_bound():
+    for kind in SCENE_KINDS:
+        for seed in range(50):
+            scene_from_dict(scene_to_dict(generate_scene(kind, seed=seed)))
 
 
 def test_load_rejects_nonfinite_values_and_bad_shapes(tmp_path):
