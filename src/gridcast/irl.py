@@ -43,6 +43,7 @@ import numpy as np
 from .config import RunConfig
 from .grid import (
     N_ACTIONS,
+    STAY,
     CellIndex,
     GridSpec,
     cells_adjacent,
@@ -137,10 +138,15 @@ def _hidden_blocks(features: np.ndarray, params: RewardMapParams):
         yield rows, block, z
 
 
-def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
-    """Per-cell reward, the network output as it is."""
+def check_features(features: np.ndarray) -> None:
+    """Raise ValueError when a feature raster holds a NaN or an infinity."""
     if not np.all(np.isfinite(features)):
         raise ValueError("feature stack contains non-finite values")
+
+
+def reward_forward(features: np.ndarray, params: RewardMapParams) -> np.ndarray:
+    """Per-cell reward, the network output as it is. ``features`` must be
+    finite (check_features), which the callers check once per raster."""
     if params.mode == "linear":
         return features @ params.w
     reward = np.empty(features.shape[:2])
@@ -260,8 +266,9 @@ class Policy:
 
     def probs(self, t: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """pi_t(. | s) at the grid cells s = (rows, cols) of windows[t], shape
-        rows.shape + (9,); a cell with n_t = 0 gets 0s. Raises ValueError for
-        a cell off windows[t]."""
+        rows.shape + (9,); a cell with n_t = 0 gets 0s, and sampling a move
+        there raises ValueError (cumulative). Raises ValueError for a cell off
+        windows[t]."""
         norm, (win_rows, win_cols) = self.norm[t], self.windows[t]
         # raises off the window on either side; a (row, col) index would wrap below it
         at = np.ravel_multi_index((rows - win_rows.start, cols - win_cols.start), norm.shape)
@@ -270,11 +277,74 @@ class Policy:
         moves /= norm.flat[at].reshape(1, -1)
         return moves.T.reshape(np.shape(rows) + (N_ACTIONS,))
 
+    def cumulative(self, t: int, cells: np.ndarray) -> np.ndarray:
+        """The (n, 9) cumulative pi_t(. | s) at the flat cells s = row * cols +
+        col of windows[t], divided by its last entry: the bits of
+        probs(t, rows, cols).cumsum(axis=1) / its last column, so every row
+        ends at exactly 1. An on-grid policy's pi_t does not depend on t, so
+        it reads the rows of one memoised table (_table); any other policy
+        computes step t at the cells. A cell with no move (n_t = 0) raises
+        ValueError naming t and the cell; in the table it STAYs instead, and
+        check_moves raises for it once a batch is sampled."""
+        if self._on_grid:
+            return self._table[0].take(cells, axis=0)
+        rows, cols = np.divmod(cells, self.spec.cols)
+        cum = self.probs(t, rows, cols).cumsum(axis=1)
+        if not cum[:, -1].all():
+            at = np.flatnonzero(cum[:, -1] == 0.0)[0]
+            raise _no_move(t, rows[at], cols[at])
+        cum /= cum[:, -1:]
+        return cum
+
+    def check_moves(self, sources: np.ndarray) -> None:
+        """Raise cumulative's ValueError for the first step, and the first path
+        of the batch at it, that moved from a cell with no move, given the
+        (horizon, count) flat cells each step of a sampled batch moved from.
+        Only the table lets a path get that far: it STAYs at such a cell, so
+        the path is still there at the last step, and one gather and one
+        reduction check the whole batch."""
+        if not self._on_grid:
+            return
+        dead = self._table[1]
+        if dead.take(sources[-1]).any():
+            t, path = np.argwhere(dead.take(sources))[0]
+            raise _no_move(t, *divmod(int(sources[t, path]), self.spec.cols))
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """An on-grid policy's cumulative pi(. | s) at every grid cell s as a
+        read-only, C-contiguous (rows * cols, 9) table, whose row s is what
+        cumulative gives at s, and the read-only (rows * cols,) mask of the
+        cells with no move, whose rows STAY. Built on first use, in place,
+        from the padded indicator and the whole-grid normaliser that the
+        policy's maps view, with the arithmetic of probs and cumulative."""
+        spec = self.spec
+        table = np.empty((spec.rows * spec.cols, N_ACTIONS))
+        np.copyto(table.reshape(spec.rows, spec.cols, 3, 3),
+                  neighbourhood(self.succ[0].base, spec).transpose(2, 3, 0, 1))
+        table *= self.weights.ravel()
+        table /= self.norm[0].base.reshape(-1, 1)
+        # cumsum's sequential sums, one action column at a time
+        for a in range(1, N_ACTIONS):
+            table[:, a] += table[:, a - 1]
+        dead = table[:, -1] == 0.0
+        table[dead, STAY:] = 1.0  # 0/0 otherwise; check_moves reports a visit
+        # a copy of the column: dividing by a view of the table itself would
+        # make numpy copy the whole table first
+        table /= table[:, -1:].copy()
+        table.flags.writeable = dead.flags.writeable = False
+        return table, dead
+
     def __call__(self, t: int) -> np.ndarray:
         """The read-only (h, w, 9) table of pi_t on windows[t], built on each call."""
         table = self.probs(t, *np.mgrid[self.windows[t]])
         table.flags.writeable = False
         return table
+
+
+def _no_move(t: int, row: int, col: int) -> ValueError:
+    return ValueError(f"rollout step {t} starts at cell ({row}, {col}), "
+                      "which has no move of positive probability")
 
 
 @functools.lru_cache(maxsize=64)
@@ -468,8 +538,9 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
     the evaluation at the parameters it ends with, logs one debug line (it,
     nll, grad_inf). Returns (params, diagnostics, reward, policy): the reward
     map and its soft-optimal Policy are the ones that last evaluation planned.
-    Raises IrlDivergenceError when the loss or parameters go non-finite or a
-    plan underflows, reporting the offending evaluation.
+    Raises ValueError for a non-finite raster, and IrlDivergenceError when
+    the loss or parameters go non-finite or a plan underflows, reporting the
+    offending evaluation.
     """
     # the CLI imports and configures logging; a process that never imported it
     # cannot have enabled debug output, and importing it here would add ~0.4 MB
@@ -481,6 +552,8 @@ def train_irl(features: np.ndarray, expert: np.ndarray, spec: GridSpec, config: 
         raise ValueError(f"features shape {features.shape[:2]} != grid {(spec.rows, spec.cols)}")
     if np.shape(expert) != (spec.rows, spec.cols):
         raise ValueError(f"expert shape {np.shape(expert)} != grid {(spec.rows, spec.cols)}")
+    # the raster is fixed for the fit, so it is checked once, not on each step
+    check_features(features)
     n_features = features.shape[-1]
     if config.reward_mode == "linear":
         params = RewardMapParams.linear(n_features)

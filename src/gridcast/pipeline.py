@@ -189,10 +189,13 @@ def predicted_occupancy(result: PredictionResult, cfg: RunConfig) -> np.ndarray:
 
 def grid_reward(result: PredictionResult) -> np.ndarray:
     """The reward map over the full grid, for figures: the fitted map applied
-    to a full-grid raster (the forecast itself reads only the box)."""
+    to a full-grid raster (the forecast itself reads only the box). Raises
+    ValueError when that raster is not finite."""
     if result.params is None:
         return np.zeros((result.spec.rows, result.spec.cols))
-    return irl.reward_forward(scaled_features(result.scene, result.spec), result.params)
+    features = scaled_features(result.scene, result.spec)
+    irl.check_features(features)
+    return irl.reward_forward(features, result.params)
 
 
 def score_prediction(result: PredictionResult) -> metrics.SceneMetrics:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .grid import ACTION_OFFSETS, N_ACTIONS, GridSpec, cell_to_world
+from .grid import ACTION_OFFSETS, GridSpec, cell_to_world
 from .irl import Policy
 
 KMEANS_MAX_ITER = 100
@@ -50,28 +50,39 @@ def sample_rollouts(policy: Policy, reward: np.ndarray, count: int, seed: int) -
     Each rollout index owns an independent counter-based random stream, so the
     batch is reproducible regardless of execution order or thread count.
     Path rewards accumulate the reward of every entered state; ``reward`` must
-    lie on the policy's grid (ValueError otherwise). Step t reads pi_t at the
-    paths' cells (Policy.probs), which lie in the policy's windows[t], since
-    windows[t] holds every cell reachable in t moves.
+    lie on the policy's grid (ValueError otherwise).
+
+    Paths step as flat cell indices row * cols + col. Step t reads the
+    cumulative pi_t at the paths' cells (Policy.cumulative), which lie in the
+    policy's windows[t], since windows[t] holds every cell reachable in t
+    moves; each path takes the first action whose cumulative probability
+    passes its draw and adds that move's flat offset. A move of probability 0
+    is never drawn, so no index wraps across a row; a path at a cell with no
+    move raises ValueError naming the step and the cell.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     spec, horizon = policy.spec, policy.horizon
     if np.shape(reward) != (spec.rows, spec.cols):
         raise ValueError(f"reward shape {np.shape(reward)} != policy grid {(spec.rows, spec.cols)}")
+    moves = ACTION_OFFSETS[:, 0] * spec.cols + ACTION_OFFSETS[:, 1]
     streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
-    cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
-    cells[:, 0, 0] = spec.anchor.row
-    cells[:, 0, 1] = spec.anchor.col
+    # entry (t, i) is stream i's draw at counter t, as one call per step would draw it
+    draws = rng.uniform(seed, streams, np.arange(horizon)[:, None])
+    flat = np.empty((horizon + 1, count), dtype=np.int64)
+    flat[0] = spec.anchor.row * spec.cols + spec.anchor.col
+    flat_reward = reward.ravel()
     rewards = np.zeros(count)
-    # entry (i, t) is stream i's draw at counter t, as one call per step would draw it
-    draws = rng.uniform(seed, streams[:, None], np.arange(horizon))
     for t in range(horizon):
-        cum = policy.probs(t, cells[:, t, 0], cells[:, t, 1]).cumsum(axis=1)
-        cum /= cum[:, -1:]
-        action = np.minimum((draws[:, t, None] >= cum).sum(axis=1), N_ACTIONS - 1)
-        np.add(cells[:, t], ACTION_OFFSETS[action], out=cells[:, t + 1])
-        rewards += reward[cells[:, t + 1, 0], cells[:, t + 1, 1]]
+        # the first action whose cumulative probability passes the draw, which
+        # is the number of entries the draw reaches: a row never decreases and
+        # ends at exactly 1, above every draw
+        action = (policy.cumulative(t, flat[t]) > draws[t, :, None]).argmax(axis=1)
+        np.add(flat[t], moves.take(action), out=flat[t + 1])
+        rewards += flat_reward.take(flat[t + 1])
+    policy.check_moves(flat[:-1])
+    cells = np.empty((count, horizon + 1, 2), dtype=np.int64)
+    np.divmod(flat.T, spec.cols, out=(cells[..., 0], cells[..., 1]))
     return RolloutBatch(cells=cells, path_rewards=rewards)
 
 

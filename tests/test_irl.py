@@ -12,7 +12,7 @@ import pytest
 from gridcast import irl, pipeline
 from gridcast.scene import SCENE_KINDS, generate_scene, normalize_to_target
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, neighbourhood, reachable_box
+from gridcast.grid import ACTIONS, N_ACTIONS, STAY, CellIndex, GridSpec, neighbourhood, reachable_box
 from gridcast.irl import (
     Demonstration,
     RewardMapParams,
@@ -111,13 +111,6 @@ def test_reward_network_keeps_no_hidden_layer_of_the_grid(direction, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
-
-
-def test_reward_forward_rejects_nonfinite():
-    feats = np.zeros((3, 3, 2))
-    feats[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        reward_forward(feats, RewardMapParams.linear(2))
 
 
 def test_reward_backward_linear_closed_form():
@@ -451,6 +444,27 @@ def test_policy_probs_rejects_a_cell_off_its_window_on_either_side(planned):
     for row, col in ((7, 10), (13, 10), (10, 7), (10, 13)):
         with pytest.raises(ValueError):
             policy.probs(t, np.array([row]), np.array([col]))
+
+
+@pytest.mark.parametrize("action", range(N_ACTIONS))
+def test_the_table_of_a_one_hot_policy_stays_at_its_dead_ends(action):
+    # a one-hot move off the grid from every border the move meets: the build
+    # divides no 0 by 0 (RuntimeWarning is an error here), the cells with no
+    # move STAY, and every other row is the normalised cumsum of probs
+    spec = small_spec(rows=7, cols=8, anchor=(3, 3))
+    policy = one_hot_policy(spec, action, 3)
+    table, dead = policy._table
+    rows, cols = np.divmod(np.arange(spec.rows * spec.cols), spec.cols)
+    dr, dc = ACTIONS[action]
+    off = ~((0 <= rows + dr) & (rows + dr < spec.rows) & (0 <= cols + dc) & (cols + dc < spec.cols))
+    assert np.array_equal(dead, off)
+    assert np.array_equal(table[dead], np.tile(np.arange(N_ACTIONS) >= STAY, (dead.sum(), 1)))
+    full = irl.Policy.on_grid(spec, spec.rows + spec.cols, policy.weights)  # windows span the grid
+    t = max(spec.rows, spec.cols)
+    live = ~dead
+    cum = full.probs(t, rows[live], cols[live]).cumsum(axis=1)
+    cum /= cum[:, -1:]
+    assert table[live].tobytes() == cum.tobytes()
 
 
 def on_grid_normalisers(cases):
@@ -882,6 +896,28 @@ def fit(feats, demo, spec, horizon, **overrides):
     """train_irl on ``spec`` from the visit counts of one demonstration."""
     expert = expert_visitation([demo], spec, horizon)
     return train_irl(feats, expert, spec, train_cfg(horizon, **overrides))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_irl_rejects_nonfinite_features(bad):
+    spec = small_spec()
+    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
+    feats = np.zeros((5, 5, 2))
+    feats[0, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(feats, demo, spec, 3, max_iters=3)
+
+
+def test_train_irl_checks_its_raster_once_per_fit(monkeypatch):
+    # the raster is fixed for the fit: one check, not one per evaluation
+    checks, forwards = [], []
+    real_check, real_forward = irl.check_features, irl.reward_forward
+    monkeypatch.setattr(irl, "check_features", lambda f: checks.append(1) or real_check(f))
+    monkeypatch.setattr(irl, "reward_forward",
+                        lambda f, p: forwards.append(1) or real_forward(f, p))
+    demo = demo_from_rows([(2, 2), (3, 2), (4, 2), (4, 2)])
+    fit(random_features((5, 5, 3), seed=12), demo, small_spec(), 3, tol=0.0, max_iters=4)
+    assert (len(checks), len(forwards)) == (1, 5)
 
 
 def test_train_tol_inf_single_iteration():

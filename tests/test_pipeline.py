@@ -53,6 +53,22 @@ def test_nonfinite_feature_off_the_training_box_is_rejected(monkeypatch):
         pipeline.predict_scene(generate_scene("straight", seed=1), cfg, reasoning=True)
 
 
+def test_grid_reward_rejects_a_nonfinite_full_grid_raster(monkeypatch):
+    # the fit checked only its box; the figure's full-grid raster is checked too
+    cfg = replace(SMALL, max_iters=2)
+    result = pipeline.predict_scene(generate_scene("straight", seed=1), cfg, reasoning=True)
+    real = scene_mod.rasterize_features
+
+    def poisoned(scene, spec):
+        features = real(scene, spec)
+        features[0, 0, 1] = np.inf
+        return features
+
+    monkeypatch.setattr(scene_mod, "rasterize_features", poisoned)
+    with pytest.raises(ValueError, match="non-finite"):
+        pipeline.grid_reward(result)
+
+
 def test_box_policy_rollouts_and_occupancy_match_the_whole_box_plan():
     cfg = replace(SMALL, max_iters=5)
     result = pipeline.predict_scene(generate_scene("curve", seed=8), cfg, reasoning=True,

@@ -3,10 +3,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridcast import pipeline, rng, rollout
+from gridcast import irl, pipeline, rng, rollout
 from gridcast.config import RunConfig
-from gridcast.grid import ACTIONS, CellIndex, GridSpec, cell_to_world, reachable_box
-from gridcast.irl import soft_value_iteration
+from gridcast.grid import (
+    ACTION_OFFSETS,
+    ACTIONS,
+    N_ACTIONS,
+    CellIndex,
+    GridSpec,
+    cell_to_world,
+    reachable_box,
+)
+from gridcast.irl import Policy, soft_value_iteration
 from gridcast.rollout import (
     KMEANS_MAX_ITER,
     KMEANS_SHIFT_TOL,
@@ -119,6 +127,171 @@ def test_gather_constant_stack():
     stack = np.full((9, 9, 2), 7.5)
     got = gather_path_features(batch, stack)
     np.testing.assert_array_equal(got.features, 7.5)
+
+
+def reference_sample_rollouts(policy, reward, count, seed):
+    """The previous sampler: (row, col) cells, pi_t from Policy.probs at every
+    step, then its cumsum divided by the last column. Returns (cells,
+    path_rewards)."""
+    spec, horizon = policy.spec, policy.horizon
+    streams = np.arange(count, dtype=np.int64) + rng.STREAM_ROLLOUT * (2 ** 32)
+    cells = np.zeros((count, horizon + 1, 2), dtype=np.int64)
+    cells[:, 0, 0] = spec.anchor.row
+    cells[:, 0, 1] = spec.anchor.col
+    rewards = np.zeros(count)
+    draws = rng.uniform(seed, streams[:, None], np.arange(horizon))
+    for t in range(horizon):
+        cum = policy.probs(t, cells[:, t, 0], cells[:, t, 1]).cumsum(axis=1)
+        cum /= cum[:, -1:]
+        action = np.minimum((draws[:, t, None] >= cum).sum(axis=1), N_ACTIONS - 1)
+        np.add(cells[:, t], ACTION_OFFSETS[action], out=cells[:, t + 1])
+        rewards += reward[cells[:, t + 1, 0], cells[:, t + 1, 1]]
+    return cells, rewards
+
+
+def reference_cumulative(policy, t, rows, cols):
+    cum = policy.probs(t, rows, cols).cumsum(axis=1)
+    cum /= cum[:, -1:]
+    return cum
+
+
+def default_box(anchor=(32, 64), horizon=32):
+    spec = GridSpec(rows=128, cols=128, resolution=1.0, anchor=CellIndex(*anchor))
+    return reachable_box(spec, horizon)[0], horizon
+
+
+def acceptance_box():
+    cfg = RunConfig(rows=40, cols=40, resolution=2.0, anchor_row=10, anchor_col=20, horizon=16)
+    return reachable_box(cfg.grid_spec(), cfg.horizon)[0], cfg.horizon
+
+
+def sampler_case(name):
+    """(policy, reward) of one sampler case: the straight policy on the
+    default 65x65/H=32 box, on the acceptance 27x33/H=16 box and on a box the
+    grid clips on two sides, and random positive weights on the default box."""
+    rs = np.random.RandomState(sum(map(ord, name)))
+    if name == "random_weights":
+        box, horizon = default_box()
+        policy = Policy.on_grid(box, horizon, rs.uniform(0.01, 3.0, (3, 3)))
+    else:
+        box, horizon = {"default": default_box, "acceptance": acceptance_box,
+                        "clipped": lambda: default_box(anchor=(10, 120))}[name]()
+        policy = pipeline.straight_rollout_policy(box, horizon)
+    return policy, rs.normal(size=(box.rows, box.cols))
+
+
+SAMPLER_CASES = ["default", "acceptance", "clipped", "random_weights"]
+
+
+def test_sampler_cases_have_the_stated_boxes():
+    shapes = [(sampler_case(name)[0].spec, sampler_case(name)[0].horizon)
+              for name in SAMPLER_CASES]
+    assert [(box.rows, box.cols, h) for box, h in shapes] == [
+        (65, 65, 32), (27, 33, 16), (43, 40, 32), (65, 65, 32)]
+    clipped = shapes[2][0]
+    assert clipped.anchor.row < 32 and clipped.cols - 1 - clipped.anchor.col < 32
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_table_sampler_is_the_reference_loop_bitwise(name):
+    policy, reward = sampler_case(name)
+    for seed in range(200):
+        batch = sample_rollouts(policy, reward, 128, seed)
+        cells, rewards = reference_sample_rollouts(policy, reward, 128, seed)
+        assert batch.cells.dtype == cells.dtype and batch.cells.flags.c_contiguous
+        assert batch.cells.tobytes() == cells.tobytes()
+        assert batch.path_rewards.tobytes() == rewards.tobytes()
+
+
+@pytest.mark.parametrize("name", SAMPLER_CASES)
+def test_table_rows_are_the_normalised_cumsum_of_probs_bitwise(name):
+    # every cell of every window, border cells included
+    policy, _ = sampler_case(name)
+    cols = policy.spec.cols
+    for t in range(policy.horizon):
+        rows, cols_ = (a.ravel() for a in np.mgrid[policy.windows[t]])
+        got = policy.cumulative(t, rows * cols + cols_)
+        assert got.tobytes() == reference_cumulative(policy, t, rows, cols_).tobytes()
+
+
+def test_table_rows_divide_by_sums_that_are_not_exactly_one():
+    # most random weights leave some row's sum an ulp off 1, where the
+    # division by the last column changes bits
+    spec, t = spec_of(rows=7, cols=8, anchor=(3, 3)), 4  # windows[4] is the grid
+    rows, cols = np.divmod(np.arange(spec.rows * spec.cols), spec.cols)
+    rs, off_one = np.random.RandomState(0), 0
+    for _ in range(20):
+        policy = Policy.on_grid(spec, t + 1, rs.uniform(0.01, 3.0, (3, 3)))
+        off_one += int((policy.probs(t, rows, cols).sum(axis=1) != 1.0).any())
+        got = policy.cumulative(t, rows * spec.cols + cols)
+        assert got.tobytes() == reference_cumulative(policy, t, rows, cols).tobytes()
+    assert off_one > 0
+
+
+def test_planned_sampler_is_the_reference_loop_bitwise():
+    # a time-varying policy computes each step at the batch's cells
+    for name in ("default", "clipped"):
+        policy, reward = sampler_case(name)
+        planned = soft_value_iteration(reward, policy.spec, policy.horizon)[1]
+        for seed in range(20):
+            batch = sample_rollouts(planned, reward, 128, seed)
+            cells, rewards = reference_sample_rollouts(planned, reward, 128, seed)
+            assert batch.cells.tobytes() == cells.tobytes()
+            assert batch.path_rewards.tobytes() == rewards.tobytes()
+
+
+def test_the_table_is_read_only_contiguous_and_built_once(monkeypatch):
+    policy, reward = sampler_case("random_weights")
+    built = []
+    real = irl.neighbourhood
+    monkeypatch.setattr(irl, "neighbourhood", lambda *a: built.append(1) or real(*a))
+    for seed in range(3):
+        sample_rollouts(policy, reward, 16, seed)
+    table, dead = policy._table
+    assert len(built) == 1 and policy._table[0] is table
+    assert table.shape == (policy.spec.rows * policy.spec.cols, N_ACTIONS)
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert not dead.flags.writeable and not dead.any()
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_the_memoised_straight_policy_samples_without_recomputing_probs(monkeypatch):
+    box, horizon = default_box()
+    policy = pipeline.straight_rollout_policy(box, horizon)
+    reward = np.zeros((box.rows, box.cols))
+    sample_rollouts(policy, reward, 128, 0)
+    calls = []
+    real_probs, real_successors = Policy.probs, irl.successors
+    monkeypatch.setattr(Policy, "probs", lambda *a: calls.append("probs") or real_probs(*a))
+    monkeypatch.setattr(irl, "successors",
+                        lambda *a: calls.append("successors") or real_successors(*a))
+    sample_rollouts(pipeline.straight_rollout_policy(box, horizon), reward, 128, 1)
+    assert calls == []
+
+
+def dead_end_policy(horizon, planned):
+    """The one-hot (1, 0) policy on a 9x9 grid from (4, 4): row 8 has no move.
+    ``planned`` rebuilds it from the same maps as a time-varying policy."""
+    policy = one_hot_policy(spec_of(rows=9, cols=9, anchor=(4, 4)), ACTIONS.index((1, 0)),
+                            horizon)
+    return Policy(policy.spec, policy.weights, policy.succ, policy.norm) if planned else policy
+
+
+@pytest.mark.parametrize("horizon", [5, 6])
+@pytest.mark.parametrize("planned", [False, True])
+def test_a_path_at_a_cell_with_no_move_raises_naming_the_step_and_cell(planned, horizon):
+    # the path reaches row 8 at step 4, the last step's start at horizon 5;
+    # the old loop divided 0/0 there and took action 0, a move of
+    # probability 0, to (7, 3)
+    with pytest.raises(ValueError, match=r"step 4 starts at cell \(8, 4\)"):
+        sample_rollouts(dead_end_policy(horizon, planned), np.zeros((9, 9)), 3, seed=0)
+
+
+@pytest.mark.parametrize("planned", [False, True])
+def test_a_path_may_end_on_a_cell_with_no_move(planned):
+    batch = sample_rollouts(dead_end_policy(4, planned), np.zeros((9, 9)), 3, seed=0)
+    assert batch.cells[:, -1].tolist() == [[8, 4]] * 3
 
 
 # ---------------------------------------------------------------------------
